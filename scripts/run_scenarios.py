@@ -2,6 +2,8 @@
 """Run every bundled scenario file and print its report.
 
 Usage: python scripts/run_scenarios.py [--format text|json]
+
+Exits 1 when any check fails, 0 otherwise.
 """
 
 import argparse
@@ -25,7 +27,7 @@ def main() -> int:
         failures += sum(1 for e in report.checks if e["verdict"] == "fail")
     if failures:
         print(f"{failures} failing check(s)")
-    return 0
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ import random
 import sys
 import time
 from fractions import Fraction
-from itertools import combinations
+from pathlib import Path
 
 from superproj.densities import (
     DensityElement,
@@ -21,12 +21,10 @@ from superproj.densities import (
     projective_laplacian,
 )
 from superproj.geometry import (
-    Connection,
     CoordinateChange,
     CovectorField,
     ProjectiveClass,
     Sym2Cov,
-    Sym2Upper,
     div_trace,
     j_inject,
     projective_class,
@@ -34,61 +32,12 @@ from superproj.geometry import (
     transform_connection,
     transform_sym2cov,
 )
-from superproj.graded_algebra import Dimension, SuperFunction, scalar_field
+from superproj.graded_algebra import Dimension, SuperFunction
 from superproj.poisson_bv import bv_check, density_jacobi_check
 from superproj.thomas import extend_bracket, extension_operator, lift_projective_class
 
-
-def rand_scalar(rng, dim, deg=1):
-    fld, gens = scalar_field(dim)
-    val = fld(rng.randint(-2, 2))
-    for _ in range(rng.randint(0, 2)):
-        term = fld(rng.randint(-2, 2))
-        for g in gens:
-            term = term * g ** rng.randint(0, deg)
-        val = val + term
-    return val
-
-
-def rand_super(rng, dim, parity=None, deg=1):
-    terms = {}
-    for r in range(dim.m + 1):
-        for combo in combinations(range(dim.m), r):
-            if parity is None or r % 2 == parity:
-                if rng.random() < 0.8:
-                    terms[combo] = rand_scalar(rng, dim, deg)
-    return SuperFunction(dim, terms)
-
-
-def rand_connection(rng, dim):
-    comps = {}
-    for k in range(dim.size):
-        for i in range(dim.size):
-            for j in range(i, dim.size):
-                if i == j and dim.parity(i):
-                    continue
-                p = (dim.parity(i) + dim.parity(j) + dim.parity(k)) % 2
-                v = rand_super(rng, dim, p)
-                comps[(k, i, j)] = v
-                if i != j:
-                    sign = -1 if dim.parity(i) and dim.parity(j) else 1
-                    comps[(k, j, i)] = v.scale(sign)
-    return Connection(dim, comps)
-
-
-def rand_upper(rng, dim, eps):
-    comps = {}
-    for i in range(dim.size):
-        for j in range(i, dim.size):
-            if i == j and dim.parity(i):
-                continue
-            p = (dim.parity(i) + dim.parity(j) + eps) % 2
-            v = rand_super(rng, dim, p)
-            comps[(i, j)] = v
-            if i != j:
-                sign = -1 if dim.parity(i) and dim.parity(j) else 1
-                comps[(j, i)] = v.scale(sign)
-    return Sym2Upper(dim, comps, eps)
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from helpers import darboux_odd, rand_connection, rand_super, rand_upper  # noqa: E402
 
 
 def show(label, ok, started):
@@ -149,12 +98,7 @@ def main() -> int:
                    "reproduces the bracket", ok, t0)
 
     t0 = time.perf_counter()
-    comps = {}
-    one_fn = SuperFunction.one(dim)
-    for i in range(dim.n):
-        comps[(i, dim.n + i)] = one_fn
-        comps[(dim.n + i, i)] = one_fn
-    darboux = Sym2Upper(dim, comps, 1)
+    darboux = darboux_odd(dim)
     rep = bv_check(darboux, ProjectiveClass(dim, {}))
     lap = projective_laplacian(darboux, ProjectiveClass(dim, {}))
     sq = compose(lap, lap)

@@ -31,7 +31,6 @@ from .densities import (
     density_test_family,
     formal_adjoint,
     generated_bracket,
-    operators_equal,
     projective_laplacian,
 )
 from .errors import KernelError, ParseError, ValidationError
@@ -109,6 +108,20 @@ def _parse_index_key(key: str, arity: int, dim: Dimension, where: str):
     return tuple(out)
 
 
+def _object(value, where) -> dict:
+    if not isinstance(value, dict):
+        raise ValidationError(f"{where}: expected a JSON object")
+    return value
+
+
+def _count(dim_obj, key) -> int:
+    value = dim_obj[key]
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise ValidationError(
+            f"dimension.{key}: expected a non-negative integer, got {value!r}")
+    return value
+
+
 def _expr(dim, text, where) -> SuperFunction:
     if not isinstance(text, str):
         raise ValidationError(f"{where}: expected an expression string")
@@ -137,7 +150,7 @@ def _complete_symmetric(dim, comps, upper_only: bool, where: str):
 
 def _table(dim, obj, arity, where):
     comps = {}
-    for key, text in obj.items():
+    for key, text in _object(obj, where).items():
         idx = _parse_index_key(key, arity, dim, where)
         comps[idx] = _expr(dim, text, f"{where}[{key}]")
     return comps
@@ -154,13 +167,16 @@ def parse_scenario(text: str) -> Scenario:
     dim_obj = doc.get("dimension")
     if not isinstance(dim_obj, dict) or "n" not in dim_obj or "m" not in dim_obj:
         raise ValidationError("scenario must declare dimension {n, m}")
-    dim = Dimension.of(int(dim_obj["n"]), int(dim_obj["m"]))
+    dim = Dimension.of(_count(dim_obj, "n"), _count(dim_obj, "m"))
+
+    def section(key):
+        return _object(doc.get(key, {}), key).items()
 
     expressions = {name: _expr(dim, text, f"expressions.{name}")
-                   for name, text in doc.get("expressions", {}).items()}
+                   for name, text in section("expressions")}
 
     connections = {}
-    for name, table in doc.get("connections", {}).items():
+    for name, table in section("connections"):
         comps = _table(dim, table, 3, f"connections.{name}")
         comps = _complete_symmetric(dim, comps, False, f"connections.{name}")
         try:
@@ -169,7 +185,7 @@ def parse_scenario(text: str) -> Scenario:
             raise ValidationError(f"connections.{name}: {exc}") from None
 
     pclasses = {}
-    for name, table in doc.get("projective_classes", {}).items():
+    for name, table in section("projective_classes"):
         comps = _table(dim, table, 3, f"projective_classes.{name}")
         comps = _complete_symmetric(dim, comps, False, f"projective_classes.{name}")
         try:
@@ -178,7 +194,8 @@ def parse_scenario(text: str) -> Scenario:
             raise ValidationError(f"projective_classes.{name}: {exc}") from None
 
     tensors = {}
-    for name, spec in doc.get("tensors", {}).items():
+    for name, spec in section("tensors"):
+        spec = _object(spec, f"tensors.{name}")
         parity = {"even": 0, "odd": 1}.get(spec.get("parity", "even"))
         if parity is None:
             raise ValidationError(f"tensors.{name}: parity must be even or odd")
@@ -190,7 +207,8 @@ def parse_scenario(text: str) -> Scenario:
             raise ValidationError(f"tensors.{name}: {exc}") from None
 
     changes = {}
-    for name, spec in doc.get("changes", {}).items():
+    for name, spec in section("changes"):
+        spec = _object(spec, f"changes.{name}")
         fwd = spec.get("forward")
         if not isinstance(fwd, list) or len(fwd) != dim.size:
             raise ValidationError(
@@ -209,12 +227,14 @@ def parse_scenario(text: str) -> Scenario:
             raise ValidationError(f"changes.{name}: {exc}") from None
 
     triples = {}
-    for name, spec in doc.get("triples", {}).items():
+    for name, spec in section("triples"):
+        spec = _object(spec, f"triples.{name}")
         s_name = spec.get("s")
         if s_name not in tensors:
             raise ValidationError(f"triples.{name}: unknown tensor {s_name!r}")
         gamma = {}
-        for key, text in spec.get("gamma", {}).items():
+        for key, text in _object(spec.get("gamma", {}),
+                                 f"triples.{name}.gamma").items():
             idx = _parse_index_key(key, 1, dim, f"triples.{name}.gamma")
             gamma[idx[0]] = _expr(dim, text, f"triples.{name}.gamma[{key}]")
         theta = _expr(dim, spec.get("theta", "0"), f"triples.{name}.theta")
@@ -228,7 +248,7 @@ def parse_scenario(text: str) -> Scenario:
             raise ValidationError(f"triples.{name}: {exc}") from None
 
     volume_forms = {name: _expr(dim, text, f"volume_forms.{name}")
-                    for name, text in doc.get("volume_forms", {}).items()}
+                    for name, text in section("volume_forms")}
 
     checks = doc.get("checks", [])
     if not isinstance(checks, list):
@@ -248,14 +268,16 @@ def parse_scenario(text: str) -> Scenario:
                 f"checks[{pos}]: unknown check {kind!r}; known: "
                 + ", ".join(sorted(CHECK_HANDLERS)))
         handler = CHECK_HANDLERS[kind]
-        for arg, pool in handler.requires.items():
+        for arg in handler.requires:
             if arg not in chk:
                 raise ValidationError(f"checks[{pos}] ({kind}): missing {arg!r}")
-            if pool and chk[arg] not in scenario_names[pool]:
+        for arg, pool in {**handler.requires, **handler.optional}.items():
+            if arg not in chk or not pool:
+                continue
+            if not isinstance(chk[arg], str):
                 raise ValidationError(
-                    f"checks[{pos}] ({kind}): unresolved {arg} {chk[arg]!r}")
-        for arg, pool in handler.optional.items():
-            if arg in chk and pool and chk[arg] not in scenario_names[pool]:
+                    f"checks[{pos}] ({kind}): {arg} must be a name string")
+            if chk[arg] not in scenario_names[pool]:
                 raise ValidationError(
                     f"checks[{pos}] ({kind}): unresolved {arg} {chk[arg]!r}")
         normalized.append(tuple(sorted(chk.items())))
@@ -467,7 +489,7 @@ def _check_extension_consistency(s: Scenario, chk: dict) -> dict:
     triple = thomas.extend_bracket(tensor, pc, weight)
     lhs = canonical_operator(triple)
     rhs = thomas.extension_operator(triple, pc)
-    if lhs == rhs and operators_equal(lhs, rhs):
+    if lhs == rhs:
         return {"verdict": "pass",
                 "info": {"gamma": {f"{i + 1}": format_super(v)
                                    for i, v in sorted(triple.gamma.items())},

@@ -8,9 +8,10 @@ rational weights.  Operators are kept in normal order
 
 with the derivative multi-index written in ascending coordinate order and the
 weight operator rightmost.  Since the monomials d^alpha w^k act independently
-on the slice family, normal forms are faithful and structural equality of
-operators coincides with extensional equality; `operators_equal` additionally
-checks extensionally on a spanning family of test densities.
+on the slice family, normal forms are faithful: structural equality of
+operators is extensional equality, and it is the verdict every check uses.
+`operators_equal` evaluates both operators on a spanning family of test
+densities; it is kept as a cross-check for the tests.
 
 Normalization notes (constraints, not derivable from the code):
 
@@ -462,13 +463,12 @@ def density_test_family(dim: Dimension, weights: Iterable = DEFAULT_WEIGHTS,
     return family
 
 
-def operators_equal(d1: DensityOperator, d2: DensityOperator,
-                    family: Optional[list] = None) -> bool:
-    """Extensional equality on a spanning test family (the module's notion
-    of operator equality); defaults to the standard family."""
-    if family is None:
-        family = density_test_family(d1.dim)
-    return all((d1(phi) - d2(phi)).is_zero() for phi in family)
+def operators_equal(d1: DensityOperator, d2: DensityOperator) -> bool:
+    """Extensional equality on the standard test family.  Normal forms are
+    faithful, so this agrees with ``d1 == d2``; tests use it to confirm
+    that."""
+    return all((d1(phi) - d2(phi)).is_zero()
+               for phi in density_test_family(d1.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -476,101 +476,21 @@ def operators_equal(d1: DensityOperator, d2: DensityOperator,
 # ---------------------------------------------------------------------------
 
 
-def _mult_set(dim: Dimension, include_volume: bool = True):
-    """Multiplication operators: coordinates, their pairwise products, and
-    (to grade the weight direction) multiplication by |Dx|."""
-    coords = [SuperFunction.coordinate(dim, i) for i in range(dim.size)]
-    funcs = list(coords)
-    for i in range(dim.size):
-        for j in range(i, dim.size):
-            prod = coords[i] * coords[j]
-            if not prod.is_zero():
-                funcs.append(prod)
-    mults = [DensityOperator.mult(DensityElement.of(f)) for f in funcs]
-    if include_volume:
-        mults.append(DensityOperator.mult(DensityElement.volume(dim)))
-    return mults
-
-
 def graded_commutator(d: DensityOperator, m: DensityOperator) -> DensityOperator:
     sign = -1 if (int(d.parity()) and int(m.parity())) else 1
     return d.compose(m) - m.compose(d).scale(sign)
 
 
-def op_order(d: DensityOperator, max_depth: int = 4) -> int:
+def op_order(d: DensityOperator) -> int:
     """Algebraic order: smallest k such that all (k+1)-fold nested graded
-    commutators with the multiplication set vanish.
+    commutators with multiplication operators (coordinates and |Dx|)
+    vanish.
 
-    For normal-ordered operators this equals the maximal total degree in
-    (derivatives, w); nested commutators are searched downward from that
-    bound as a direct witness.
+    Commuting with x^i lowers the exponent of d_i and commuting with |Dx|
+    lowers the power of w, so for a normal-ordered operator the order is
+    its maximal total degree in (derivatives, w); 0 for the zero operator.
     """
-    if d.is_zero():
-        return 0
-    bound = min(
-        max(sum(alpha) + wpow for (alpha, wpow) in d.terms), max_depth)
-    dim = d.dim
-    mults = _mult_set(dim)
-    parts = [p for p in _parity_parts(d) if not p.is_zero()]
-
-    def witness(depth: int) -> bool:
-        # directed candidates from the operator's own terms
-        for part in parts:
-            for (alpha, wpow) in part.terms:
-                chain = []
-                for i in range(dim.size):
-                    coord = DensityOperator.mult(
-                        DensityElement.of(SuperFunction.coordinate(dim, i)))
-                    chain.extend([coord] * alpha[i])
-                chain.extend(
-                    [DensityOperator.mult(DensityElement.volume(dim))] * wpow)
-                if len(chain) != depth:
-                    continue
-                for ordering in (chain, chain[::-1]):
-                    acc = part
-                    for m in ordering:
-                        acc = graded_commutator(acc, m)
-                        if acc.is_zero():
-                            break
-                    if not acc.is_zero():
-                        return True
-        # breadth-limited systematic fallback
-        level = parts
-        for _ in range(depth):
-            nxt = []
-            for e in level:
-                for m in mults:
-                    c = graded_commutator(e, m)
-                    if not c.is_zero():
-                        nxt.append(c)
-                        if len(nxt) > 60:
-                            break
-                if len(nxt) > 60:
-                    break
-            if not nxt:
-                return False
-            level = nxt
-        return bool(level)
-
-    for k in range(bound, 0, -1):
-        if witness(k):
-            return k
-    return 0
-
-
-def _parity_parts(d: DensityOperator):
-    ev_terms, od_terms = {}, {}
-    for key, coeff in d.terms.items():
-        odd_derivs = sum(key[0][i] for i in range(d.dim.size)
-                         if d.dim.parity(i) == ODD)
-        ev, od = coeff.parity_split()
-        even_piece = ev if odd_derivs % 2 == 0 else od
-        odd_piece = od if odd_derivs % 2 == 0 else ev
-        if not even_piece.is_zero():
-            ev_terms[key] = ev_terms.get(key, DensityElement.zero(d.dim)) + even_piece
-        if not odd_piece.is_zero():
-            od_terms[key] = od_terms.get(key, DensityElement.zero(d.dim)) + odd_piece
-    return [DensityOperator(d.dim, ev_terms), DensityOperator(d.dim, od_terms)]
+    return max((sum(alpha) + wpow for alpha, wpow in d.terms), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -827,7 +747,6 @@ class _BracketEngine:
 
     def _atomic_second(self, ta, tb) -> DensityElement:
         """Second argument is atomic; peel the first (or use the table)."""
-        dim = self.dim
         kind_a = self._is_atomic(ta)
         kind_b = self._is_atomic(tb)
         if kind_b is None:
@@ -918,55 +837,100 @@ def generated_bracket(delta: DensityOperator, a: DensityElement,
 
 
 # ---------------------------------------------------------------------------
-# canonical generating operator
+# divergences and contractions
 # ---------------------------------------------------------------------------
+
+
+def linear_combination(*pairs) -> dict:
+    """Sum of q * v over (q, v) pairs of a rational and a vector
+    {index: SuperFunction}; zero entries omitted."""
+    out: dict = {}
+    for q, vec in pairs:
+        for i, v in vec.items():
+            out[i] = out[i] + v.scale(q) if i in out else v.scale(q)
+    return {i: v for i, v in out.items() if not v.is_zero()}
+
+
+def div_vector(v: Mapping[int, SuperFunction], dim: Dimension,
+               eps: int) -> SuperFunction:
+    """Signed divergence d_k v^k (-1)^{k~(eps+1)}."""
+    acc = SuperFunction.zero(dim)
+    for k, v_k in v.items():
+        acc = acc + v_k.partial(k).scale((-1) ** (dim.parity(k) * (eps + 1)))
+    return acc
+
+
+def div_upper(s: Sym2Upper) -> dict:
+    """Signed divergence i -> d_j S^ji (-1)^{j~(S~+1)}, i.e. `div_vector` of
+    each column of S; zero entries omitted."""
+    columns: dict = {}
+    for (j, i), s_ji in s.comps.items():
+        columns.setdefault(i, {})[j] = s_ji
+    divs = {i: div_vector(col, s.dim, s.parity) for i, col in columns.items()}
+    return {i: v for i, v in divs.items() if not v.is_zero()}
+
+
+def contract_class(s: Sym2Upper, pi: Sym2Cov) -> dict:
+    """i -> S^jk Pi^i_kj; zero entries omitted."""
+    out: dict = {}
+    for (i, k, j), p in pi.comps.items():
+        s_jk = s.comps.get((j, k))
+        if s_jk is not None:
+            out[i] = out[i] + s_jk * p if i in out else s_jk * p
+    return {i: v for i, v in out.items() if not v.is_zero()}
+
+
+def contract_lower(s: Sym2Upper,
+                   lower: Mapping[tuple, SuperFunction]) -> SuperFunction:
+    """S^jk L_kj for a lower tensor given as {(k, j): L_kj}."""
+    acc = SuperFunction.zero(s.dim)
+    for (j, k), s_jk in s.comps.items():
+        l_kj = lower.get((k, j))
+        if l_kj is not None:
+            acc = acc + s_jk * l_kj
+    return acc
+
+
+# ---------------------------------------------------------------------------
+# generating operators
+# ---------------------------------------------------------------------------
+
+
+def _generating_operator(triple: BracketTriple, a: Mapping[int, SuperFunction],
+                        b: SuperFunction) -> DensityOperator:
+    """The second-order operator with first-order data (a, b):
+
+        (1/2) |Dx|^lam ( S^ij d_j d_i + 2 gamma^i w d_i + theta w^2
+            + a^i d_i + b w ).
+    """
+    dim = triple.dim
+    pieces = [(s_ij, [j, i], 0) for (i, j), s_ij in triple.s.comps.items()]
+    pieces += [(g.scale(2), [i], 1) for i, g in triple.gamma.items()]
+    pieces += [(triple.theta, [], 2)]
+    pieces += [(a_i, [i], 0) for i, a_i in a.items()]
+    pieces += [(b, [], 1)]
+    total = DensityOperator.zero(dim)
+    for f, derivs, wpow in pieces:
+        coeff = DensityElement(dim, {triple.weight: f.scale(Fraction(1, 2))})
+        total = total + DensityOperator.from_written(coeff, derivs, wpow)
+    return total
 
 
 def canonical_operator(triple: BracketTriple) -> DensityOperator:
     """The self-adjoint constant-free operator generating the triple's
-    bracket:
+    bracket: `_generating_operator` with
 
-        (1/2) |Dx|^lam ( S^ij d_j d_i + 2 gamma^i w d_i + theta w^2
-            + (d_j S^ji (-1)^{j~(eps+1)} + (lam-1) gamma^i) d_i
-            + (d_k gamma^k (-1)^{k~(eps+1)} + (lam-1) theta) w ).
+        a^i = d_j S^ji (-1)^{j~(eps+1)} + (lam-1) gamma^i,
+        b   = d_k gamma^k (-1)^{k~(eps+1)} + (lam-1) theta.
 
     The global 1/2 makes `generated_bracket` of this operator reproduce the
     triple's component values exactly.
     """
-    dim = triple.dim
-    lam = triple.weight
-    eps = triple.eps
-    half = Fraction(1, 2)
-
-    def wrap(f: SuperFunction) -> DensityElement:
-        return DensityElement(dim, {lam: f.scale(half)})
-
-    total = DensityOperator.zero(dim)
-    for (i, j), s_ij in triple.s.comps.items():
-        total = total + DensityOperator.from_written(wrap(s_ij), [j, i])
-    for i, g in triple.gamma.items():
-        total = total + DensityOperator.from_written(wrap(g.scale(2)), [i], wpow=1)
-    if not triple.theta.is_zero():
-        total = total + DensityOperator.from_written(wrap(triple.theta), [], wpow=2)
-    for i in range(dim.size):
-        acc = SuperFunction.zero(dim)
-        for j in range(dim.size):
-            s_ji = triple.s.component(j, i)
-            if s_ji.is_zero():
-                continue
-            sign = (-1) ** (dim.parity(j) * (eps + 1))
-            acc = acc + s_ji.partial(j).scale(sign)
-        acc = acc + triple.gamma_component(i).scale(lam - 1)
-        if not acc.is_zero():
-            total = total + DensityOperator.from_written(wrap(acc), [i])
-    acc = SuperFunction.zero(dim)
-    for k, g in triple.gamma.items():
-        sign = (-1) ** (dim.parity(k) * (eps + 1))
-        acc = acc + g.partial(k).scale(sign)
-    acc = acc + triple.theta.scale(lam - 1)
-    if not acc.is_zero():
-        total = total + DensityOperator.from_written(wrap(acc), [], wpow=1)
-    return total
+    lam1 = triple.weight - 1
+    a = linear_combination((1, div_upper(triple.s)), (lam1, triple.gamma))
+    b = (div_vector(triple.gamma, triple.dim, triple.eps)
+         + triple.theta.scale(lam1))
+    return _generating_operator(triple, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -974,53 +938,33 @@ def canonical_operator(triple: BracketTriple) -> DensityOperator:
 # ---------------------------------------------------------------------------
 
 
-def _laplacian_first_order(s: Sym2Upper, pi: Sym2Cov, c_div: Fraction,
-                           c_pi: Fraction) -> dict:
-    """Coefficients c_div * d_j S^ji (-1)^{j~(S~+1)} + c_pi * S^jk Pi^i_kj."""
-    dim = s.dim
-    out = {}
-    for i in range(dim.size):
-        acc = SuperFunction.zero(dim)
-        for j in range(dim.size):
-            s_ji = s.component(j, i)
-            if not s_ji.is_zero():
-                sign = (-1) ** (dim.parity(j) * (s.parity + 1))
-                acc = acc + s_ji.partial(j).scale(c_div * sign)
-        for j in range(dim.size):
-            for k in range(dim.size):
-                s_jk = s.component(j, k)
-                p = pi.component(i, k, j)
-                if s_jk.is_zero() or p.is_zero():
-                    continue
-                acc = acc + (s_jk * p).scale(c_pi)
-        if not acc.is_zero():
-            out[i] = acc
-    return out
+def laplacian_vector(s: Sym2Upper, pi: ProjectiveClass) -> dict:
+    """First-order coefficients of the projective Laplacian,
+    T^i = 2/(n0+3) d_j S^ji (-1)^{j~(S~+1)} - (n0+1)/(n0+3) S^jk Pi^i_kj."""
+    n0 = s.dim.n0
+    if n0 in (-1, -3):
+        raise SingularDimension(f"n - m = {n0}: projective Laplacian undefined")
+    return linear_combination((Fraction(2, n0 + 3), div_upper(s)),
+                              (Fraction(-(n0 + 1), n0 + 3), contract_class(s, pi)))
 
 
 def projective_laplacian(s: Sym2Upper, pi: ProjectiveClass) -> DensityOperator:
-    """S^ij d_j d_i + (2/(n0+3) d_j S^ji (-1)^{j~(S~+1)}
-    - (n0+1)/(n0+3) S^jk Pi^i_kj) d_i, acting on weight-0 densities."""
-    dim = s.dim
-    n0 = dim.n0
-    if n0 in (-1, -3):
-        raise SingularDimension(f"n - m = {n0}: projective Laplacian undefined")
-    total = DensityOperator.zero(dim)
+    """S^ij d_j d_i + T^i d_i with T = `laplacian_vector`, acting on weight-0
+    densities."""
+    first = laplacian_vector(s, pi)
+    total = DensityOperator.zero(s.dim)
     for (i, j), s_ij in s.comps.items():
         total = total + DensityOperator.from_written(DensityElement.of(s_ij), [j, i])
-    first = _laplacian_first_order(
-        s, pi, Fraction(2, n0 + 3), Fraction(-(n0 + 1), n0 + 3))
-    for i, coeff in first.items():
-        total = total + DensityOperator.from_written(DensityElement.of(coeff), [i])
+    for i, t_i in first.items():
+        total = total + DensityOperator.from_written(DensityElement.of(t_i), [i])
     return total
 
 
 def upper_gamma(s: Sym2Upper, pi: ProjectiveClass) -> dict:
     """Volume upper-connection coefficients
     gamma^i = (n0+1)/(n0+3) (d_j S^ji (-1)^{j~(S~+1)} + S^jk Pi^i_kj)."""
-    dim = s.dim
-    n0 = dim.n0
+    n0 = s.dim.n0
     if n0 in (-1, -3):
         raise SingularDimension(f"n - m = {n0}: upper connection undefined")
     q = Fraction(n0 + 1, n0 + 3)
-    return _laplacian_first_order(s, pi, q, q)
+    return linear_combination((q, div_upper(s)), (q, contract_class(s, pi)))

@@ -424,7 +424,3 @@ def normal_form(a: SuperFunction) -> SuperFunction:
 def is_zero(a: SuperFunction) -> bool:
     return a.is_zero()
 
-
-def koszul(p: int, q: int) -> int:
-    """(-1)^{pq} for parities p, q."""
-    return -1 if (p % 2) and (q % 2) else 1

@@ -27,12 +27,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .densities import BracketTriple, DensityElement, DensityOperator
+from .densities import (
+    BracketTriple,
+    DensityOperator,
+    contract_class,
+    contract_lower,
+    div_upper,
+    div_vector,
+    linear_combination,
+    _generating_operator,
+)
 from .errors import SingularDimension, SingularWeight
 from .geometry import (
     Connection,
     ProjectiveClass,
-    Sym2Cov,
     Sym2Upper,
     projective_class,
 )
@@ -56,11 +64,6 @@ class TildeChart:
     def to_ext(self, base_index: int) -> int:
         """Base coordinate index -> extended (Gothic) index."""
         return base_index + 1
-
-    def to_base(self, gothic: int) -> int:
-        if gothic == 0:
-            raise ValueError("Gothic index 0 is the volume coordinate")
-        return gothic - 1
 
     def embed(self, f: SuperFunction) -> SuperFunction:
         return f.migrate(self.ext)
@@ -157,62 +160,9 @@ def lift_projective_class(pi: ProjectiveClass) -> ProjectiveClass:
     return projective_class(lift_connection(pi))
 
 
-def restrict_to_base(tilde: Sym2Cov, chart: TildeChart) -> dict:
-    """Components of a Gothic-index tensor at base index positions."""
-    out = {}
-    for (k, i, j), val in tilde.comps.items():
-        if 0 not in (k, i, j):
-            out[(k - 1, i - 1, j - 1)] = chart.restrict(val)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # extension operator and bracket extension
 # ---------------------------------------------------------------------------
-
-
-def _first_order_data(s: Sym2Upper, pi: ProjectiveClass, gamma: dict):
-    """d_j S^ji with the parity sign, and contractions S Pi, S G0."""
-    dim = s.dim
-    eps = s.parity
-    div_s = {}
-    s_pi = {}
-    for i in range(dim.size):
-        acc = SuperFunction.zero(dim)
-        for j in range(dim.size):
-            val = s.component(j, i)
-            if not val.is_zero():
-                sign = (-1) ** (dim.parity(j) * (eps + 1))
-                acc = acc + val.partial(j).scale(sign)
-        if not acc.is_zero():
-            div_s[i] = acc
-        acc = SuperFunction.zero(dim)
-        for j in range(dim.size):
-            for k in range(dim.size):
-                sv = s.component(j, k)
-                pv = pi.component(i, k, j)
-                if sv.is_zero() or pv.is_zero():
-                    continue
-                acc = acc + sv * pv
-        if not acc.is_zero():
-            s_pi[i] = acc
-    div_gamma = SuperFunction.zero(dim)
-    for k, g in gamma.items():
-        sign = (-1) ** (dim.parity(k) * (eps + 1))
-        div_gamma = div_gamma + g.partial(k).scale(sign)
-    return div_s, s_pi, div_gamma
-
-
-def _contract_lower(s: Sym2Upper, lower: dict) -> SuperFunction:
-    """S^jk L_kj summed in written order."""
-    dim = s.dim
-    acc = SuperFunction.zero(dim)
-    for (j, k), sv in s.comps.items():
-        lv = lower.get((k, j))
-        if lv is None or lv.is_zero():
-            continue
-        acc = acc + sv * lv
-    return acc
 
 
 def extension_operator(triple: BracketTriple, pi: ProjectiveClass) -> DensityOperator:
@@ -235,38 +185,16 @@ def extension_operator(triple: BracketTriple, pi: ProjectiveClass) -> DensityOpe
         raise SingularDimension(f"n - m = {n0}: extension operator undefined")
     lam = triple.weight
     s = triple.s
-    gamma = dict(triple.gamma)
-    div_s, s_pi, div_gamma = _first_order_data(s, pi, gamma)
-    g0 = tilde_ricci(pi)
-    half = Fraction(1, 2)
-
-    def wrap(f: SuperFunction) -> DensityElement:
-        return DensityElement(dim, {lam: f.scale(half)})
-
-    total = DensityOperator.zero(dim)
-    for (i, j), val in s.comps.items():
-        total = total + DensityOperator.from_written(wrap(val), [j, i])
-    for i, g in gamma.items():
-        total = total + DensityOperator.from_written(wrap(g.scale(2)), [i], wpow=1)
-    if not triple.theta.is_zero():
-        total = total + DensityOperator.from_written(wrap(triple.theta), [], wpow=2)
     c_div = Fraction(2, n0 + 4)
     c_gamma = Fraction(2 * (lam * (n0 + 1) + 1), (n0 + 1) * (n0 + 4))
-    c_pi = Fraction(n0 + 2, n0 + 4)
-    for i in range(dim.size):
-        acc = div_s.get(i, SuperFunction.zero(dim)).scale(c_div)
-        if i in gamma:
-            acc = acc + gamma[i].scale(c_gamma)
-        if i in s_pi:
-            acc = acc - s_pi[i].scale(c_pi)
-        if not acc.is_zero():
-            total = total + DensityOperator.from_written(wrap(acc), [i])
     c_theta = Fraction(2 * lam * (n0 + 1) - n0, (n0 + 1) * (n0 + 4))
-    acc = div_gamma.scale(c_div) + triple.theta.scale(c_theta)
-    acc = acc - _contract_lower(s, g0).scale(c_pi)
-    if not acc.is_zero():
-        total = total + DensityOperator.from_written(wrap(acc), [], wpow=1)
-    return total
+    c_pi = Fraction(n0 + 2, n0 + 4)
+    a = linear_combination((c_div, div_upper(s)), (c_gamma, triple.gamma),
+                           (-c_pi, contract_class(s, pi)))
+    b = (div_vector(triple.gamma, dim, s.parity).scale(c_div)
+         + triple.theta.scale(c_theta)
+         - contract_lower(s, tilde_ricci(pi)).scale(c_pi))
+    return _generating_operator(triple, a, b)
 
 
 def gamma_theta_from_s(s: Sym2Upper, pi: ProjectiveClass, lam) -> tuple:
@@ -288,17 +216,11 @@ def gamma_theta_from_s(s: Sym2Upper, pi: ProjectiveClass, lam) -> tuple:
     if den_gamma == 0 or den_theta == 0:
         raise SingularWeight(
             f"weight {lam} is singular for n - m = {n0}")
-    div_s, s_pi, _ = _first_order_data(s, pi, {})
-    gamma = {}
     qg = Fraction(n0 + 1) / den_gamma
-    for i in range(dim.size):
-        acc = div_s.get(i, SuperFunction.zero(dim))
-        acc = acc + s_pi.get(i, SuperFunction.zero(dim))
-        if not acc.is_zero():
-            gamma[i] = acc.scale(qg)
-    _, _, div_gamma = _first_order_data(s, pi, gamma)
+    gamma = linear_combination((qg, div_upper(s)), (qg, contract_class(s, pi)))
     qt = Fraction(n0 + 1) / den_theta
-    theta = (div_gamma + _contract_lower(s, tilde_ricci(pi))).scale(qt)
+    theta = (div_vector(gamma, dim, s.parity)
+             + contract_lower(s, tilde_ricci(pi))).scale(qt)
     return gamma, theta
 
 

@@ -96,6 +96,21 @@ class TestParseScenario:
             parse_scenario(doc)
         assert "expressions.f" in str(err.value)
 
+    @pytest.mark.parametrize("fields, where", [
+        ({"dimension": {"n": "a", "m": 1}}, "dimension.n"),
+        ({"dimension": {"n": -1, "m": 1}}, "dimension.n"),
+        ({"expressions": ["x1"]}, "expressions"),
+        ({"tensors": {"S": "x1"}}, "tensors.S"),
+        ({"connections": {"G": {}},
+          "checks": [{"check": "projective_class", "connection": ["G"]}]},
+         "connection"),
+    ])
+    def test_malformed_field_is_named(self, fields, where):
+        doc = {"dimension": {"n": 1, "m": 1}, **fields}
+        with pytest.raises(ValidationError) as err:
+            parse_scenario(json.dumps(doc))
+        assert where in str(err.value)
+
 
 class TestRoundTrip:
     def test_emit_reparse_equal(self):
