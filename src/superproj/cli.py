@@ -272,7 +272,10 @@ def parse_scenario(text: str) -> Scenario:
             if arg not in chk:
                 raise ValidationError(f"checks[{pos}] ({kind}): missing {arg!r}")
         for arg, pool in {**handler.requires, **handler.optional}.items():
-            if arg not in chk or not pool:
+            if arg not in chk:
+                continue
+            if pool is None:  # a rational value, not a name
+                _parse_fraction(chk[arg], f"checks[{pos}] ({kind}): {arg}")
                 continue
             if not isinstance(chk[arg], str):
                 raise ValidationError(
@@ -486,9 +489,11 @@ def _check_extension_consistency(s: Scenario, chk: dict) -> dict:
     tensor = s.tensors[chk["tensor"]]
     pc = s.projective_classes[chk["projective_class"]]
     weight = _parse_fraction(chk.get("weight", "0"), "extension_consistency.weight")
-    triple = thomas.extend_bracket(tensor, pc, weight)
+    # one tilde_ricci for both sides; at n - m = +-1 extend_bracket raises first
+    ricci = None if s.dim.n0 in (1, -1) else thomas.tilde_ricci(pc)
+    triple = thomas.extend_bracket(tensor, pc, weight, ricci)
     lhs = canonical_operator(triple)
-    rhs = thomas.extension_operator(triple, pc)
+    rhs = thomas.extension_operator(triple, pc, ricci)
     if lhs == rhs:
         return {"verdict": "pass",
                 "info": {"gamma": {f"{i + 1}": format_super(v)
@@ -605,7 +610,7 @@ def run_checks(s: Scenario, only: Optional[set] = None) -> Report:
                 entry["residuals"] = outcome["residuals"]
             if outcome.get("info"):
                 entry["info"] = outcome["info"]
-        except KernelError as exc:
+        except Exception as exc:  # one check's error never aborts its siblings
             entry["verdict"] = "error"
             entry["error"] = f"{type(exc).__name__}: {exc}"
         entry["duration_ms"] = round((time.perf_counter() - start) * 1000, 3)

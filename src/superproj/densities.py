@@ -46,7 +46,9 @@ from .graded_algebra import (
     Dimension,
     Parity,
     SuperFunction,
+    numer_denom,
     scalar_field,
+    scalar_ring,
 )
 
 # ---------------------------------------------------------------------------
@@ -446,9 +448,9 @@ def density_test_family(dim: Dimension, weights: Iterable = DEFAULT_WEIGHTS,
                         max_degree: int = 3) -> list:
     """Spanning family: x-monomials of degree <= max_degree times all odd
     monomials, at each listed weight."""
-    fld, gens = scalar_field(dim)
-    monos = [fld.one]
-    frontier = [fld.one]
+    ring, gens = scalar_ring(dim)
+    monos = [ring.one]
+    frontier = [ring.one]
     for _ in range(max_degree):
         frontier = [m * g for m in frontier for g in gens]
         monos.extend(frontier)
@@ -611,8 +613,10 @@ class _BracketEngine:
         self.t = triple
         self.dim = triple.dim
         self.cache: dict = {}
+        self.ring, self.gens = scalar_ring(self.dim)
 
-    # a "term" is (coeff FracElement or None for 1, odd key, weight)
+    # a "term" is (canonical coefficient, odd key, weight); built-in terms
+    # use the ring's one and gens so cache keys match stored coefficients
 
     def bracket(self, a: DensityElement, b: DensityElement) -> DensityElement:
         out = DensityElement.zero(self.dim)
@@ -647,8 +651,7 @@ class _BracketEngine:
     def _factors(self, term):
         """Split a non-atomic term into head factor and remainder."""
         coeff, key, w = term
-        fld = coeff.field
-        one = fld.one
+        one = self.ring.one
         if coeff != one:
             return ("coeff", coeff), (one, key, w)
         return ("odd", key[0]), (one, key[1:], w)
@@ -662,8 +665,7 @@ class _BracketEngine:
             return self._coeff_bracket(ta, head[1], rest)
         # odd generator head factor
         slot = head[1]
-        fld, _ = scalar_field(dim)
-        left = self._term_bracket(ta, (fld.one, (slot,), Fraction(0)))
+        left = self._term_bracket(ta, (self.ring.one, (slot,), Fraction(0)))
         val = left * self._term_density(rest)
         sign = (-1) ** ((self._term_parity(ta) + self.t.eps) * 1)
         right = self._term_bracket(ta, rest)
@@ -673,8 +675,7 @@ class _BracketEngine:
     def _coeff_bracket(self, ta, coeff, rest) -> DensityElement:
         """{ta, (P/Q) * rest} with P/Q an even rational coefficient."""
         dim = self.dim
-        fld = coeff.field
-        num, den = coeff.numer, coeff.denom
+        num, den = numer_denom(coeff)
         val_num = self._poly_bracket(ta, num)
         if den == den.ring.one:
             val_c = val_num
@@ -683,7 +684,7 @@ class _BracketEngine:
             frac = SuperFunction(dim, {(): coeff})
             # {a, u/Q} = ({a,u} - (u/Q){a,Q}) / Q   (u, Q even)
             correction = DensityElement.of(frac) * val_den
-            inv_q = SuperFunction(dim, {(): fld(1) / fld(den)})
+            inv_q = SuperFunction(dim, {(): scalar_field(dim)[0].one / den})
             val_c = (val_num - correction) * DensityElement.of(inv_q)
         rest_density = self._term_density(rest)
         out = val_c * rest_density
@@ -706,11 +707,11 @@ class _BracketEngine:
         dim = self.dim
         if sum(monom) == 0:
             return DensityElement.zero(dim)
-        fld, gens = scalar_field(dim)
+        gens = self.gens
         i = next(idx for idx, e in enumerate(monom) if e)
         rest = list(monom)
         rest[i] -= 1
-        rest_coeff = fld.one
+        rest_coeff = self.ring.one
         for idx, e in enumerate(rest):
             rest_coeff = rest_coeff * gens[idx] ** e
         rest_term = (rest_coeff, (), Fraction(0))
@@ -725,23 +726,19 @@ class _BracketEngine:
         """Classify an atomic term: ('even', i) / ('odd', slot) /
         ('vol', mu) / ('const',).  Returns None when not atomic."""
         coeff, key, w = term
-        fld = coeff.field
-        if key and (len(key) > 1 or coeff != fld.one or w != 0):
+        one = self.ring.one
+        if key and (len(key) > 1 or coeff != one or w != 0):
             return None
         if key:
             return ("odd", key[0])
         if w != 0:
-            if coeff != fld.one:
+            if coeff != one:
                 return None
             return ("vol", w)
         # pure even scalar: atomic iff a single coordinate
-        if coeff.denom == coeff.denom.ring.one:
-            terms = coeff.numer.terms()
-            if len(terms) == 1:
-                monom, q = terms[0]
-                if q == fld.domain.one and sum(monom) == 1:
-                    return ("even", monom.index(1))
-        if coeff == fld.one:
+        if coeff in self.gens:
+            return ("even", self.gens.index(coeff))
+        if coeff == one:
             return ("const",)
         return None
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 
 from .errors import ParseError, UnknownCoordinate
-from .graded_algebra import Dimension, SuperFunction
+from .graded_algebra import Dimension, SuperFunction, numer_denom
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*/^]))")
 
@@ -201,8 +201,8 @@ def _is_single_term(poly) -> bool:
 
 
 def format_scalar(coeff, even_names) -> str:
-    """Print a field element as (num)/(den) in the grammar."""
-    num, den = coeff.numer, coeff.denom
+    """Print a coefficient as (num)/(den) in the grammar."""
+    num, den = numer_denom(coeff)
     num_str = _poly_str(num, even_names)
     if den == den.ring.one:
         return num_str
@@ -223,13 +223,14 @@ def format_super(f: SuperFunction) -> str:
     for key in sorted(f.terms, key=lambda k: (len(k), k)):
         coeff = f.terms[key]
         cs = format_scalar(coeff, dim.even_names)
+        num, den = numer_denom(coeff)
         odd = [dim.odd_names[slot] for slot in key]
         if odd:
             if cs == "1":
                 cs = ""
             elif cs == "-1":
                 cs = "-"
-            elif not _is_single_term(coeff.numer) or coeff.denom != coeff.denom.ring.one:
+            elif not _is_single_term(num) or den != den.ring.one:
                 cs = f"({cs})*"
             else:
                 cs = f"{cs}*"

@@ -5,10 +5,15 @@ A :class:`SuperFunction` over an ``n|m`` dimension is a finite sum
     sum_K  c_K(x) * th_{k1} * ... * th_{kr},   K = (k1 < ... < kr),
 
 where each coefficient ``c_K`` is an exact rational function of the even
-coordinates (numerator/denominator reduced, fixed monomial order) and the
-odd generators satisfy th_a th_b = -th_b th_a.  Coefficients are canonical
-by construction, so equality of normal forms is plain equality and
-``is_zero`` is exact.
+coordinates and the odd generators satisfy th_a th_b = -th_b th_a.  A
+polynomial coefficient lives in the ring QQ[x] of the even coordinates (a
+sympy ``PolyElement``, no gcd work on each operation); only a true fraction,
+whose reduced denominator is not a constant, lives in the field QQ(x) as a
+reduced ``FracElement``.  The constructor demotes every fraction with a
+constant denominator to a polynomial, so normal forms stay canonical:
+equality of normal forms is plain equality and ``is_zero`` is exact.
+:func:`numer_denom` gives the reduced numerator/denominator pair of either
+kind.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -29,6 +34,7 @@ from typing import Mapping, Sequence
 from sympy import QQ
 from sympy.polys.fields import FracElement
 from sympy.polys.fields import field as _sympy_field
+from sympy.polys.rings import PolyElement
 
 from .errors import (
     DimensionMismatch,
@@ -127,6 +133,36 @@ def scalar_field(dim: Dimension):
     return _field_of(dim.even_names)
 
 
+def scalar_ring(dim: Dimension):
+    """The polynomial ring QQ[x] in the even coordinates of dim, where
+    polynomial coefficients live, and its generators."""
+    ring = _field_of(dim.even_names)[0].ring
+    return ring, ring.gens
+
+
+def _canonical(coeff, fld):
+    """Canonical coefficient: a PolyElement of fld.ring when the reduced
+    denominator is a ground constant, else a reduced FracElement of fld."""
+    if isinstance(coeff, PolyElement) and coeff.ring is fld.ring:
+        return coeff
+    if not (isinstance(coeff, FracElement) and coeff.field == fld):
+        coeff = fld(coeff)
+    den = coeff.denom
+    if not den.is_ground:
+        return coeff
+    return coeff.numer if den == den.ring.one else coeff.numer.quo_ground(den.LC)
+
+
+def numer_denom(coeff):
+    """(numerator, denominator) of a canonical coefficient, as the reduced
+    field element carries them (integer coefficients, positive leading
+    denominator coefficient), so x/2 gives (x, 2)."""
+    if isinstance(coeff, PolyElement):
+        den, num = coeff.clear_denoms()
+        return num, coeff.ring(den)
+    return coeff.numer, coeff.denom
+
+
 def _merge_sign(left: tuple[int, ...], right: tuple[int, ...]):
     """Merge two sorted odd-index tuples; return (key, sign) or None if a
     generator repeats (nilpotency)."""
@@ -154,8 +190,7 @@ class SuperFunction:
         fld, _ = scalar_field(dim)
         clean = {}
         for key, coeff in terms.items():
-            if not (isinstance(coeff, FracElement) and coeff.field == fld):
-                coeff = fld(coeff)
+            coeff = _canonical(coeff, fld)
             if coeff:
                 clean[tuple(key)] = coeff
         object.__setattr__(self, "dim", dim)
@@ -172,26 +207,24 @@ class SuperFunction:
 
     @staticmethod
     def one(dim: Dimension) -> "SuperFunction":
-        fld, _ = scalar_field(dim)
-        return SuperFunction(dim, {(): fld.one})
+        ring, _ = scalar_ring(dim)
+        return SuperFunction(dim, {(): ring.one})
 
     @staticmethod
     def constant(dim: Dimension, value) -> "SuperFunction":
-        fld, _ = scalar_field(dim)
         if isinstance(value, Fraction):
-            coeff = fld(QQ(value.numerator, value.denominator))
-        else:
-            coeff = fld(value)
-        return SuperFunction(dim, {(): coeff})
+            value = QQ(value.numerator, value.denominator)
+        ring, _ = scalar_ring(dim)
+        return SuperFunction(dim, {(): ring(value)})
 
     @staticmethod
     def coordinate(dim: Dimension, i: int) -> "SuperFunction":
         if not 0 <= i < dim.size:
             raise UnknownCoordinate(f"coordinate index {i} out of range for {dim}")
+        ring, gens = scalar_ring(dim)
         if i < dim.n:
-            _, gens = scalar_field(dim)
             return SuperFunction(dim, {(): gens[i]})
-        return SuperFunction(dim, {(i - dim.n,): 1})
+        return SuperFunction(dim, {(i - dim.n,): ring.one})
 
     # -- structure ----------------------------------------------------
 
@@ -204,8 +237,8 @@ class SuperFunction:
 
     def body(self):
         """Coefficient at the empty odd monomial (odd generators set to 0)."""
-        fld, _ = scalar_field(self.dim)
-        return self.terms.get((), fld.zero)
+        ring, _ = scalar_ring(self.dim)
+        return self.terms.get((), ring.zero)
 
     def is_homogeneous(self) -> bool:
         sizes = {len(k) % 2 for k in self.terms}
@@ -281,7 +314,11 @@ class SuperFunction:
         b = self.body()
         if not b:
             raise NotInvertible("zero body")
-        binv = b ** (-1)
+        if isinstance(b, PolyElement) and b.is_ground:
+            binv = b.ring.one.quo_ground(b.LC)
+        else:
+            fld, _ = scalar_field(self.dim)
+            binv = _canonical(fld.one / b, fld)
         soul = SuperFunction(self.dim, {k: c for k, c in self.terms.items() if k})
         acc = SuperFunction(self.dim, {(): binv})
         term = SuperFunction(self.dim, {(): binv})
@@ -305,9 +342,10 @@ class SuperFunction:
         if not 0 <= i < dim.size:
             raise UnknownCoordinate(f"coordinate index {i} out of range for {dim}")
         if i < dim.n:
-            _, gens = scalar_field(dim)
-            gen = gens[i]
-            return SuperFunction(dim, {k: c.diff(gen) for k, c in self.terms.items()})
+            gen = scalar_field(dim)[1][i]
+            return SuperFunction(dim, {
+                k: c.diff(i) if isinstance(c, PolyElement) else c.diff(gen)
+                for k, c in self.terms.items()})
         slot = i - dim.n
         out = {}
         for key, coeff in self.terms.items():
@@ -324,8 +362,8 @@ class SuperFunction:
         """Evaluate at coordinate values (one SuperFunction per coordinate).
 
         Values must share a common dimension and match coordinate parities.
-        Rational coefficients are evaluated as P(values)/Q(values); Q(values)
-        must have invertible body.
+        Polynomial coefficients are evaluated directly; fractions P/Q as
+        P(values)/Q(values), where Q(values) must have invertible body.
         """
         dim = self.dim
         if len(values) != dim.size:
@@ -360,9 +398,10 @@ class SuperFunction:
 
         result = SuperFunction.zero(tgt)
         for key, coeff in self.terms.items():
-            num = eval_poly(coeff.numer)
-            den = eval_poly(coeff.denom)
-            piece = num * den.invert()
+            if isinstance(coeff, PolyElement):
+                piece = eval_poly(coeff)
+            else:
+                piece = eval_poly(coeff.numer) * eval_poly(coeff.denom).invert()
             for slot in key:
                 piece = piece * odd_vals[slot]
             result = result + piece

@@ -42,7 +42,7 @@ from .errors import (
     WrongWeight,
 )
 from .geometry import ProjectiveClass, Sym2Upper, _det_even
-from .graded_algebra import EVEN, ODD, Dimension, SuperFunction
+from .graded_algebra import EVEN, ODD, Dimension, SuperFunction, numer_denom
 from .thomas import b_tensor, extend_bracket
 
 # ---------------------------------------------------------------------------
@@ -89,11 +89,12 @@ def momentum_degree(F: SuperFunction, dim: Dimension) -> int:
     odd_p = range(dim.m, 2 * dim.m)
     deg = 0
     for key, coeff in F.terms.items():
-        for monom, _ in coeff.denom.terms():
+        num, den = numer_denom(coeff)
+        for monom, _ in den.terms():
             if any(monom[i] for i in even_p):
                 raise NonHomogeneous("phase function not polynomial in momenta")
         odd_count = sum(1 for slot in key if slot in odd_p)
-        for monom, _ in coeff.numer.terms():
+        for monom, _ in num.terms():
             deg = max(deg, odd_count + sum(monom[i] for i in even_p))
     return deg
 

@@ -165,9 +165,11 @@ def lift_projective_class(pi: ProjectiveClass) -> ProjectiveClass:
 # ---------------------------------------------------------------------------
 
 
-def extension_operator(triple: BracketTriple, pi: ProjectiveClass) -> DensityOperator:
+def extension_operator(triple: BracketTriple, pi: ProjectiveClass,
+                       ricci=None) -> DensityOperator:
     """Generating operator for the triple's bracket obtained from the
-    extended-chart Laplacian, with d_0 realized as the weight operator:
+    extended-chart Laplacian, with d_0 realized as the weight operator
+    (``ricci``: ``tilde_ricci(pi)`` when the caller already has it):
 
         (1/2) |Dx|^lam ( S^ij d_j d_i + 2 gamma^i w d_i + theta w^2
           + ( 2/(n0+4) d_j S^ji (-1)^{j~(eps+1)}
@@ -193,13 +195,15 @@ def extension_operator(triple: BracketTriple, pi: ProjectiveClass) -> DensityOpe
                            (-c_pi, contract_class(s, pi)))
     b = (div_vector(triple.gamma, dim, s.parity).scale(c_div)
          + triple.theta.scale(c_theta)
-         - contract_lower(s, tilde_ricci(pi)).scale(c_pi))
+         - contract_lower(s, tilde_ricci(pi) if ricci is None else ricci)
+         .scale(c_pi))
     return _generating_operator(triple, a, b)
 
 
-def gamma_theta_from_s(s: Sym2Upper, pi: ProjectiveClass, lam) -> tuple:
+def gamma_theta_from_s(s: Sym2Upper, pi: ProjectiveClass, lam,
+                       ricci=None) -> tuple:
     """The volume-connection and scalar components completing a weight-lam
-    tensor S^ij to a bracket triple:
+    tensor S^ij to a bracket triple (``ricci`` as in `extension_operator`):
 
         gamma^i = (n0+1)/((n0+3) - lam(n0+1))
                   (d_j S^ji (-1)^{j~(S~+1)} + S^jk Pi^i_kj)
@@ -220,11 +224,13 @@ def gamma_theta_from_s(s: Sym2Upper, pi: ProjectiveClass, lam) -> tuple:
     gamma = linear_combination((qg, div_upper(s)), (qg, contract_class(s, pi)))
     qt = Fraction(n0 + 1) / den_theta
     theta = (div_vector(gamma, dim, s.parity)
-             + contract_lower(s, tilde_ricci(pi))).scale(qt)
+             + contract_lower(s, tilde_ricci(pi) if ricci is None else ricci)
+             ).scale(qt)
     return gamma, theta
 
 
-def extend_bracket(s: Sym2Upper, pi: ProjectiveClass, lam) -> BracketTriple:
+def extend_bracket(s: Sym2Upper, pi: ProjectiveClass, lam,
+                   ricci=None) -> BracketTriple:
     """Complete a weight-lam tensor to the canonical bracket triple."""
-    gamma, theta = gamma_theta_from_s(s, pi, lam)
+    gamma, theta = gamma_theta_from_s(s, pi, lam, ricci)
     return BracketTriple(s, gamma, theta, s.parity, lam)

@@ -1,9 +1,13 @@
+import dataclasses
 import json
 import random
+from pathlib import Path
 
 import pytest
 
+from superproj import thomas
 from superproj.cli import (
+    CHECK_HANDLERS,
     emit_report,
     emit_scenario,
     main,
@@ -11,6 +15,8 @@ from superproj.cli import (
     run_checks,
 )
 from superproj.errors import ParseError, ValidationError
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 MINIMAL = '{"dimension": {"n": 1, "m": 1}}'
 
@@ -104,6 +110,10 @@ class TestParseScenario:
         ({"connections": {"G": {}},
           "checks": [{"check": "projective_class", "connection": ["G"]}]},
          "connection"),
+        ({"tensors": {"S": {}}, "projective_classes": {"Pi": {}},
+          "checks": [{"check": "extension_consistency", "tensor": "S",
+                      "projective_class": "Pi", "weight": [1]}]},
+         "checks[0] (extension_consistency): weight"),
     ])
     def test_malformed_field_is_named(self, fields, where):
         doc = {"dimension": {"n": 1, "m": 1}, **fields}
@@ -168,6 +178,35 @@ class TestRunChecks:
         report = run_checks(parse_scenario(doc))
         assert report.checks[0]["verdict"] == "pass"
         assert report.checks[0]["info"]["components"] == {}
+
+    def test_any_exception_is_isolated(self, monkeypatch):
+        s = parse_scenario((SCENARIOS / "error_isolation.json").read_text())
+
+        def boom(scenario, chk):
+            raise ZeroDivisionError("planted")
+
+        monkeypatch.setitem(CHECK_HANDLERS, "density_jacobi", dataclasses.replace(
+            CHECK_HANDLERS["density_jacobi"], run=boom))
+        report = run_checks(s)
+        verdicts = [(e["check"], e["verdict"]) for e in report.checks]
+        assert verdicts == [("projective_class", "error"),
+                            ("density_jacobi", "error"),
+                            ("canonical_operator", "pass")]
+        assert report.checks[1]["error"] == "ZeroDivisionError: planted"
+
+    def test_extension_consistency_computes_tilde_ricci_once(self, monkeypatch):
+        s = parse_scenario((SCENARIOS / "thomas_2_2.json").read_text())
+        calls = []
+        real = thomas.tilde_ricci
+
+        def counting(pi):
+            calls.append(pi)
+            return real(pi)
+
+        monkeypatch.setattr(thomas, "tilde_ricci", counting)
+        report = run_checks(s, only={"extension_consistency"})
+        assert [e["verdict"] for e in report.checks] == ["pass"]
+        assert len(calls) == len(report.checks)
 
 
 class TestEmitReport:

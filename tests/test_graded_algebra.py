@@ -1,8 +1,10 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from sympy import QQ
+from sympy.polys.rings import PolyElement
 
 from superproj.errors import (
     DimensionMismatch,
@@ -17,11 +19,12 @@ from superproj.graded_algebra import (
     gmul,
     is_zero,
     normal_form,
+    numer_denom,
     partial,
     scalar_field,
 )
 
-from helpers import rand_super
+from helpers import rand_scalar, rand_super
 
 D22 = Dimension.of(2, 2)
 D11 = Dimension.of(1, 1)
@@ -35,6 +38,12 @@ def expr(dim, text):
     from superproj.expressions import parse_expression
 
     return parse_expression(dim, text)
+
+
+def text(f):
+    from superproj.expressions import format_super
+
+    return format_super(f)
 
 
 # ---------------------------------------------------------------------------
@@ -227,3 +236,81 @@ class TestSubstitution:
 def test_scalar_field_is_canonical():
     fld, (x1, x2) = scalar_field(D22)
     assert (x1 ** 2 - x2 ** 2) / (x1 - x2) == x1 + x2
+
+
+# ---------------------------------------------------------------------------
+# canonical coefficients: polynomials in QQ[x], true fractions in QQ(x)
+# ---------------------------------------------------------------------------
+
+def is_poly(coeff):
+    return isinstance(coeff, PolyElement)
+
+
+def same_value(f, g):
+    return f == g and hash(f) == hash(g) and text(f) == text(g)
+
+
+def even_scalars(dim):
+    """Nonzero even scalars (bare rational functions, so invertible)."""
+    def build(seed):
+        return SuperFunction(dim, {(): rand_scalar(random.Random(seed), dim, 2, 3)})
+
+    return st.integers(min_value=0, max_value=10**6).map(build)
+
+
+class TestCanonicalCoefficients:
+    @pytest.mark.parametrize("frac_route, poly_route", [
+        ("(x1^2 - 1)/(x1 - 1)", "x1 + 1"),
+        ("(x1*x2 + x2)/(x1 + 1)*th1 + x2^-1*x2^2*th1*th2", "x2*th1 + x2*th1*th2"),
+        ("(2*x1 - 4)/(6*x1 - 12)", "1/3"),
+        ("(x1^2 - x2^2)/(2*x1 - 2*x2)", "x1/2 + x2/2"),
+    ])
+    def test_fraction_route_equals_polynomial_route(self, frac_route, poly_route):
+        f, g = expr(D22, frac_route), expr(D22, poly_route)
+        assert same_value(f, g)
+        assert all(is_poly(c) for c in f.terms.values())
+
+    @settings(max_examples=30, deadline=None)
+    @given(superfunctions(D22), even_scalars(D22))
+    def test_product_over_factor_is_canonical(self, p, q):
+        assume(not q.is_zero())
+        assert same_value((p * q) / q, p)
+        assert same_value((p * q) * q.invert(), p)
+
+    def test_constant_denominator_stored_as_polynomial(self):
+        fld, (x1, x2) = scalar_field(D22)
+        f = SuperFunction(D22, {(): (x1 - x2) / 2, (0,): fld(3) / fld(6)})
+        assert all(is_poly(c) for c in f.terms.values())
+        assert same_value(f, expr(D22, "x1/2 - x2/2 + 1/2*th1"))
+        assert text(f) == "(x1 - x2)/2 + (1/2)*th1"
+        assert text(expr(D22, "x1/2")) == "x1/2"
+
+    def test_true_fraction_stays_a_fraction(self):
+        f = expr(D22, "1/(x1 + x2)*th1")
+        assert not is_poly(f.terms[(0,)])
+        assert numer_denom(f.terms[(0,)])[1] != 1
+
+    def test_invert_nonconstant_body_is_fraction(self):
+        inv = expr(D22, "-x1 + th1*th2").invert()
+        assert not is_poly(inv.body())
+        assert not is_poly(inv.terms[(0, 1)])
+        assert same_value(inv, expr(D22, "-1/x1 - 1/x1^2*th1*th2"))
+
+    def test_invert_constant_body_is_polynomial(self):
+        inv = expr(D22, "-2 + x1*th1*th2").invert()
+        assert all(is_poly(c) for c in inv.terms.values())
+        assert same_value(inv, expr(D22, "-1/2 - x1/4*th1*th2"))
+
+    @settings(max_examples=40, deadline=None)
+    @given(superfunctions(D22), even_scalars(D22))
+    def test_round_trip_both_coefficient_kinds(self, f, q):
+        assume(not q.is_zero())
+        for g in (f, f * q.invert()):
+            assert expr(D22, text(g)) == g
+
+    @settings(max_examples=40, deadline=None)
+    @given(even_scalars(D22))
+    def test_numer_denom_matches_reduced_field_element(self, q):
+        fld, _ = scalar_field(D22)
+        for coeff in (q.body(), q.body() * QQ(3, 4)):
+            assert numer_denom(coeff) == (fld(coeff).numer, fld(coeff).denom)
