@@ -114,6 +114,12 @@ def _object(value, where) -> dict:
     return value
 
 
+def _parity(value, where) -> int:
+    if not isinstance(value, str) or value not in ("even", "odd"):
+        raise ValidationError(f"{where}: parity must be even or odd")
+    return 1 if value == "odd" else 0
+
+
 def _count(dim_obj, key) -> int:
     value = dim_obj[key]
     if not isinstance(value, int) or isinstance(value, bool) or value < 0:
@@ -196,9 +202,7 @@ def parse_scenario(text: str) -> Scenario:
     tensors = {}
     for name, spec in section("tensors"):
         spec = _object(spec, f"tensors.{name}")
-        parity = {"even": 0, "odd": 1}.get(spec.get("parity", "even"))
-        if parity is None:
-            raise ValidationError(f"tensors.{name}: parity must be even or odd")
+        parity = _parity(spec.get("parity", "even"), f"tensors.{name}")
         comps = _table(dim, spec.get("components", {}), 2, f"tensors.{name}")
         comps = _complete_symmetric(dim, comps, True, f"tensors.{name}")
         try:
@@ -230,7 +234,7 @@ def parse_scenario(text: str) -> Scenario:
     for name, spec in section("triples"):
         spec = _object(spec, f"triples.{name}")
         s_name = spec.get("s")
-        if s_name not in tensors:
+        if not isinstance(s_name, str) or s_name not in tensors:
             raise ValidationError(f"triples.{name}: unknown tensor {s_name!r}")
         gamma = {}
         for key, text in _object(spec.get("gamma", {}),
@@ -238,9 +242,7 @@ def parse_scenario(text: str) -> Scenario:
             idx = _parse_index_key(key, 1, dim, f"triples.{name}.gamma")
             gamma[idx[0]] = _expr(dim, text, f"triples.{name}.gamma[{key}]")
         theta = _expr(dim, spec.get("theta", "0"), f"triples.{name}.theta")
-        eps = {"even": 0, "odd": 1}.get(spec.get("parity", "even"))
-        if eps is None:
-            raise ValidationError(f"triples.{name}: parity must be even or odd")
+        eps = _parity(spec.get("parity", "even"), f"triples.{name}")
         weight = _parse_fraction(spec.get("weight", "0"), f"triples.{name}.weight")
         try:
             triples[name] = BracketTriple(tensors[s_name], gamma, theta, eps, weight)
@@ -263,7 +265,7 @@ def parse_scenario(text: str) -> Scenario:
         if not isinstance(chk, dict) or "check" not in chk:
             raise ValidationError(f"checks[{pos}]: missing 'check' field")
         kind = chk["check"]
-        if kind not in CHECK_HANDLERS:
+        if not isinstance(kind, str) or kind not in CHECK_HANDLERS:
             raise ValidationError(
                 f"checks[{pos}]: unknown check {kind!r}; known: "
                 + ", ".join(sorted(CHECK_HANDLERS)))

@@ -17,14 +17,21 @@ Index conventions used throughout (and by `densities`/`thomas`):
   Jacobian factor multiplying from the left (left derivatives); momenta by
   ``p_i = (d_i xbar^a) pbar_a``.
 
+Supermatrix inverses and Berezinians come from one Gauss-Jordan elimination;
+a `CoordinateChange` keeps the Jacobian grid and the inverse it computes
+while validating.  The second-derivative cocycle ``F_c`` (`schwarzian_raw`)
+is the inhomogeneous term of the connection law: a connection transforms by
+the tensorial law of ``Gamma - F_c``, ``d log Ber`` is half the trace of
+``F_c``, and the super-Schwarzian is its trace-free part.
+
 All operations are pure; every value is immutable after construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 from .errors import (
     DimensionMismatch,
@@ -33,7 +40,7 @@ from .errors import (
     SingularDimension,
     ValidationError,
 )
-from .graded_algebra import EVEN, ODD, Dimension, Parity, SuperFunction
+from .graded_algebra import EVEN, Dimension, Parity, SuperFunction
 
 # ---------------------------------------------------------------------------
 # tensors with function components
@@ -243,14 +250,16 @@ def j_inject(phi: CovectorField) -> Sym2Cov:
     return Sym2Cov(dim, comps, eps)
 
 
+def _trace_free(a: Sym2Cov) -> Sym2Cov:
+    """A - j(div A)/(n - m + 1); callers rule out n - m = -1."""
+    return a + j_inject(div_trace(a)).scale(Fraction(-1, a.dim.n0 + 1))
+
+
 def projective_class(gamma: Sym2Cov) -> ProjectiveClass:
     """Trace-free part Gamma - j(div Gamma)/(n - m + 1)."""
-    dim = gamma.dim
-    if dim.n0 == -1:
+    if gamma.dim.n0 == -1:
         raise SingularDimension("n - m = -1: trace projection undefined")
-    correction = j_inject(div_trace(gamma)).scale(Fraction(-1, dim.n0 + 1))
-    result = gamma + correction
-    return ProjectiveClass(dim, result.comps)
+    return ProjectiveClass(gamma.dim, _trace_free(gamma).comps)
 
 
 def projectively_equivalent(g1: Connection, g2: Connection) -> bool:
@@ -311,146 +320,47 @@ class SuperMatrix:
             and self.entries == other.entries
         )
 
-    def _rows(self, row_idx: Sequence[int], col_idx: Sequence[int]):
-        return [[self.entry(r, c) for c in col_idx] for r in row_idx]
 
+def _eliminate(grid, dim: Dimension):
+    """Gauss-Jordan elimination of an even supermatrix given as a grid whose
+    (r, c) entry has parity r~ + c~.  Returns ``(inverse, ber)``: the
+    two-sided inverse grid and the Berezinian.
 
-def _det_even(rows, dim: Dimension) -> SuperFunction:
-    """Determinant of a matrix of pairwise-commuting (even) entries."""
-    size = len(rows)
-    if size == 0:
-        return SuperFunction.one(dim)
-    if size == 1:
-        return rows[0][0]
-    total = SuperFunction.zero(dim)
-    for c, head in enumerate(rows[0]):
-        if head.is_zero():
-            continue
-        minor = [[row[cc] for cc in range(size) if cc != c] for row in rows[1:]]
-        cof = _det_even(minor, dim)
-        total = total + (head * cof).scale((-1) ** c)
-    return total
-
-
-def _inverse_even(rows, dim: Dimension):
-    """Adjugate inverse for a matrix of even entries; body must be invertible."""
-    size = len(rows)
-    det = _det_even(rows, dim)
-    if size == 0:
-        return [], det
-    if not det.body():
-        raise NotInvertible("even block has singular body")
-    det_inv = det.invert()
-    inv = [[None] * size for _ in range(size)]
-    for i in range(size):
-        for j in range(size):
-            minor = [
-                [rows[r][c] for c in range(size) if c != i]
-                for r in range(size) if r != j
-            ]
-            inv[i][j] = (_det_even(minor, dim) * det_inv).scale((-1) ** (i + j))
-    return inv, det
-
-
-def _mat_mul(a, b, dim, cols=None):
-    rows = len(a)
-    inner = len(b)
-    if cols is None:
-        cols = len(b[0]) if b else 0
-    out = [[SuperFunction.zero(dim) for _ in range(cols)] for _ in range(rows)]
-    for r in range(rows):
-        for c in range(cols):
-            acc = SuperFunction.zero(dim)
-            for k in range(inner):
-                acc = acc + a[r][k] * b[k][c]
-            out[r][c] = acc
-    return out
-
-
-def _mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def _mat_neg(a):
-    return [[x.scale(-1) for x in row] for row in a]
-
-
-def _grid_inverse(grid, dim: Dimension, row_par: Sequence[int],
-                  col_par: Sequence[int]):
-    """Two-sided inverse of an even supermatrix given as a list-of-lists grid
-    whose (r, c) entry has parity row_par[r] + col_par[c].  Returns the
-    inverse in the transposed parity layout (rows indexed like grid's
-    columns)."""
+    The pivot of column c is the first entry at or below the diagonal with
+    nonzero body; such an entry is even, so its row has the parity of c and
+    the row operations stay even.  Ber changes sign with each row swap, and
+    normalizing pivot row c multiplies it by the pivot (c even) or by the
+    pivot's inverse (c odd); clearing a column leaves it unchanged.
+    """
     size = len(grid)
-    erows = [r for r in range(size) if row_par[r] == EVEN]
-    orows = [r for r in range(size) if row_par[r] == ODD]
-    ecols = [c for c in range(size) if col_par[c] == EVEN]
-    ocols = [c for c in range(size) if col_par[c] == ODD]
-    if len(erows) != len(ecols) or len(orows) != len(ocols):
-        raise NotInvertible("block shapes are not square")
-
-    def pick(rs, cs):
-        return [[grid[r][c] for c in cs] for r in rs]
-
-    a = pick(erows, ecols)
-    b = pick(erows, ocols)
-    c = pick(orows, ecols)
-    d = pick(orows, ocols)
-    ne, no = len(erows), len(orows)
-    d_inv, _ = _inverse_even(d, dim)
-    if no:
-        schur = _mat_sub(
-            a, _mat_mul(_mat_mul(b, d_inv, dim, no), c, dim, ne))
-    else:
-        schur = a
-    x_inv, _ = _inverse_even(schur, dim)
-    # inverse blocks (standard Schur complement formulae)
-    top_left = x_inv
-    top_right = _mat_neg(_mat_mul(_mat_mul(x_inv, b, dim, no), d_inv, dim, no))
-    bot_left = _mat_neg(_mat_mul(_mat_mul(d_inv, c, dim, ne), x_inv, dim, ne))
-    bot_right_corr = _mat_mul(
-        _mat_mul(_mat_mul(_mat_mul(d_inv, c, dim, ne), x_inv, dim, ne), b, dim, no),
-        d_inv, dim, no)
-    bot_right = [[x + y for x, y in zip(ra, rb)]
-                 for ra, rb in zip(d_inv, bot_right_corr)] if no else d_inv
-
-    inv = [[SuperFunction.zero(dim) for _ in range(size)] for _ in range(size)]
-
-    def put(block, rs, cs):
-        for bi, r in enumerate(rs):
-            for bj, cc in enumerate(cs):
-                inv[r][cc] = block[bi][bj]
-
-    put(top_left, ecols, erows)
-    put(top_right, ecols, orows)
-    put(bot_left, ocols, erows)
-    put(bot_right, ocols, orows)
-    return inv
+    one, zero = SuperFunction.one(dim), SuperFunction.zero(dim)
+    rows = [list(row) + [one if r == c else zero for c in range(size)]
+            for r, row in enumerate(grid)]
+    ber = one
+    for c in range(size):
+        piv = next((r for r in range(c, size) if rows[r][c].body()), None)
+        if piv is None:
+            raise NotInvertible(f"matrix has singular body (column {c + 1})")
+        if piv != c:
+            rows[c], rows[piv] = rows[piv], rows[c]
+            ber = -ber
+        pinv = rows[c][c].invert()
+        ber = ber * (pinv if dim.parity(c) else rows[c][c])
+        rows[c] = [pinv * x for x in rows[c]]
+        for r in range(size):
+            f = rows[r][c]
+            if r != c and not f.is_zero():
+                rows[r] = [x if y.is_zero() else x - f * y
+                           for x, y in zip(rows[r], rows[c])]
+    return tuple(tuple(row[size:]) for row in rows), ber
 
 
 def berezinian(mat: SuperMatrix) -> SuperFunction:
-    """Ber(M) = det(A - B D^{-1} C) det(D)^{-1} on the standard blocks."""
-    dim = mat.dim
-    evens = list(range(dim.n))
-    odds = list(range(dim.n, dim.size))
-    a = mat._rows(evens, evens)
-    b = mat._rows(evens, odds)
-    c = mat._rows(odds, evens)
-    d = mat._rows(odds, odds)
-    if odds:
-        det_d = _det_even(d, dim)
-        if not det_d.body():
-            raise NotInvertible("odd-odd block has singular body")
-        d_inv, _ = _inverse_even(d, dim)
-        core = _mat_sub(a, _mat_mul(_mat_mul(b, d_inv, dim), c, dim)) if evens else []
-        det_core = _det_even(core, dim)
-        if not det_core.body():
-            raise NotInvertible("even-even Schur block has singular body")
-        return det_core * det_d.invert()
-    det_a = _det_even(a, dim)
-    if not det_a.body():
-        raise NotInvertible("even-even block has singular body")
-    return det_a
+    """Ber(M), which is det(A - B D^{-1} C) det(D)^{-1} on the standard
+    blocks, by Gauss-Jordan elimination."""
+    size = mat.dim.size
+    grid = [[mat.entry(r, c) for c in range(size)] for r in range(size)]
+    return _eliminate(grid, mat.dim)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -467,12 +377,15 @@ class CoordinateChange:
     ones and is validated by composing to the identity in both orders.
     Operations needing only the inverse Jacobian (Berezinians, Schwarzians)
     work without ``inverse``; re-expressing results in the new chart needs
-    it.
+    it.  The Jacobian grid and its inverse, computed once to validate the
+    change, are kept (see `jacobian_rows`, `inverse_jacobian_rows`).
     """
 
     dim: Dimension
     forward: tuple
     inverse: Optional[tuple] = None
+    _jacobian: tuple = field(init=False, repr=False, compare=False)
+    _inverse_jacobian: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.forward) != self.dim.size:
@@ -482,10 +395,12 @@ class CoordinateChange:
                 raise DimensionMismatch("forward component over wrong dimension")
             if not val.has_parity(self.dim.parity(a)):
                 raise NonHomogeneous(f"forward component {a} has wrong parity")
-        rows = jacobian_rows(self)
-        _grid_inverse(rows, self.dim,
-                      [self.dim.parity(i) for i in range(self.dim.size)],
-                      [self.dim.parity(i) for i in range(self.dim.size)])
+        size = self.dim.size
+        jac = tuple(tuple(self.forward[a].partial(i) for a in range(size))
+                    for i in range(size))
+        kinv, _ = _eliminate(jac, self.dim)
+        object.__setattr__(self, "_jacobian", jac)
+        object.__setattr__(self, "_inverse_jacobian", kinv)
         if self.inverse is not None:
             if len(self.inverse) != self.dim.size:
                 raise ValidationError("inverse tuple has wrong length")
@@ -535,26 +450,20 @@ class CoordinateChange:
 
 def jacobian_rows(c: CoordinateChange):
     """Grid J[i][a] = d_i xbar^a (left derivative), rows = old coordinates."""
-    size = c.dim.size
-    return [[c.forward[a].partial(i) for a in range(size)] for i in range(size)]
+    return c._jacobian
 
 
 def inverse_jacobian_rows(c: CoordinateChange):
     """Grid K[a][i] with dbar_a = K[a][i] d_i; entries are functions of the
     old coordinates (no inverse map needed)."""
-    par = [c.dim.parity(i) for i in range(c.dim.size)]
-    return _grid_inverse(jacobian_rows(c), c.dim, par, par)
+    return c._inverse_jacobian
 
 
 def jacobian(c: CoordinateChange) -> SuperMatrix:
     """Jacobian as a SuperMatrix with entry (a, i) = d_i xbar^a."""
-    rows = jacobian_rows(c)
-    entries = {}
-    for i in range(c.dim.size):
-        for a in range(c.dim.size):
-            if not rows[i][a].is_zero():
-                entries[(a, i)] = rows[i][a]
-    return SuperMatrix(c.dim, entries)
+    return SuperMatrix(c.dim, {(a, i): val
+                               for i, row in enumerate(jacobian_rows(c))
+                               for a, val in enumerate(row)})
 
 
 def berezinian_of_change(c: CoordinateChange) -> SuperFunction:
@@ -564,29 +473,14 @@ def berezinian_of_change(c: CoordinateChange) -> SuperFunction:
     the layout under which d_i log Ber agrees with the second-derivative
     contraction of `dlog_berezinian`.
     """
-    rows = jacobian_rows(c)
-    dim = c.dim
-    entries = {}
-    for i in range(dim.size):
-        for a in range(dim.size):
-            if not rows[i][a].is_zero():
-                entries[(i, a)] = rows[i][a]
-    return berezinian(SuperMatrix(dim, entries))
+    return _eliminate(jacobian_rows(c), c.dim)[1]
 
 
 def dlog_berezinian(c: CoordinateChange, i: int) -> SuperFunction:
-    """d_i log Ber as the contraction
-    (d_i d_k xbar^s) (dx^k / dxbar^s) (-1)^{k~}, in old coordinates."""
-    dim = c.dim
-    rows = jacobian_rows(c)
-    kinv = inverse_jacobian_rows(c)
-    total = SuperFunction.zero(dim)
-    for k in range(dim.size):
-        sign = (-1) ** dim.parity(k)
-        for s in range(dim.size):
-            term = rows[k][s].partial(i) * kinv[s][k]
-            total = total + term.scale(sign)
-    return total
+    """d_i log Ber = div_trace(F_c)_i / 2 for the cocycle F_c of
+    `schwarzian_raw`, i.e. (d_i d_k xbar^s) (dx^k / dxbar^s) (-1)^{k~}, in
+    old coordinates."""
+    return div_trace(schwarzian_raw(c)).component(i).scale(Fraction(1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -594,12 +488,10 @@ def dlog_berezinian(c: CoordinateChange, i: int) -> SuperFunction:
 # ---------------------------------------------------------------------------
 
 
-def _transform_core(a: Sym2Cov, c: CoordinateChange, with_inhomogeneous: bool):
-    """Common part of the connection/tensor transformation law.
-
-    Returns raw components (functions of the OLD chart):
-        new^d_ab = [K^i_a (d_i K^k_b)]  J^d_k            (inhomogeneous part)
-                 + [(-1)^{i~(j~+b~)} K^i_a K^j_b A^k_ij] J^d_k
+def _transform_core(a: Sym2Cov, c: CoordinateChange):
+    """The tensorial transformation law, as raw components (functions of the
+    OLD chart):
+        new^d_ab = (-1)^{i~(j~+b~)} K^i_a K^j_b A^k_ij J^d_k
     with K = inverse Jacobian, J = Jacobian, all written-order products.
     """
     dim = a.dim
@@ -616,9 +508,6 @@ def _transform_core(a: Sym2Cov, c: CoordinateChange, with_inhomogeneous: bool):
                     if jf.is_zero():
                         continue
                     inner = SuperFunction.zero(dim)
-                    if with_inhomogeneous:
-                        for i in range(size):
-                            inner = inner + kinv[aa][i] * kinv[bb][k].partial(i)
                     for i in range(size):
                         ki = kinv[aa][i]
                         if ki.is_zero():
@@ -641,14 +530,16 @@ def _substitute_comps(comps, inverse):
 
 
 def transform_connection(gamma: Sym2Cov, c: CoordinateChange) -> Connection:
-    """Connection coefficients in the new chart (functions of the new chart)."""
-    raw = _transform_core(gamma, c, with_inhomogeneous=True)
+    """Connection coefficients in the new chart (functions of the new chart):
+    the tensorial law applied to Gamma - F_c, where the cocycle F_c of
+    `schwarzian_raw` is the inhomogeneous term of the connection law."""
+    raw = _transform_core(gamma - schwarzian_raw(c), c)
     return Connection(gamma.dim, _substitute_comps(raw, c.require_inverse()))
 
 
 def transform_sym2cov(a: Sym2Cov, c: CoordinateChange) -> Sym2Cov:
     """Purely tensorial transform of a (1,2)-tensor into the new chart."""
-    raw = _transform_core(a, c, with_inhomogeneous=False)
+    raw = _transform_core(a, c)
     return Sym2Cov(a.dim, _substitute_comps(raw, c.require_inverse()), a.parity)
 
 
@@ -693,8 +584,9 @@ def transform_upper2(s: Sym2Upper, c: CoordinateChange) -> Sym2Upper:
 
 
 def schwarzian_raw(c: CoordinateChange) -> Sym2Cov:
-    """Second-derivative cocycle term F^k_ij = (d_i d_j xbar^s) (dx^k/dxbar^s)
-    in old coordinates (no trace projection)."""
+    """Second-derivative cocycle F^k_ij = (d_i d_j xbar^s) (dx^k/dxbar^s) in
+    old coordinates (no trace projection): the inhomogeneous term of the
+    connection law, whose trace is twice d log Ber."""
     dim = c.dim
     rows = jacobian_rows(c)
     kinv = inverse_jacobian_rows(c)
@@ -717,9 +609,6 @@ def schwarzian_raw(c: CoordinateChange) -> Sym2Cov:
 def super_schwarzian(c: CoordinateChange) -> Sym2Cov:
     """Schwarzian derivative: the trace-free part of the second-derivative
     cocycle, expressed in the old coordinates of the change."""
-    dim = c.dim
-    if dim.n0 == -1:
+    if c.dim.n0 == -1:
         raise SingularDimension("n - m = -1: Schwarzian undefined")
-    raw = schwarzian_raw(c)
-    correction = j_inject(div_trace(raw)).scale(Fraction(-1, dim.n0 + 1))
-    return raw + correction
+    return _trace_free(schwarzian_raw(c))

@@ -287,13 +287,16 @@ class SuperFunction:
                 if merged is None:
                     continue
                 key, sign = merged
-                out[key] = out.get(key, 0) + sign * c1 * c2
+                prod = c1 * c2
+                out[key] = out.get(key, 0) + (prod if sign > 0 else -prod)
         return SuperFunction(self.dim, out)
 
     def scale(self, value) -> "SuperFunction":
-        if isinstance(value, Fraction):
-            value = QQ(value.numerator, value.denominator)
-        return SuperFunction(self.dim, {k: c * value for k, c in self.terms.items()})
+        """Multiply by a rational scalar (an int, Fraction or QQ element)."""
+        value = QQ(value.numerator, value.denominator)
+        return SuperFunction(self.dim, {
+            k: c.mul_ground(value) if isinstance(c, PolyElement) else c * value
+            for k, c in self.terms.items()})
 
     def __pow__(self, k: int) -> "SuperFunction":
         if k < 0:
@@ -353,7 +356,7 @@ class SuperFunction:
                 continue
             pos = key.index(slot)
             rest = key[:pos] + key[pos + 1:]
-            out[rest] = out.get(rest, 0) + (-1) ** pos * coeff
+            out[rest] = out.get(rest, 0) + (-coeff if pos % 2 else coeff)
         return SuperFunction(dim, out)
 
     # -- substitution ---------------------------------------------------

@@ -38,10 +38,11 @@ from .errors import (
     Degenerate,
     DimensionMismatch,
     NonHomogeneous,
+    NotInvertible,
     WrongParity,
     WrongWeight,
 )
-from .geometry import ProjectiveClass, Sym2Upper, _det_even
+from .geometry import ProjectiveClass, Sym2Upper, _eliminate
 from .graded_algebra import EVEN, ODD, Dimension, SuperFunction, numer_denom
 from .thomas import b_tensor, extend_bracket
 
@@ -348,8 +349,11 @@ def _body_matrix_invertible(s: Sym2Upper) -> bool:
     size = dim.size
     rows = [[SuperFunction(dim, {(): s.component(i, j).body()})
              for j in range(size)] for i in range(size)]
-    det = _det_even(rows, dim)
-    return not det.is_zero()
+    try:  # the bodies commute, so any layout of parities will do
+        _eliminate(rows, dim)
+    except NotInvertible:
+        return False
+    return True
 
 
 def _dlog(rho: SuperFunction, i: int) -> SuperFunction:

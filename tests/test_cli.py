@@ -114,6 +114,11 @@ class TestParseScenario:
           "checks": [{"check": "extension_consistency", "tensor": "S",
                       "projective_class": "Pi", "weight": [1]}]},
          "checks[0] (extension_consistency): weight"),
+        ({"tensors": {"S": {"parity": ["odd"]}}}, "tensors.S"),
+        ({"tensors": {"S": {}}, "triples": {"T": {"s": "S", "parity": {"odd": 1}}}},
+         "triples.T"),
+        ({"tensors": {"S": {}}, "triples": {"T": {"s": ["S"]}}}, "triples.T"),
+        ({"checks": [{"check": ["bv_check"]}]}, "checks[0]"),
     ])
     def test_malformed_field_is_named(self, fields, where):
         doc = {"dimension": {"n": 1, "m": 1}, **fields}

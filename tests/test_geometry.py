@@ -20,8 +20,10 @@ from superproj.geometry import (
     berezinian_of_change,
     div_trace,
     dlog_berezinian,
+    inverse_jacobian_rows,
     j_inject,
     jacobian,
+    jacobian_rows,
     projective_class,
     projectively_equivalent,
     schwarzian_raw,
@@ -344,14 +346,14 @@ class TestTransformConnection:
         assert transform_connection(Connection(D22, {}), c).is_zero()
 
     def test_classical_square_chart(self):
-        # flat connection under xbar = x^2 (forward only): pushed-forward
-        # coefficient composed with the change equals -1/(2 xbar)
+        # flat connection under xbar = x^2 (forward only): the tensorial law
+        # of 0 - F_c, composed with the change, equals -1/(2 xbar)
         from superproj.geometry import _transform_core
 
         d10 = Dimension.of(1, 0)
         x = SuperFunction.coordinate(d10, 0)
         c = CoordinateChange(d10, (x * x,), None)
-        raw = _transform_core(Connection(d10, {}), c, True)
+        raw = _transform_core(schwarzian_raw(c).scale(-1), c)
         assert raw[(0, 0, 0)] == expr(d10, "-1/(2*x1^2)")
         expected_in_new = expr(d10, "-1/(2*x1)")  # -1/(2 xbar)
         assert raw[(0, 0, 0)] == expected_in_new.substitute((x * x,))
@@ -365,6 +367,15 @@ class TestTransformConnection:
         combined = c1.then(c2)
         assert transform_connection(g, combined) == transform_connection(
             transform_connection(g, c1), c2)
+
+    def test_cocycle_is_raw_schwarzian_of_inverse(self):
+        # independent route: the inhomogeneous term in the new chart is
+        # F of the inverse change, not the law applied to Gamma - F_c
+        rng = random.Random(24)
+        for c in (moebius_1_1(), mixing_2_2()):
+            g = rand_connection(rng, c.dim)
+            assert transform_connection(g, c) == (
+                transform_sym2cov(g, c) + schwarzian_raw(c.inverted()))
 
     def test_requires_inverse(self):
         d10 = Dimension.of(1, 0)
@@ -459,6 +470,67 @@ class TestTransformUpper:
         assert out.parity == s.parity
         ident = transform_upper2(s, CoordinateChange.identity(D22))
         assert ident == s
+
+
+def swap_2_0():
+    x, y = coords(D20)
+    return CoordinateChange(D20, (y, x), (y, x))
+
+
+def odd_swap_1_2():
+    x, t1, t2 = coords(D12)
+    return CoordinateChange(D12, (x, t2, t1), (x, t2, t1))
+
+
+def double_swap_2_2():
+    x, y, t1, t2 = coords(D22)
+    return CoordinateChange(D22, (y, x, t2, t1), (y, x, t2, t1))
+
+
+def graph_2_0():
+    # J = [[2*x1, 1], [1, 0]]
+    x, y = coords(D20)
+    return CoordinateChange(D20, (y + x * x, x), (y, x - y * y))
+
+
+class TestPivoting:
+    """Changes whose Jacobian grid has a zero (0,0) entry, so the elimination
+    swaps rows, or one, 2*x1, that vanishes at x1 = 0 but is a valid pivot;
+    the Berezinians pin the sign of a row swap."""
+
+    CASES = [(swap_2_0, -1), (odd_swap_1_2, -1), (double_swap_2_2, 1),
+             (graph_2_0, -1)]
+
+    @pytest.mark.parametrize("change, ber", CASES)
+    def test_berezinian(self, change, ber):
+        c = change()
+        assert berezinian_of_change(c) == SuperFunction.constant(c.dim, ber)
+
+    @pytest.mark.parametrize("change, ber", CASES)
+    def test_inverse_jacobian(self, change, ber):
+        c = change()
+        size = c.dim.size
+        jac, kinv = jacobian_rows(c), inverse_jacobian_rows(c)
+        for a in range(size):
+            for b in range(size):
+                got = sum((kinv[a][i] * jac[i][b] for i in range(size)),
+                          SuperFunction.zero(c.dim))
+                want = SuperFunction.one(c.dim) if a == b else SuperFunction.zero(c.dim)
+                assert got == want
+
+    @pytest.mark.parametrize("change, ber", CASES)
+    def test_defect_identity(self, change, ber):
+        c = change()
+        dim = c.dim
+        g = rand_connection(random.Random(25), dim)
+        if dim.n0 == -1:  # no trace projection at 1|2: the law before it
+            assert transform_connection(g, c) == (
+                transform_sym2cov(g, c) + schwarzian_raw(c.inverted()))
+            return
+        pibar = projective_class(transform_connection(g, c))
+        want = transform_sym2cov(Sym2Cov(dim, projective_class(g).comps), c) \
+            + super_schwarzian(c.inverted())
+        assert Sym2Cov(dim, pibar.comps) == want
 
 
 class TestCoordinateChangeValidation:
