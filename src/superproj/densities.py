@@ -47,6 +47,7 @@ from .graded_algebra import (
     Parity,
     SuperFunction,
     numer_denom,
+    reciprocal,
     scalar_field,
     scalar_ring,
 )
@@ -684,7 +685,7 @@ class _BracketEngine:
             frac = SuperFunction(dim, {(): coeff})
             # {a, u/Q} = ({a,u} - (u/Q){a,Q}) / Q   (u, Q even)
             correction = DensityElement.of(frac) * val_den
-            inv_q = SuperFunction(dim, {(): scalar_field(dim)[0].one / den})
+            inv_q = SuperFunction(dim, {(): reciprocal(den, scalar_field(dim)[0])})
             val_c = (val_num - correction) * DensityElement.of(inv_q)
         rest_density = self._term_density(rest)
         out = val_c * rest_density
@@ -698,7 +699,7 @@ class _BracketEngine:
         out = DensityElement.zero(self.dim)
         for monom, q in poly.terms():
             acc = self._monom_bracket(ta, tuple(monom))
-            out = out + _scale_frac(acc, q)
+            out = out + acc.scale(q)
         return out
 
     def _monom_bracket(self, ta, monom) -> DensityElement:
@@ -784,12 +785,6 @@ class _BracketEngine:
             mu, nu = ka[1], kb[1]
             return DensityElement(dim, {lam + mu + nu: t.theta.scale(mu * nu)})
         raise AssertionError(f"unhandled atomic pair {ka}, {kb}")
-
-
-def _scale_frac(a: DensityElement, q) -> DensityElement:
-    return DensityElement(
-        a.dim, {w: SuperFunction(a.dim, {k: c * q for k, c in f.terms.items()})
-                for w, f in a.slices.items()})
 
 
 _ENGINE_CACHE: dict = {}

@@ -11,7 +11,8 @@ Grammar (round-trip stable with :func:`format_super`)::
 Names are the coordinate names of the dimension at hand (``x1..xn`` even,
 ``th1..thm`` odd for default dimensions).  Division requires the divisor to
 be a nonzero even scalar free of odd generators; rational constants like
-``3/4`` are the special case of constant operands.
+``3/4`` are the special case of constant operands.  An exponent literal
+above :data:`MAX_EXPONENT` is refused with a located ``ParseError``.
 """
 
 from __future__ import annotations
@@ -20,6 +21,10 @@ import re
 
 from .errors import ParseError, UnknownCoordinate
 from .graded_algebra import Dimension, SuperFunction, numer_denom
+
+# Largest |exponent| a power may carry; larger literals are refused before
+# any arithmetic, since the work grows with the exponent.
+MAX_EXPONENT = 16
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*/^]))")
 
@@ -116,6 +121,8 @@ class _Parser:
             etok = self.take()
             if etok[0] != "num":
                 self.error("exponent must be an integer literal", etok)
+            if etok[1] > MAX_EXPONENT:
+                self.error(f"exponent {etok[1]} exceeds the limit {MAX_EXPONENT}", etok)
             exp = -etok[1] if negate else etok[1]
             if exp < 0 and not base.is_even_scalar():
                 self.error("negative power of an expression with odd generators", tok)
@@ -149,7 +156,7 @@ def parse_expression(dim: Dimension, text: str) -> SuperFunction:
     return _Parser(dim, text).parse()
 
 
-GRAMMAR_HELP = """\
+GRAMMAR_HELP = f"""\
 expr    := term (('+' | '-') term)*
 term    := unary (('*' | '/') unary)*
 unary   := '-' unary | power
@@ -158,7 +165,8 @@ atom    := INTEGER | NAME | '(' expr ')'
 
 NAME    : even coordinates x1..xn, odd coordinates th1..thm
           (the Thomas chart adds the even coordinate x0)
-INTEGER : nonnegative decimal literal; rationals are written p/q
+INTEGER : nonnegative decimal literal; rationals are written p/q;
+          exponents lie in -{MAX_EXPONENT}..{MAX_EXPONENT}
 Division and negative powers require an even divisor free of odd
 generators.
 """

@@ -498,6 +498,24 @@ def _transform_core(a: Sym2Cov, c: CoordinateChange):
     rows = jacobian_rows(c)
     kinv = inverse_jacobian_rows(c)
     size = dim.size
+    # inner[aa, bb, k] = (-1)^{i~(j~+b~)} K^i_a K^j_b A^k_ij, shared by every d
+    inner = {}
+    for aa in range(size):
+        for bb in range(size):
+            for k in range(size):
+                acc = SuperFunction.zero(dim)
+                for i in range(size):
+                    ki = kinv[aa][i]
+                    if ki.is_zero():
+                        continue
+                    for j in range(size):
+                        comp = a.component(k, i, j)
+                        if comp.is_zero():
+                            continue
+                        sign = (-1) ** (dim.parity(i)
+                                        * (dim.parity(j) + dim.parity(bb)))
+                        acc = acc + (ki * kinv[bb][j] * comp).scale(sign)
+                inner[(aa, bb, k)] = acc
     out = {}
     for d in range(size):
         for aa in range(size):
@@ -505,21 +523,8 @@ def _transform_core(a: Sym2Cov, c: CoordinateChange):
                 acc = SuperFunction.zero(dim)
                 for k in range(size):
                     jf = rows[k][d]
-                    if jf.is_zero():
-                        continue
-                    inner = SuperFunction.zero(dim)
-                    for i in range(size):
-                        ki = kinv[aa][i]
-                        if ki.is_zero():
-                            continue
-                        for j in range(size):
-                            comp = a.component(k, i, j)
-                            if comp.is_zero():
-                                continue
-                            sign = (-1) ** (dim.parity(i)
-                                            * (dim.parity(j) + dim.parity(bb)))
-                            inner = inner + (ki * kinv[bb][j] * comp).scale(sign)
-                    acc = acc + inner * jf
+                    if not jf.is_zero():
+                        acc = acc + inner[(aa, bb, k)] * jf
                 if not acc.is_zero():
                     out[(d, aa, bb)] = acc
     return out
@@ -591,16 +596,17 @@ def schwarzian_raw(c: CoordinateChange) -> Sym2Cov:
     rows = jacobian_rows(c)
     kinv = inverse_jacobian_rows(c)
     size = dim.size
+    second = {(i, j, s): rows[j][s].partial(i)
+              for i in range(size) for j in range(size) for s in range(size)}
     comps = {}
     for k in range(size):
         for i in range(size):
             for j in range(size):
                 acc = SuperFunction.zero(dim)
                 for s in range(size):
-                    second = rows[j][s].partial(i)
-                    if second.is_zero():
-                        continue
-                    acc = acc + second * kinv[s][k]
+                    d2 = second[(i, j, s)]
+                    if not d2.is_zero():
+                        acc = acc + d2 * kinv[s][k]
                 if not acc.is_zero():
                     comps[(k, i, j)] = acc
     return Sym2Cov(dim, comps, EVEN)

@@ -15,6 +15,13 @@ equality of normal forms is plain equality and ``is_zero`` is exact.
 :func:`numer_denom` gives the reduced numerator/denominator pair of either
 kind.
 
+A polynomial gcd runs only where a common factor can arise: in the sum or
+product of two true fractions and in the derivative of a fraction (sympy's
+own field arithmetic), and, as gcd(P, b), in a fraction a/b times a
+non-constant polynomial P.  A fraction plus a polynomial, a fraction times a
+rational, a reciprocal, and the first coefficient written at a key need no
+gcd; their results only have their integer content cancelled (:func:`_reduced`).
+
 Conventions fixed here and relied on everywhere else:
 
 * coordinates are indexed 0..n+m-1, evens first;
@@ -26,6 +33,7 @@ Conventions fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -153,6 +161,76 @@ def _canonical(coeff, fld):
     return coeff.numer if den == den.ring.one else coeff.numer.quo_ground(den.LC)
 
 
+# Coefficient arithmetic on canonical coefficients.  sympy's FracElement
+# ends every operation in a full polynomial gcd (``cancel``); the helpers
+# below run one only where the operands can share a factor.
+
+
+def _reduced(fld, num, den):
+    """num/den as the FracElement sympy's ``cancel`` would give, for
+    polynomials num, den with no common factor and den not constant.
+
+    That form has integer coefficients without common integer content and a
+    positive leading denominator coefficient, so scaling both by
+    +-lcm(denominators)/gcd(numerators) of all their coefficients reaches it.
+    """
+    coeffs = (*num.values(), *den.values())
+    up = math.lcm(*(c.denominator for c in coeffs))
+    down = math.gcd(*(c.numerator for c in coeffs))
+    if den.LC < 0:
+        down = -down
+    if up != down:
+        factor = QQ(up, down)
+        num, den = num.mul_ground(factor), den.mul_ground(factor)
+    return fld.raw_new(num, den)
+
+
+def _add(a, b):
+    """a + b; a reduced fraction plus a polynomial p needs no gcd, since
+    gcd(num + den p, den) = gcd(num, den) = 1."""
+    if isinstance(a, PolyElement):
+        if isinstance(b, PolyElement):
+            return a + b
+        a, b = b, a
+    elif not isinstance(b, PolyElement):
+        return _canonical(a + b, a.field)
+    return _reduced(a.field, a.numer + a.denom * b, a.denom) if b else a
+
+
+def _scaled(a, q):
+    """a * q for a reduced fraction a and a nonzero rational q."""
+    return _reduced(a.field, a.numer.mul_ground(q), a.denom)
+
+
+def _mul(a, b):
+    """a * b; for a fraction num/den times a polynomial P only g = gcd(P, den)
+    is needed: the product is (num (P/g)) / (den/g)."""
+    if isinstance(a, PolyElement):
+        if isinstance(b, PolyElement):
+            return a * b
+        a, b = b, a
+    elif not isinstance(b, PolyElement):
+        return _canonical(a * b, a.field)
+    if b.is_ground:
+        return _scaled(a, b.LC) if b else b
+    _, b, den = b.cofactors(a.denom)
+    if den.is_ground:
+        return (a.numer * b).quo_ground(den.LC)
+    return _reduced(a.field, a.numer * b, den)
+
+
+def reciprocal(coeff, fld):
+    """1/coeff for a nonzero canonical coefficient of fld: numerator and
+    denominator swap places, no gcd."""
+    if isinstance(coeff, PolyElement):
+        if coeff.is_ground:
+            return coeff.ring.one.quo_ground(coeff.LC)
+        return _reduced(fld, fld.ring.one, coeff)
+    if coeff.numer.is_ground:
+        return coeff.denom.quo_ground(coeff.numer.LC)
+    return _reduced(fld, coeff.denom, coeff.numer)
+
+
 def numer_denom(coeff):
     """(numerator, denominator) of a canonical coefficient, as the reduced
     field element carries them (integer coefficients, positive leading
@@ -269,7 +347,7 @@ class SuperFunction:
         self._check_dim(other)
         out = dict(self.terms)
         for key, coeff in other.terms.items():
-            out[key] = out.get(key, 0) + coeff
+            out[key] = _add(out[key], coeff) if key in out else coeff
         return SuperFunction(self.dim, out)
 
     def __neg__(self) -> "SuperFunction":
@@ -287,23 +365,32 @@ class SuperFunction:
                 if merged is None:
                     continue
                 key, sign = merged
-                prod = c1 * c2
-                out[key] = out.get(key, 0) + (prod if sign > 0 else -prod)
+                prod = _mul(c1, c2)
+                if sign < 0:
+                    prod = -prod
+                out[key] = _add(out[key], prod) if key in out else prod
         return SuperFunction(self.dim, out)
 
     def scale(self, value) -> "SuperFunction":
         """Multiply by a rational scalar (an int, Fraction or QQ element)."""
         value = QQ(value.numerator, value.denominator)
+        if not value:
+            return SuperFunction.zero(self.dim)
         return SuperFunction(self.dim, {
-            k: c.mul_ground(value) if isinstance(c, PolyElement) else c * value
+            k: c.mul_ground(value) if isinstance(c, PolyElement) else _scaled(c, value)
             for k, c in self.terms.items()})
 
     def __pow__(self, k: int) -> "SuperFunction":
         if k < 0:
             return self.invert() ** (-k)
         out = SuperFunction.one(self.dim)
-        for _ in range(k):
-            out = out * self
+        base = self
+        while k:
+            if k & 1:
+                out = out * base
+            k >>= 1
+            if k:
+                base = base * base
         return out
 
     def invert(self) -> "SuperFunction":
@@ -317,18 +404,14 @@ class SuperFunction:
         b = self.body()
         if not b:
             raise NotInvertible("zero body")
-        if isinstance(b, PolyElement) and b.is_ground:
-            binv = b.ring.one.quo_ground(b.LC)
-        else:
-            fld, _ = scalar_field(self.dim)
-            binv = _canonical(fld.one / b, fld)
+        binv = reciprocal(b, scalar_field(self.dim)[0])
         soul = SuperFunction(self.dim, {k: c for k, c in self.terms.items() if k})
         acc = SuperFunction(self.dim, {(): binv})
         term = SuperFunction(self.dim, {(): binv})
         step = soul.scale(-1)
         for _ in range(self.dim.m // 2 + 1):
             term = term * step
-            term = SuperFunction(term.dim, {k: c * binv for k, c in term.terms.items()})
+            term = SuperFunction(term.dim, {k: _mul(c, binv) for k, c in term.terms.items()})
             if term.is_zero():
                 break
             acc = acc + term
@@ -356,7 +439,7 @@ class SuperFunction:
                 continue
             pos = key.index(slot)
             rest = key[:pos] + key[pos + 1:]
-            out[rest] = out.get(rest, 0) + (-coeff if pos % 2 else coeff)
+            out[rest] = -coeff if pos % 2 else coeff
         return SuperFunction(dim, out)
 
     # -- substitution ---------------------------------------------------

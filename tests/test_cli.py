@@ -272,6 +272,17 @@ class TestMain:
         capsys.readouterr()
         assert main(["grammar"]) == 0
 
+    @pytest.mark.parametrize("exponent, code", [(16, 0), (17, 1)])
+    def test_validate_exponent_limit(self, tmp_path, capsys, exponent, code):
+        path = tmp_path / "power.json"
+        path.write_text('{"dimension": {"n": 1, "m": 0},\n'
+                        f' "expressions": {{"f": "2*x1^{exponent}"}}}}')
+        assert main(["validate", str(path)]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert ("expressions.f: exponent 17 exceeds the limit 16 "
+                    "(line 1, column 5)") in err
+
     def test_singular_check_still_exits_zero(self, tmp_path, capsys):
         path = tmp_path / "mixed.json"
         path.write_text(MIXED_SINGULAR)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from superproj.errors import ParseError
 from superproj.expressions import (
     GRAMMAR_HELP,
+    MAX_EXPONENT,
     format_super,
     parse_expression,
 )
@@ -46,6 +47,26 @@ def test_unknown_name_has_position():
         parse_expression(D, "x1 + bogus")
     assert err.value.line == 1
     assert err.value.column == 5
+
+
+def test_exponent_limit():
+    x1 = parse_expression(D, "x1")
+    assert parse_expression(D, f"x1^{MAX_EXPONENT}") == x1 ** MAX_EXPONENT
+    assert parse_expression(D, f"x1^-{MAX_EXPONENT}") == parse_expression(
+        D, f"1/x1^{MAX_EXPONENT}")
+    for text in (f"x1^{MAX_EXPONENT + 1}", f"2 + x1^-{MAX_EXPONENT + 1}"):
+        with pytest.raises(ParseError) as err:
+            parse_expression(D, text)
+        assert err.value.line == 1
+        assert err.value.column == len(text) - len(str(MAX_EXPONENT + 1))
+
+
+def test_power_by_squaring_matches_repeated_products():
+    f = parse_expression(D, "x1 + 2*x2*th1 - th1*th2/3 + 1")
+    acc = SuperFunction.one(D)
+    for k in range(10):
+        assert f ** k == acc
+        acc = acc * f
 
 
 def test_unbalanced_parens():

@@ -449,6 +449,20 @@ class TestSchwarzian:
         with pytest.raises(SingularDimension):
             super_schwarzian(CoordinateChange.identity(D12))
 
+    def test_each_second_derivative_computed_once(self, monkeypatch):
+        # 2|2: size^3 = 64 distinct d_i (d_j xbar^s), whatever the upper index
+        c = mixing_2_2()
+        calls = []
+        real = SuperFunction.partial
+
+        def counting(f, i):
+            calls.append(i)
+            return real(f, i)
+
+        monkeypatch.setattr(SuperFunction, "partial", counting)
+        schwarzian_raw(c)
+        assert len(calls) == 64
+
     def test_dlog_identity_backs_trace_term(self):
         # div of the raw cocycle equals twice d log Ber
         for c in (moebius_1_1(), mixing_2_2()):

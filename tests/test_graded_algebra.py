@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -12,6 +13,7 @@ from superproj.errors import (
     NotInvertible,
     UnknownCoordinate,
 )
+from superproj.expressions import format_scalar
 from superproj.graded_algebra import (
     Dimension,
     Parity,
@@ -22,6 +24,7 @@ from superproj.graded_algebra import (
     numer_denom,
     partial,
     scalar_field,
+    scalar_ring,
 )
 
 from helpers import rand_scalar, rand_super
@@ -314,3 +317,128 @@ class TestCanonicalCoefficients:
         fld, _ = scalar_field(D22)
         for coeff in (q.body(), q.body() * QQ(3, 4)):
             assert numer_denom(coeff) == (fld(coeff).numer, fld(coeff).denom)
+
+
+# ---------------------------------------------------------------------------
+# the fraction contract: gcd-free paths give sympy's reduced field element
+# ---------------------------------------------------------------------------
+
+def small_rationals():
+    return st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+def polynomials(dim, min_terms=0):
+    """Polynomials of QQ[x1, x2] with rational coefficients."""
+    ring, (x1, x2) = scalar_ring(dim)
+    monoms = st.tuples(st.integers(0, 2), st.integers(0, 2), small_rationals())
+
+    def build(terms):
+        return sum((QQ(c.numerator, c.denominator) * x1 ** i * x2 ** j
+                    for i, j, c in terms), ring.zero)
+
+    return st.lists(monoms, min_size=min_terms, max_size=3).map(build)
+
+
+def fractions_of(dim):
+    """Canonical coefficients num/den, mostly true fractions."""
+    def build(pair):
+        fld, _ = scalar_field(dim)
+        num, den = pair
+        return SuperFunction(dim, {(): fld(num) / fld(den)}).body()
+
+    nonzero = polynomials(dim, 1).filter(bool)
+    return st.tuples(nonzero, nonzero).map(build)
+
+
+def body(coeff):
+    return SuperFunction(D22, {(): coeff})
+
+
+def assert_sympy_form(got, want):
+    """`got` (a kernel result) carries exactly sympy's reduced coefficient
+    `want` (a field element, canonicalized by the constructor)."""
+    assert set(got.terms) <= {()}
+    got, want = got.body(), body(want).body()
+    assert type(got) is type(want)
+    assert numer_denom(got) == numer_denom(want)
+    assert hash(got) == hash(want)
+    names = D22.even_names
+    assert format_scalar(got, names) == format_scalar(want, names)
+
+
+# (fraction, polynomial) pairs: a negative leading denominator coefficient,
+# rational input coefficients, a common factor, F * denom(F), which demotes
+# to a polynomial, and a constant polynomial (the scaling path)
+FRACTION_CASES = [
+    ("x1/(3 - 2*x1)", "x2 - 1"),
+    ("(x1/2 + 1/3)/(x2 - 1/2)", "x1/2"),
+    ("1/(x1^2 - 1)", "x1 + 1"),
+    ("(x1 + 2)/(3*x1*x2 - 1)", "3*x1*x2 - 1"),
+    ("(2*x1 + 4)/(6*x2 - 3)", "-4/3"),
+]
+
+
+class TestFractionContract:
+    def check_all_paths(self, f, p, q):
+        fld, _ = scalar_field(D22)
+        ff, pp = fld(f), fld(p)
+        assert_sympy_form(body(f) + body(p), ff + pp)
+        assert_sympy_form(body(p) + body(f), pp + ff)
+        assert_sympy_form(body(f) * body(p), ff * pp)
+        assert_sympy_form(body(p) * body(f), pp * ff)
+        assert_sympy_form(body(f) - body(p), ff - pp)
+        assert_sympy_form(body(f).scale(q), ff * QQ(q.numerator, q.denominator))
+        assert_sympy_form(SuperFunction.zero(D22) + body(f), fld.zero + ff)
+        assert_sympy_form(SuperFunction.one(D22) * body(f), fld.one * ff)
+        if f:
+            assert_sympy_form(body(f).invert(), fld.one / ff)
+
+    @pytest.mark.parametrize("frac, poly", FRACTION_CASES)
+    def test_examples_match_sympy(self, frac, poly):
+        f, p = expr(D22, frac).body(), expr(D22, poly).body()
+        assert not is_poly(f) and is_poly(p)
+        self.check_all_paths(f, p, Fraction(-3, 2))
+
+    @settings(max_examples=60, deadline=None)
+    @given(fractions_of(D22), polynomials(D22), small_rationals().filter(bool))
+    def test_random_operands_match_sympy(self, f, p, q):
+        self.check_all_paths(f, p, q)
+
+    @settings(max_examples=30, deadline=None)
+    @given(fractions_of(D22), fractions_of(D22))
+    def test_two_fractions_match_sympy(self, f, g):
+        fld, _ = scalar_field(D22)
+        assert_sympy_form(body(f) + body(g), fld(f) + fld(g))
+        assert_sympy_form(body(f) * body(g), fld(f) * fld(g))
+
+    @pytest.mark.parametrize("operation", [
+        "fraction + polynomial",
+        "polynomial + fraction",
+        "fraction * rational",
+        "fraction.scale",
+        "invert fraction body",
+        "first write of a key",
+    ])
+    def test_gcd_free_paths_never_cancel(self, operation, monkeypatch):
+        f = expr(D22, "(x1 + 2)/(3 - 2*x1*x2)")
+        p = expr(D22, "x2^2 - x1/2")
+        half = SuperFunction.constant(D22, Fraction(1, 2))
+        th1 = coord(D22, 2)
+        run = {
+            "fraction + polynomial": lambda: f + p,
+            "polynomial + fraction": lambda: p + f,
+            "fraction * rational": lambda: f * half,
+            "fraction.scale": lambda: f.scale(Fraction(-3, 4)),
+            "invert fraction body": f.invert,
+            "first write of a key": lambda: f * th1 + p,
+        }[operation]
+        calls = []
+        cancel = PolyElement.cancel
+
+        def counting(self, other):
+            calls.append(1)
+            return cancel(self, other)
+
+        monkeypatch.setattr(PolyElement, "cancel", counting)
+        run()
+        assert len(calls) == 0
