@@ -415,22 +415,43 @@ def _check_laplacian_invariance(s: Scenario, chk: dict) -> dict:
     tensor = s.tensors[chk["tensor"]]
     pc = s.projective_classes[chk["projective_class"]]
     change = s.changes[chk["change"]]
-    dim = s.dim
     op_src = projective_laplacian(tensor, pc)
     pc_new = projective_class(transform_connection(pc, change))
     tensor_new = transform_upper2(tensor, change)
     op_tgt = projective_laplacian(tensor_new, pc_new)
+    return _intertwining_report(change, op_src, op_tgt)
+
+
+def _intertwining_report(change: CoordinateChange, op_src, op_tgt) -> dict:
+    """Pass iff op_src(c* phi) = c*(op_tgt phi) for every weight-0 phi,
+    for operators of order <= 2.  A failure lists the residual on each
+    failing element of the test family."""
+    dim = change.dim
+
+    def defect(phi: SuperFunction) -> DensityElement:
+        return op_src(DensityElement.of(change.pullback(phi))) - DensityElement.of(
+            change.pullback(op_tgt(DensityElement.of(phi)).slice(0)))
+
+    # Both sides are c* composed with an operator of order <= 2, and c* is
+    # injective, so they agree iff they agree on 1, x^a and x^a x^b.
+    if all(defect(phi).is_zero() for phi in _order2_basis(dim)):
+        return {"verdict": "pass"}
     family = density_test_family(dim, weights=(Fraction(0),), max_degree=3)
     bad = {}
     for idx, phi in enumerate(family):
-        pulled = DensityElement.of(change.pullback(phi.slice(0)))
-        diff = op_src(pulled) - DensityElement.of(
-            change.pullback(op_tgt(phi).slice(0)))
+        diff = defect(phi.slice(0))
         if not diff.is_zero():
             bad[f"family[{idx}]"] = diff
-    if not bad:
-        return {"verdict": "pass"}
     return {"verdict": "fail", "residuals": _residual_map(bad.items())}
+
+
+def _order2_basis(dim: Dimension) -> list:
+    """1, every coordinate x^a and every nonzero product x^a x^b (a <= b):
+    an operator of order <= 2 vanishes iff it kills all of them."""
+    coords = [SuperFunction.coordinate(dim, a) for a in range(dim.size)]
+    return [SuperFunction.one(dim), *coords,
+            *(coords[a] * coords[b] for a in range(dim.size)
+              for b in range(a, dim.size) if a != b or not dim.parity(a))]
 
 
 def _check_canonical_operator(s: Scenario, chk: dict) -> dict:

@@ -48,7 +48,6 @@ from .graded_algebra import (
     SuperFunction,
     numer_denom,
     reciprocal,
-    scalar_field,
     scalar_ring,
 )
 
@@ -181,16 +180,6 @@ class DensityElement:
             return "<0>"
         bits = [f"({format_super(f)})|Dx|^{w}" for w, f in sorted(self.slices.items())]
         return "<" + " + ".join(bits) + ">"
-
-
-def dmul(a: DensityElement, b: DensityElement) -> DensityElement:
-    """Product of densities; weights add."""
-    return a * b
-
-
-def weight_op(a: DensityElement) -> DensityElement:
-    """The weight operator w applied to a density."""
-    return a.weight_action()
 
 
 # ---------------------------------------------------------------------------
@@ -427,10 +416,6 @@ class DensityOperator:
         return total
 
 
-def apply_operator(d: DensityOperator, phi: DensityElement) -> DensityElement:
-    return d(phi)
-
-
 def compose(d1: DensityOperator, d2: DensityOperator) -> DensityOperator:
     """Composition: apply(compose(d1, d2), phi) = apply(d1, apply(d2, phi))."""
     return d1.compose(d2)
@@ -477,11 +462,6 @@ def operators_equal(d1: DensityOperator, d2: DensityOperator) -> bool:
 # ---------------------------------------------------------------------------
 # algebraic order
 # ---------------------------------------------------------------------------
-
-
-def graded_commutator(d: DensityOperator, m: DensityOperator) -> DensityOperator:
-    sign = -1 if (int(d.parity()) and int(m.parity())) else 1
-    return d.compose(m) - m.compose(d).scale(sign)
 
 
 def op_order(d: DensityOperator) -> int:
@@ -678,14 +658,14 @@ class _BracketEngine:
         dim = self.dim
         num, den = numer_denom(coeff)
         val_num = self._poly_bracket(ta, num)
-        if den == den.ring.one:
+        if den == 1:
             val_c = val_num
         else:
             val_den = self._poly_bracket(ta, den)
             frac = SuperFunction(dim, {(): coeff})
             # {a, u/Q} = ({a,u} - (u/Q){a,Q}) / Q   (u, Q even)
             correction = DensityElement.of(frac) * val_den
-            inv_q = SuperFunction(dim, {(): reciprocal(den, scalar_field(dim)[0])})
+            inv_q = SuperFunction(dim, {(): reciprocal(den)})
             val_c = (val_num - correction) * DensityElement.of(inv_q)
         rest_density = self._term_density(rest)
         out = val_c * rest_density

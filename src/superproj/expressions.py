@@ -172,21 +172,17 @@ generators.
 """
 
 
-def _coeff_str(q) -> str:
-    num, den = int(q.numerator), int(q.denominator)
-    return f"{num}/{den}" if den != 1 else str(num)
-
-
 def _poly_str(poly, even_names) -> str:
+    """An integer polynomial, leading term first (lex order)."""
     parts = []
-    for monom, coeff in sorted(poly.terms(), key=lambda t: t[0], reverse=True):
+    for monom, coeff in poly.terms():
         factors = []
         for name, e in zip(even_names, monom):
             if e == 1:
                 factors.append(name)
             elif e > 1:
                 factors.append(f"{name}^{e}")
-        cs = _coeff_str(coeff)
+        cs = str(coeff)
         if factors and cs == "1":
             text = "*".join(factors)
         elif factors and cs == "-1":
@@ -204,20 +200,16 @@ def _poly_str(poly, even_names) -> str:
     return out
 
 
-def _is_single_term(poly) -> bool:
-    return len(poly.terms()) == 1
-
-
 def format_scalar(coeff, even_names) -> str:
     """Print a coefficient as (num)/(den) in the grammar."""
     num, den = numer_denom(coeff)
     num_str = _poly_str(num, even_names)
-    if den == den.ring.one:
+    if den == 1:
         return num_str
     den_str = _poly_str(den, even_names)
-    if not _is_single_term(num):
+    if len(num) != 1:
         num_str = f"({num_str})"
-    if not _is_single_term(den) or not den_str.lstrip("-").isdigit():
+    if len(den) != 1 or not den_str.lstrip("-").isdigit():
         den_str = f"({den_str})"
     return f"{num_str}/{den_str}"
 
@@ -238,7 +230,7 @@ def format_super(f: SuperFunction) -> str:
                 cs = ""
             elif cs == "-1":
                 cs = "-"
-            elif not _is_single_term(num) or den != den.ring.one:
+            elif len(num) != 1 or den != 1:
                 cs = f"({cs})*"
             else:
                 cs = f"{cs}*"

@@ -443,10 +443,6 @@ class CoordinateChange:
         """Express a function of the new chart in the old one (f o forward)."""
         return f.substitute(self.forward)
 
-    def pushforward(self, f: SuperFunction) -> SuperFunction:
-        """Express a function of the old chart in the new one (needs inverse)."""
-        return f.substitute(self.require_inverse())
-
 
 def jacobian_rows(c: CoordinateChange):
     """Grid J[i][a] = d_i xbar^a (left derivative), rows = old coordinates."""

@@ -6,21 +6,24 @@ A :class:`SuperFunction` over an ``n|m`` dimension is a finite sum
 
 where each coefficient ``c_K`` is an exact rational function of the even
 coordinates and the odd generators satisfy th_a th_b = -th_b th_a.  A
-polynomial coefficient lives in the ring QQ[x] of the even coordinates (a
-sympy ``PolyElement``, no gcd work on each operation); only a true fraction,
-whose reduced denominator is not a constant, lives in the field QQ(x) as a
-reduced ``FracElement``.  The constructor demotes every fraction with a
-constant denominator to a polynomial, so normal forms stay canonical:
-equality of normal forms is plain equality and ``is_zero`` is exact.
+polynomial coefficient is a :class:`Poly` of the ring QQ[x] of the even
+coordinates: a sparse dict of integer numerators over one common
+denominator.  Only a true fraction, whose reduced denominator is not a
+constant, is a :class:`Frac`, a reduced pair of integer polynomials.  Every
+operation returns one of the two in its unique form, and a fraction whose
+denominator cancels to a constant becomes a polynomial, so equality of
+normal forms is plain equality and ``is_zero`` is exact.
 :func:`numer_denom` gives the reduced numerator/denominator pair of either
 kind.
 
 A polynomial gcd runs only where a common factor can arise: in the sum or
-product of two true fractions and in the derivative of a fraction (sympy's
-own field arithmetic), and, as gcd(P, b), in a fraction a/b times a
-non-constant polynomial P.  A fraction plus a polynomial, a fraction times a
-rational, a reciprocal, and the first coefficient written at a key need no
-gcd; their results only have their integer content cancelled (:func:`_reduced`).
+product of two true fractions, in the derivative of a fraction, and, as
+gcd(P, b), in a fraction a/b times a non-constant polynomial P.  Those gcds
+are sympy's, in :func:`_gcd`, the only place sympy is imported, so work on
+polynomial data never loads it.  A fraction plus a polynomial, a fraction
+times a rational, a reciprocal, and the first coefficient written at a key
+need no gcd; their results only have their integer content cancelled
+(:func:`_reduced`).
 
 Conventions fixed here and relied on everywhere else:
 
@@ -37,12 +40,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add as _add_int
 from typing import Mapping, Sequence
-
-from sympy import QQ
-from sympy.polys.fields import FracElement
-from sympy.polys.fields import field as _sympy_field
-from sympy.polys.rings import PolyElement
 
 from .errors import (
     DimensionMismatch,
@@ -126,119 +125,395 @@ class Dimension:
         return f"Dimension({self.n}|{self.m})"
 
 
+# ---------------------------------------------------------------------------
+# coefficients: QQ[x] and its fractions
+# ---------------------------------------------------------------------------
+
+
+class ScalarRing:
+    """QQ[x] in the named even coordinates: its zero, one and generators,
+    and constants built by calling it with an int or a Fraction."""
+
+    def __init__(self, names: tuple[str, ...]):
+        self.names = names
+        self.zero_monom = (0,) * len(names)
+        self.zero = Poly(self, {}, 1)
+        self.one = self(1)
+        self.gens = tuple(
+            Poly(self, {tuple(int(j == i) for j in range(len(names))): 1}, 1)
+            for i in range(len(names)))
+
+    def __call__(self, value) -> "Poly":
+        """The constant value (an int, a Fraction or anything else with
+        coprime ``numerator`` and positive ``denominator``)."""
+        p, q = value.numerator, value.denominator
+        return Poly(self, {self.zero_monom: p}, q) if p else self.zero
+
+
 @lru_cache(maxsize=None)
-def _field_of(even_names: tuple[str, ...]):
-    if even_names:
-        fld, *gens = _sympy_field(",".join(even_names), QQ)
-    else:
-        fld = _sympy_field([], QQ)[0]
-        gens = []
-    return fld, tuple(gens)
-
-
-def scalar_field(dim: Dimension):
-    """The exact rational-function field in the even coordinates of dim."""
-    return _field_of(dim.even_names)
+def _ring_of(even_names: tuple[str, ...]) -> ScalarRing:
+    return ScalarRing(even_names)
 
 
 def scalar_ring(dim: Dimension):
-    """The polynomial ring QQ[x] in the even coordinates of dim, where
-    polynomial coefficients live, and its generators."""
-    ring = _field_of(dim.even_names)[0].ring
+    """The polynomial ring QQ[x] in the even coordinates of dim, and its
+    generators; fractions of its elements are formed with ``/``."""
+    ring = _ring_of(dim.even_names)
     return ring, ring.gens
 
 
-def _canonical(coeff, fld):
-    """Canonical coefficient: a PolyElement of fld.ring when the reduced
-    denominator is a ground constant, else a reduced FracElement of fld."""
-    if isinstance(coeff, PolyElement) and coeff.ring is fld.ring:
-        return coeff
-    if not (isinstance(coeff, FracElement) and coeff.field == fld):
-        coeff = fld(coeff)
-    den = coeff.denom
-    if not den.is_ground:
-        return coeff
-    return coeff.numer if den == den.ring.one else coeff.numer.quo_ground(den.LC)
+class _Scalar:
+    """Operators shared by the two coefficient kinds; ints and Fractions
+    are promoted to constants of the ring."""
+
+    __slots__ = ()
+
+    def _lift(self, other):
+        return other if isinstance(other, _Scalar) else self.ring(other)
+
+    def __add__(self, other):
+        return _add(self, self._lift(other))
+
+    def __sub__(self, other):
+        return _add(self, -self._lift(other))
+
+    def __mul__(self, other):
+        return _mul(self, self._lift(other))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        return _mul(self, reciprocal(self._lift(other)))
+
+    def __pow__(self, k: int):
+        out = self.ring.one
+        for _ in range(k):
+            out = _mul(out, self)
+        return out
 
 
-# Coefficient arithmetic on canonical coefficients.  sympy's FracElement
-# ends every operation in a full polynomial gcd (``cancel``); the helpers
-# below run one only where the operands can share a factor.
+class Poly(_Scalar):
+    """An element of QQ[x]: integer numerators ``num`` (exponent tuple ->
+    nonzero int) over one positive common denominator ``den``, with
+    gcd(den, numerators) = 1, so the pair is unique.  Treat as immutable."""
+
+    __slots__ = ("ring", "num", "den")
+
+    def __init__(self, ring: ScalarRing, num: dict, den: int):
+        self.ring = ring
+        self.num = num
+        self.den = den
+
+    def __bool__(self):
+        return bool(self.num)
+
+    def __len__(self):
+        return len(self.num)
+
+    def __eq__(self, other):
+        if type(other) is Poly:
+            return self.den == other.den and self.num == other.num
+        if isinstance(other, int):
+            return self.den == 1 and self.num == (
+                {self.ring.zero_monom: other} if other else {})
+        return False
+
+    def __hash__(self):
+        return hash((frozenset(self.num.items()), self.den))
+
+    def __neg__(self):
+        return Poly(self.ring, {m: -c for m, c in self.num.items()}, self.den)
+
+    @property
+    def is_ground(self) -> bool:
+        """True for a constant (zero included)."""
+        num = self.num
+        return not num or (len(num) == 1 and self.ring.zero_monom in num)
+
+    def terms(self):
+        """(exponent tuple, rational coefficient) pairs, leading term first
+        (lex order); coefficients are ints when den = 1, else Fractions."""
+        den = self.den
+        return [(m, c if den == 1 else Fraction(c, den))
+                for m, c in sorted(self.num.items(), reverse=True)]
+
+    def diff(self, i: int) -> "Poly":
+        """Derivative by the i-th even coordinate."""
+        num = {}
+        for m, c in self.num.items():
+            e = m[i]
+            if e:
+                num[m[:i] + (e - 1,) + m[i + 1:]] = c * e
+        return _poly(self.ring, num, self.den)
+
+    def __repr__(self):
+        from .expressions import format_scalar
+
+        return format_scalar(self, self.ring.names)
 
 
-def _reduced(fld, num, den):
-    """num/den as the FracElement sympy's ``cancel`` would give, for
-    polynomials num, den with no common factor and den not constant.
+class Frac(_Scalar):
+    """A true fraction numer/denom of integer polynomials with no common
+    factor and no common integer content, denom not constant and with a
+    positive leading coefficient in lex order (sympy's reduced form).
+    Built only by :func:`_reduced`."""
 
-    That form has integer coefficients without common integer content and a
-    positive leading denominator coefficient, so scaling both by
-    +-lcm(denominators)/gcd(numerators) of all their coefficients reaches it.
+    __slots__ = ("numer", "denom")
+
+    def __init__(self, numer: Poly, denom: Poly):
+        self.numer = numer
+        self.denom = denom
+
+    @property
+    def ring(self) -> ScalarRing:
+        return self.numer.ring
+
+    def __eq__(self, other):
+        return (type(other) is Frac and self.numer == other.numer
+                and self.denom == other.denom)
+
+    def __hash__(self):
+        return hash((self.numer, self.denom))
+
+    def __neg__(self):
+        return Frac(-self.numer, self.denom)
+
+    def __repr__(self):
+        from .expressions import format_scalar
+
+        return format_scalar(self, self.ring.names)
+
+
+def _poly(ring, num: dict, den: int) -> Poly:
+    """num/den with the common integer factor of den and num cancelled."""
+    if den != 1:
+        g = math.gcd(den, *num.values())
+        if g != 1:
+            num = {m: c // g for m, c in num.items()}
+            den //= g
+    return Poly(ring, num, den)
+
+
+def _padd(a: Poly, b: Poly) -> Poly:
+    if not a.num:
+        return b
+    if not b.num:
+        return a
+    if a.den == b.den:
+        num, den, scale_b = dict(a.num), a.den, 1
+    else:
+        g = math.gcd(a.den, b.den)
+        scale_a, scale_b = b.den // g, a.den // g
+        num, den = {m: c * scale_a for m, c in a.num.items()}, a.den * scale_a
+    for m, c in b.num.items():
+        c = c * scale_b + num.get(m, 0)
+        if c:
+            num[m] = c
+        else:
+            del num[m]
+    return _poly(a.ring, num, den)
+
+
+def _pmul(a: Poly, b: Poly) -> Poly:
+    if len(a.num) < len(b.num):
+        a, b = b, a
+    if not b.num:
+        return b
+    if len(b.num) == 1:
+        (mb, cb), = b.num.items()
+        if any(mb):
+            num = {tuple(map(_add_int, m, mb)): c * cb for m, c in a.num.items()}
+        else:
+            num = {m: c * cb for m, c in a.num.items()}
+    else:
+        num = {}
+        get = num.get
+        for ma, ca in a.num.items():
+            for mb, cb in b.num.items():
+                m = tuple(map(_add_int, ma, mb))
+                num[m] = get(m, 0) + ca * cb
+        if 0 in num.values():
+            num = {m: c for m, c in num.items() if c}
+    return _poly(a.ring, num, a.den * b.den)
+
+
+def _ground(a: Poly) -> tuple[int, int]:
+    """(p, q) with a = p/q for a nonzero constant a."""
+    return a.num[a.ring.zero_monom], a.den
+
+
+def _scaled(a, p: int, q: int):
+    """a * p/q for a canonical coefficient a and a nonzero rational p/q in
+    lowest terms (q > 0); a reduced fraction times p/q needs no gcd."""
+    if type(a) is Poly:
+        return _poly(a.ring, {m: c * p for m, c in a.num.items()}, a.den * q)
+    return _reduced(_scaled(a.numer, p, q), a.denom)
+
+
+def _reduced(num: Poly, den: Poly) -> Frac:
+    """num/den in reduced form, for polynomials num, den with no common
+    factor and den not constant.
+
+    The form has integer coefficients without common integer content and a
+    positive leading denominator coefficient: with num = N/dn and
+    den = D/dd, it is (N dd/g) / (D dn/g) for g = gcd of those coefficients,
+    negated when D's leading coefficient is negative.
     """
-    coeffs = (*num.values(), *den.values())
-    up = math.lcm(*(c.denominator for c in coeffs))
-    down = math.gcd(*(c.numerator for c in coeffs))
-    if den.LC < 0:
-        down = -down
-    if up != down:
-        factor = QQ(up, down)
-        num, den = num.mul_ground(factor), den.mul_ground(factor)
-    return fld.raw_new(num, den)
+    N, D = num.num, den.num
+    up, down = den.den, num.den
+    g = math.gcd(up * math.gcd(*N.values()), down * math.gcd(*D.values()))
+    if D[max(D)] < 0:
+        g = -g
+    ring = num.ring
+    return Frac(Poly(ring, {m: c * up // g for m, c in N.items()}, 1),
+                Poly(ring, {m: c * down // g for m, c in D.items()}, 1))
+
+
+def _quotient(num: Poly, den: Poly):
+    """num/den as a canonical coefficient, for polynomials with no common
+    factor (den nonzero)."""
+    if not num:
+        return num
+    if den.is_ground:
+        p, q = _ground(den)
+        return _scaled(num, q * (1 if p > 0 else -1), abs(p))
+    return _reduced(num, den)
+
+
+_GCD_RINGS: dict = {}
+
+
+def _gcd(f: Poly, g: Poly) -> tuple[Poly, Poly, Poly]:
+    """(h, f/h, g/h) for nonzero polynomials f, g, with h a greatest common
+    divisor up to a rational factor.
+
+    This is the one place sympy is used, imported on the first call: the
+    integer numerators go to sympy's ZZ[x] and ``cofactors`` (heuristic
+    gcd) runs there.  Only products and sums of two fractions, derivatives
+    of fractions and a fraction times a polynomial call it.
+    """
+    from sympy import ZZ
+    from sympy.polys.rings import ring as sympy_ring
+
+    ring = f.ring
+    n = len(ring.names)
+    zz = _GCD_RINGS.get(n)
+    if zz is None:
+        zz = _GCD_RINGS[n] = sympy_ring([f"x{i}" for i in range(n)], ZZ)[0]
+    h, cf, cg = zz.from_dict(f.num).cofactors(zz.from_dict(g.num))
+
+    def back(p, den):
+        return Poly(ring, {m: int(c) for m, c in p.items()}, den)
+
+    return back(h, 1), back(cf, f.den), back(cg, g.den)
+
+
+# Coefficient arithmetic on canonical coefficients.  A polynomial gcd runs
+# only where the operands can share a factor.
 
 
 def _add(a, b):
     """a + b; a reduced fraction plus a polynomial p needs no gcd, since
     gcd(num + den p, den) = gcd(num, den) = 1."""
-    if isinstance(a, PolyElement):
-        if isinstance(b, PolyElement):
-            return a + b
+    if type(a) is Poly:
+        if type(b) is Poly:
+            return _padd(a, b)
         a, b = b, a
-    elif not isinstance(b, PolyElement):
-        return _canonical(a + b, a.field)
-    return _reduced(a.field, a.numer + a.denom * b, a.denom) if b else a
+    elif type(b) is not Poly:
+        return _frac_add(a, b)
+    return _reduced(_padd(a.numer, _pmul(a.denom, b)), a.denom) if b else a
 
 
-def _scaled(a, q):
-    """a * q for a reduced fraction a and a nonzero rational q."""
-    return _reduced(a.field, a.numer.mul_ground(q), a.denom)
+def _frac_add(f: Frac, g: Frac):
+    """a/b + c/d: with k = gcd(b, d), b = k b1 and d = k d1, the sum is
+    (a d1 + c b1) / (k b1 d1), whose numerator can share a factor with k
+    only."""
+    a, b, c, d = f.numer, f.denom, g.numer, g.denom
+    if b == d:
+        k, b1, d1 = b, b.ring.one, b.ring.one
+    else:
+        k, b1, d1 = _gcd(b, d)
+    num = _padd(_pmul(a, d1), _pmul(c, b1))
+    if not num:
+        return num
+    if not (k.is_ground or num.is_ground):
+        _, num, k = _gcd(num, k)
+    return _quotient(num, _pmul(_pmul(k, b1), d1))
 
 
 def _mul(a, b):
     """a * b; for a fraction num/den times a polynomial P only g = gcd(P, den)
     is needed: the product is (num (P/g)) / (den/g)."""
-    if isinstance(a, PolyElement):
-        if isinstance(b, PolyElement):
-            return a * b
+    if type(a) is Poly:
+        if type(b) is Poly:
+            return _pmul(a, b)
         a, b = b, a
-    elif not isinstance(b, PolyElement):
-        return _canonical(a * b, a.field)
+    elif type(b) is not Poly:
+        return _frac_mul(a, b)
     if b.is_ground:
-        return _scaled(a, b.LC) if b else b
-    _, b, den = b.cofactors(a.denom)
-    if den.is_ground:
-        return (a.numer * b).quo_ground(den.LC)
-    return _reduced(a.field, a.numer * b, den)
+        return _scaled(a, *_ground(b)) if b else b
+    _, b, den = _gcd(b, a.denom)
+    return _quotient(_pmul(a.numer, b), den)
 
 
-def reciprocal(coeff, fld):
-    """1/coeff for a nonzero canonical coefficient of fld: numerator and
+def _frac_mul(f: Frac, g: Frac):
+    """(a/b)(c/d) = ((a/gcd(a, d)) (c/gcd(c, b))) / ((b/gcd(c, b)) (d/gcd(a, d)))."""
+    a, b, c, d = f.numer, f.denom, g.numer, g.denom
+    if not a.is_ground:
+        _, a, d = _gcd(a, d)
+    if not c.is_ground:
+        _, c, b = _gcd(c, b)
+    return _quotient(_pmul(a, c), _pmul(b, d))
+
+
+def _diff(a, i: int):
+    """Derivative of a canonical coefficient by the i-th even coordinate.
+
+    For a fraction a/b let g = gcd(b, b'); the derivative is
+    (a' (b/g) - a (b'/g)) / (b (b/g)).  A factor of b that involves x_i
+    divides g one time less than b, so it cannot divide that numerator;
+    a factor that does not involve x_i divides b and g equally, so the
+    numerator's gcd with g is all that is left to cancel.
+    """
+    if type(a) is Poly:
+        return a.diff(i)
+    num, den = a.numer, a.denom
+    dnum, dden = num.diff(i), den.diff(i)
+    if not dden:
+        if dnum.is_ground:
+            return _quotient(dnum, den) if dnum else dnum
+        _, dnum, den = _gcd(dnum, den)
+        return _quotient(dnum, den)
+    g, den_g, dden_g = _gcd(den, dden)
+    top = _padd(_pmul(dnum, den_g), -_pmul(num, dden_g))
+    if g.is_ground:
+        return _quotient(top, _pmul(den, den_g))
+    _, top, g = _gcd(top, g)
+    return _quotient(top, _pmul(_pmul(g, den_g), den_g))
+
+
+def reciprocal(coeff):
+    """1/coeff for a nonzero canonical coefficient: numerator and
     denominator swap places, no gcd."""
-    if isinstance(coeff, PolyElement):
-        if coeff.is_ground:
-            return coeff.ring.one.quo_ground(coeff.LC)
-        return _reduced(fld, fld.ring.one, coeff)
-    if coeff.numer.is_ground:
-        return coeff.denom.quo_ground(coeff.numer.LC)
-    return _reduced(fld, coeff.denom, coeff.numer)
+    if type(coeff) is Poly:
+        return _quotient(coeff.ring.one, coeff)
+    return _quotient(coeff.denom, coeff.numer)
 
 
 def numer_denom(coeff):
-    """(numerator, denominator) of a canonical coefficient, as the reduced
-    field element carries them (integer coefficients, positive leading
-    denominator coefficient), so x/2 gives (x, 2)."""
-    if isinstance(coeff, PolyElement):
-        den, num = coeff.clear_denoms()
-        return num, coeff.ring(den)
+    """(numerator, denominator) of a canonical coefficient as integer
+    polynomials: a fraction's reduced pair, or a polynomial's numerators
+    over its common denominator, so x/2 gives (x, 2)."""
+    if type(coeff) is Poly:
+        ring = coeff.ring
+        return Poly(ring, coeff.num, 1), ring(coeff.den)
     return coeff.numer, coeff.denom
+
+
+def _canonical(coeff, ring: ScalarRing):
+    """A canonical coefficient: coefficients pass through, ints and
+    Fractions become constants of ring."""
+    return coeff if type(coeff) is Poly or type(coeff) is Frac else ring(coeff)
 
 
 def _merge_sign(left: tuple[int, ...], right: tuple[int, ...]):
@@ -265,10 +540,10 @@ class SuperFunction:
     __slots__ = ("dim", "terms")
 
     def __init__(self, dim: Dimension, terms: Mapping[tuple[int, ...], object]):
-        fld, _ = scalar_field(dim)
+        ring = _ring_of(dim.even_names)
         clean = {}
         for key, coeff in terms.items():
-            coeff = _canonical(coeff, fld)
+            coeff = _canonical(coeff, ring)
             if coeff:
                 clean[tuple(key)] = coeff
         object.__setattr__(self, "dim", dim)
@@ -290,8 +565,6 @@ class SuperFunction:
 
     @staticmethod
     def constant(dim: Dimension, value) -> "SuperFunction":
-        if isinstance(value, Fraction):
-            value = QQ(value.numerator, value.denominator)
         ring, _ = scalar_ring(dim)
         return SuperFunction(dim, {(): ring(value)})
 
@@ -372,13 +645,12 @@ class SuperFunction:
         return SuperFunction(self.dim, out)
 
     def scale(self, value) -> "SuperFunction":
-        """Multiply by a rational scalar (an int, Fraction or QQ element)."""
-        value = QQ(value.numerator, value.denominator)
-        if not value:
+        """Multiply by a rational scalar (an int or a Fraction)."""
+        p, q = value.numerator, value.denominator
+        if not p:
             return SuperFunction.zero(self.dim)
         return SuperFunction(self.dim, {
-            k: c.mul_ground(value) if isinstance(c, PolyElement) else _scaled(c, value)
-            for k, c in self.terms.items()})
+            k: _scaled(c, p, q) for k, c in self.terms.items()})
 
     def __pow__(self, k: int) -> "SuperFunction":
         if k < 0:
@@ -404,7 +676,7 @@ class SuperFunction:
         b = self.body()
         if not b:
             raise NotInvertible("zero body")
-        binv = reciprocal(b, scalar_field(self.dim)[0])
+        binv = reciprocal(b)
         soul = SuperFunction(self.dim, {k: c for k, c in self.terms.items() if k})
         acc = SuperFunction(self.dim, {(): binv})
         term = SuperFunction(self.dim, {(): binv})
@@ -428,10 +700,8 @@ class SuperFunction:
         if not 0 <= i < dim.size:
             raise UnknownCoordinate(f"coordinate index {i} out of range for {dim}")
         if i < dim.n:
-            gen = scalar_field(dim)[1][i]
             return SuperFunction(dim, {
-                k: c.diff(i) if isinstance(c, PolyElement) else c.diff(gen)
-                for k, c in self.terms.items()})
+                k: _diff(c, i) for k, c in self.terms.items()})
         slot = i - dim.n
         out = {}
         for key, coeff in self.terms.items():
@@ -474,17 +744,17 @@ class SuperFunction:
 
         def eval_poly(poly) -> SuperFunction:
             acc = SuperFunction.zero(tgt)
-            for monom, coeff in poly.terms():
+            for monom, coeff in poly.num.items():
                 term = SuperFunction.constant(tgt, coeff)
                 for i, e in enumerate(monom):
                     if e:
                         term = term * even_power(i, e)
                 acc = acc + term
-            return acc
+            return acc.scale(Fraction(1, poly.den)) if poly.den != 1 else acc
 
         result = SuperFunction.zero(tgt)
         for key, coeff in self.terms.items():
-            if isinstance(coeff, PolyElement):
+            if type(coeff) is Poly:
                 piece = eval_poly(coeff)
             else:
                 piece = eval_poly(coeff.numer) * eval_poly(coeff.denom).invert()

@@ -38,12 +38,18 @@ from .errors import (
     Degenerate,
     DimensionMismatch,
     NonHomogeneous,
-    NotInvertible,
     WrongParity,
     WrongWeight,
 )
-from .geometry import ProjectiveClass, Sym2Upper, _eliminate
-from .graded_algebra import EVEN, ODD, Dimension, SuperFunction, numer_denom
+from .geometry import ProjectiveClass, Sym2Upper
+from .graded_algebra import (
+    EVEN,
+    ODD,
+    Dimension,
+    SuperFunction,
+    numer_denom,
+    reciprocal,
+)
 from .thomas import b_tensor, extend_bracket
 
 # ---------------------------------------------------------------------------
@@ -345,14 +351,21 @@ def density_jacobi_check(triple: BracketTriple) -> ConditionReport:
 
 
 def _body_matrix_invertible(s: Sym2Upper) -> bool:
-    dim = s.dim
-    size = dim.size
-    rows = [[SuperFunction(dim, {(): s.component(i, j).body()})
-             for j in range(size)] for i in range(size)]
-    try:  # the bodies commute, so any layout of parities will do
-        _eliminate(rows, dim)
-    except NotInvertible:
-        return False
+    """Whether the matrix of bodies of S is invertible over QQ(x): its
+    entries commute, so Gaussian elimination on the scalars decides it."""
+    size = s.dim.size
+    rows = [[s.component(i, j).body() for j in range(size)]
+            for i in range(size)]
+    for c in range(size):
+        pivot = next((r for r in range(c, size) if rows[r][c]), None)
+        if pivot is None:
+            return False
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        inv = reciprocal(rows[c][c])
+        for r in range(c + 1, size):
+            if rows[r][c]:
+                f = rows[r][c] * inv
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
     return True
 
 

@@ -11,14 +11,14 @@ from superproj.geometry import (
     Sym2Upper,
     projective_class,
 )
-from superproj.graded_algebra import Dimension, SuperFunction, scalar_field
+from superproj.graded_algebra import Dimension, SuperFunction, scalar_ring
 
 
 def rand_scalar(rng, dim, deg=1, terms=2):
-    fld, gens = scalar_field(dim)
-    val = fld(rng.randint(-2, 2))
+    ring, gens = scalar_ring(dim)
+    val = ring(rng.randint(-2, 2))
     for _ in range(rng.randint(0, terms)):
-        term = fld(rng.randint(-2, 2))
+        term = ring(rng.randint(-2, 2))
         for g in gens:
             term = term * g ** rng.randint(0, deg)
         val = val + term

@@ -1,20 +1,40 @@
 import dataclasses
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superproj import thomas
 from superproj.cli import (
     CHECK_HANDLERS,
+    _intertwining_report,
     emit_report,
     emit_scenario,
     main,
     parse_scenario,
     run_checks,
 )
+from superproj.densities import (
+    DensityElement,
+    density_test_family,
+    projective_laplacian,
+)
 from superproj.errors import ParseError, ValidationError
+from superproj.expressions import parse_expression
+from superproj.geometry import (
+    CoordinateChange,
+    Sym2Upper,
+    projective_class,
+    transform_connection,
+    transform_upper2,
+)
+from superproj.graded_algebra import Dimension
+
+from helpers import rand_linear_change, rand_projective_class, rand_upper
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -289,3 +309,71 @@ class TestMain:
         assert main(["run", str(path)]) == 0
         out = capsys.readouterr().out
         assert "[ERROR]" in out and "[PASS]" in out
+
+
+# ---------------------------------------------------------------------------
+# laplacian_invariance: the structural basis decides like the test family
+# ---------------------------------------------------------------------------
+
+# nonlinear changes (forward, inverse), one polynomial and one rational
+SHEARS = {
+    (2, 1): (("x1 + x2^2", "x2", "th1"), ("x1 - x2^2", "x2", "th1")),
+    (1, 1): (("x1", "(1 + x1)*th1"), ("x1", "th1/(1 + x1)")),
+}
+
+
+def shear(dim):
+    fwd, inv = SHEARS[dim.n, dim.m]
+    return CoordinateChange(dim, tuple(parse_expression(dim, e) for e in fwd),
+                            tuple(parse_expression(dim, e) for e in inv))
+
+
+def family_verdict(change, op_src, op_tgt):
+    for phi in density_test_family(change.dim, weights=(Fraction(0),),
+                                   max_degree=3):
+        lhs = op_src(DensityElement.of(change.pullback(phi.slice(0))))
+        rhs = DensityElement.of(change.pullback(op_tgt(phi).slice(0)))
+        if not (lhs - rhs).is_zero():
+            return "fail"
+    return "pass"
+
+
+def laplacian_pair(seed, dims, target):
+    """(change, source Laplacian, target Laplacian); the target is the
+    transformed one, the untransformed source one, or the transformed one
+    with a random tensor added to S."""
+    rng = random.Random(seed)
+    dim = Dimension.of(*dims)
+    change = rand_linear_change(rng, dim)
+    if rng.random() < 0.7:
+        change = change.then(shear(dim))
+    s = rand_upper(rng, dim, rng.randint(0, 1))
+    pc = rand_projective_class(rng, dim)
+    op_src = projective_laplacian(s, pc)
+    if target == "untransformed":
+        return change, op_src, op_src
+    s_new = transform_upper2(s, change)
+    if target == "perturbed":
+        extra = rand_upper(rng, dim, s.parity)
+        s_new = Sym2Upper(dim, {key: s_new.component(*key) + extra.component(*key)
+                                for key in set(s_new.comps) | set(extra.comps)},
+                          s.parity)
+    pc_new = projective_class(transform_connection(pc, change))
+    return change, op_src, projective_laplacian(s_new, pc_new)
+
+
+class TestLaplacianInvarianceBasis:
+    @settings(max_examples=12, deadline=None)
+    @given(st.integers(0, 10**6), st.sampled_from([(1, 1), (2, 1)]),
+           st.sampled_from(["transformed", "untransformed", "perturbed"]))
+    def test_basis_verdict_equals_family_verdict(self, seed, dims, target):
+        change, op_src, op_tgt = laplacian_pair(seed, dims, target)
+        report = _intertwining_report(change, op_src, op_tgt)
+        assert report["verdict"] == family_verdict(change, op_src, op_tgt)
+
+    def test_failure_keeps_family_residuals(self):
+        change, op_src, op_tgt = laplacian_pair(7, (2, 1), "untransformed")
+        report = _intertwining_report(change, op_src, op_tgt)
+        assert report["verdict"] == "fail" == family_verdict(change, op_src, op_tgt)
+        assert report["residuals"]
+        assert all(key.startswith("family[") for key in report["residuals"])

@@ -1,0 +1,49 @@
+"""Polynomial work never imports sympy; only a fraction's gcd does.
+
+Each case runs in a fresh interpreter, since the test process itself has
+sympy loaded (the coefficient tests use it as their oracle).
+"""
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+RUN = """
+import sys
+sys.path[:0] = [{src!r}, {bench!r}]
+import superproj.cli as cli
+import scenario_gen
+
+
+def run(text):
+    cli.emit_report(cli.run_checks(cli.parse_scenario(text)), "json")
+
+
+for name in {scenarios!r}:
+    run(open({root!r} + "/scenarios/" + name + ".json").read())
+for workload in {workloads!r}:
+    for index in range(scenario_gen.round_size(workload)):
+        run(scenario_gen.case(workload, 301, index).text)
+print("sympy" in sys.modules)
+"""
+
+
+def sympy_loaded(scenarios=(), workloads=()) -> bool:
+    code = RUN.format(src=str(ROOT / "src"), bench=str(ROOT / "bench"),
+                      root=str(ROOT), scenarios=list(scenarios),
+                      workloads=list(workloads))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=300, check=True).stdout
+    return {"True": True, "False": False}[out.strip()]
+
+
+def test_import_and_polynomial_runs_leave_sympy_unloaded():
+    assert not sympy_loaded(
+        scenarios=("thomas_2_2", "bv_darboux_1_1", "error_isolation"),
+        workloads=("geometry_changes", "brackets_bv"))
+
+
+def test_fraction_gcd_loads_sympy():
+    assert sympy_loaded(scenarios=("rational_1_1",))

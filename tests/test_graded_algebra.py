@@ -5,8 +5,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy import QQ
-from sympy.polys.rings import PolyElement
+from sympy.polys.fields import field
 
+import superproj.graded_algebra as graded_algebra
 from superproj.errors import (
     DimensionMismatch,
     NonHomogeneous,
@@ -17,13 +18,13 @@ from superproj.expressions import format_scalar
 from superproj.graded_algebra import (
     Dimension,
     Parity,
+    Poly,
     SuperFunction,
     gmul,
     is_zero,
     normal_form,
     numer_denom,
     partial,
-    scalar_field,
     scalar_ring,
 )
 
@@ -237,8 +238,9 @@ class TestSubstitution:
 
 
 def test_scalar_field_is_canonical():
-    fld, (x1, x2) = scalar_field(D22)
-    assert (x1 ** 2 - x2 ** 2) / (x1 - x2) == x1 + x2
+    _, (x1, x2) = scalar_ring(D22)
+    quotient = (x1 ** 2 - x2 ** 2) / (x1 - x2)
+    assert quotient == x1 + x2 and is_poly(quotient)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +248,7 @@ def test_scalar_field_is_canonical():
 # ---------------------------------------------------------------------------
 
 def is_poly(coeff):
-    return isinstance(coeff, PolyElement)
+    return type(coeff) is Poly
 
 
 def same_value(f, g):
@@ -281,8 +283,8 @@ class TestCanonicalCoefficients:
         assert same_value((p * q) * q.invert(), p)
 
     def test_constant_denominator_stored_as_polynomial(self):
-        fld, (x1, x2) = scalar_field(D22)
-        f = SuperFunction(D22, {(): (x1 - x2) / 2, (0,): fld(3) / fld(6)})
+        ring, (x1, x2) = scalar_ring(D22)
+        f = SuperFunction(D22, {(): (x1 - x2) / 2, (0,): ring(3) / ring(6)})
         assert all(is_poly(c) for c in f.terms.values())
         assert same_value(f, expr(D22, "x1/2 - x2/2 + 1/2*th1"))
         assert text(f) == "(x1 - x2)/2 + (1/2)*th1"
@@ -314,14 +316,44 @@ class TestCanonicalCoefficients:
     @settings(max_examples=40, deadline=None)
     @given(even_scalars(D22))
     def test_numer_denom_matches_reduced_field_element(self, q):
-        fld, _ = scalar_field(D22)
-        for coeff in (q.body(), q.body() * QQ(3, 4)):
-            assert numer_denom(coeff) == (fld(coeff).numer, fld(coeff).denom)
+        for coeff in (q.body(), q.body() * Fraction(3, 4)):
+            num, den = numer_denom(coeff)
+            want = ORACLE(to_oracle_ring(num)) / ORACLE(to_oracle_ring(den))
+            assert (to_oracle_ring(num), to_oracle_ring(den)) == (
+                want.numer, want.denom)
 
 
 # ---------------------------------------------------------------------------
-# the fraction contract: gcd-free paths give sympy's reduced field element
+# the fraction contract: every path gives sympy's reduced field element
 # ---------------------------------------------------------------------------
+
+# sympy's QQ(x1, x2), the oracle for D22 coefficients
+ORACLE, *ORACLE_GENS = field("x1,x2", QQ)
+
+
+def to_oracle_ring(poly):
+    """A kernel polynomial as an element of the oracle's QQ[x1, x2]."""
+    return ORACLE.ring.from_dict(
+        {monom: QQ(c.numerator, c.denominator) for monom, c in poly.terms()})
+
+
+def to_oracle(coeff):
+    """A kernel coefficient as an oracle field element, in the kernel's own
+    numerator/denominator form (no cancellation)."""
+    num, den = numer_denom(coeff)
+    return ORACLE.raw_new(to_oracle_ring(num), to_oracle_ring(den))
+
+
+def from_oracle(elem):
+    """An oracle field element as a kernel coefficient."""
+    ring, (x1, x2) = scalar_ring(D22)
+
+    def poly(p):
+        return sum((Fraction(int(c.numerator), int(c.denominator))
+                    * x1 ** i * x2 ** j for (i, j), c in p.terms()), ring.zero)
+
+    return poly(elem.numer) / poly(elem.denom)
+
 
 def small_rationals():
     return st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
@@ -333,8 +365,7 @@ def polynomials(dim, min_terms=0):
     monoms = st.tuples(st.integers(0, 2), st.integers(0, 2), small_rationals())
 
     def build(terms):
-        return sum((QQ(c.numerator, c.denominator) * x1 ** i * x2 ** j
-                    for i, j, c in terms), ring.zero)
+        return sum((c * x1 ** i * x2 ** j for i, j, c in terms), ring.zero)
 
     return st.lists(monoms, min_size=min_terms, max_size=3).map(build)
 
@@ -342,9 +373,8 @@ def polynomials(dim, min_terms=0):
 def fractions_of(dim):
     """Canonical coefficients num/den, mostly true fractions."""
     def build(pair):
-        fld, _ = scalar_field(dim)
         num, den = pair
-        return SuperFunction(dim, {(): fld(num) / fld(den)}).body()
+        return SuperFunction(dim, {(): num / den}).body()
 
     nonzero = polynomials(dim, 1).filter(bool)
     return st.tuples(nonzero, nonzero).map(build)
@@ -356,12 +386,16 @@ def body(coeff):
 
 def assert_sympy_form(got, want):
     """`got` (a kernel result) carries exactly sympy's reduced coefficient
-    `want` (a field element, canonicalized by the constructor)."""
+    `want` (an oracle field element): the same numerator/denominator pair,
+    a polynomial exactly when the denominator is constant, and the same
+    value, hash and printing as that element brought into the kernel."""
     assert set(got.terms) <= {()}
-    got, want = got.body(), body(want).body()
-    assert type(got) is type(want)
-    assert numer_denom(got) == numer_denom(want)
-    assert hash(got) == hash(want)
+    got = got.body()
+    pair = to_oracle(got)
+    assert (pair.numer, pair.denom) == (want.numer, want.denom)
+    assert is_poly(got) == want.denom.is_ground
+    want = body(from_oracle(want)).body()
+    assert got == want and hash(got) == hash(want)
     names = D22.even_names
     assert format_scalar(got, names) == format_scalar(want, names)
 
@@ -380,18 +414,17 @@ FRACTION_CASES = [
 
 class TestFractionContract:
     def check_all_paths(self, f, p, q):
-        fld, _ = scalar_field(D22)
-        ff, pp = fld(f), fld(p)
+        ff, pp = to_oracle(f), to_oracle(p)
         assert_sympy_form(body(f) + body(p), ff + pp)
         assert_sympy_form(body(p) + body(f), pp + ff)
         assert_sympy_form(body(f) * body(p), ff * pp)
         assert_sympy_form(body(p) * body(f), pp * ff)
         assert_sympy_form(body(f) - body(p), ff - pp)
         assert_sympy_form(body(f).scale(q), ff * QQ(q.numerator, q.denominator))
-        assert_sympy_form(SuperFunction.zero(D22) + body(f), fld.zero + ff)
-        assert_sympy_form(SuperFunction.one(D22) * body(f), fld.one * ff)
+        assert_sympy_form(SuperFunction.zero(D22) + body(f), ORACLE.zero + ff)
+        assert_sympy_form(SuperFunction.one(D22) * body(f), ORACLE.one * ff)
         if f:
-            assert_sympy_form(body(f).invert(), fld.one / ff)
+            assert_sympy_form(body(f).invert(), ORACLE.one / ff)
 
     @pytest.mark.parametrize("frac, poly", FRACTION_CASES)
     def test_examples_match_sympy(self, frac, poly):
@@ -407,9 +440,35 @@ class TestFractionContract:
     @settings(max_examples=30, deadline=None)
     @given(fractions_of(D22), fractions_of(D22))
     def test_two_fractions_match_sympy(self, f, g):
-        fld, _ = scalar_field(D22)
-        assert_sympy_form(body(f) + body(g), fld(f) + fld(g))
-        assert_sympy_form(body(f) * body(g), fld(f) * fld(g))
+        ff, gg = to_oracle(f), to_oracle(g)
+        assert_sympy_form(body(f) + body(g), ff + gg)
+        assert_sympy_form(body(f) * body(g), ff * gg)
+        assert_sympy_form(body(f) - body(g), ff - gg)
+
+    @settings(max_examples=40, deadline=None)
+    @given(polynomials(D22), polynomials(D22), st.sampled_from([0, 1]))
+    def test_polynomials_match_sympy(self, p, r, i):
+        pp, rr = to_oracle(p), to_oracle(r)
+        assert_sympy_form(body(p) + body(r), pp + rr)
+        assert_sympy_form(body(p) - body(r), pp - rr)
+        assert_sympy_form(body(p) * body(r), pp * rr)
+        assert_sympy_form(body(p).partial(i), pp.diff(ORACLE_GENS[i]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(fractions_of(D22), st.sampled_from([0, 1]))
+    def test_fraction_derivative_matches_sympy(self, f, i):
+        assert_sympy_form(body(f).partial(i), to_oracle(f).diff(ORACLE_GENS[i]))
+
+    @pytest.mark.parametrize("frac", [
+        "(x1 + x2)/(x1*x2)",        # a factor of b free of x1 cancels
+        "x1/(x2*(x1 - 1)^2)",       # repeated factor and an x1-free factor
+        "(x1*x2 + 1)/x2",           # denominator free of x1
+        "x2/(x2^2 - 1)",            # derivative by x1 is zero
+    ])
+    def test_fraction_derivative_examples(self, frac):
+        f = expr(D22, frac).body()
+        for i in (0, 1):
+            assert_sympy_form(body(f).partial(i), to_oracle(f).diff(ORACLE_GENS[i]))
 
     @pytest.mark.parametrize("operation", [
         "fraction + polynomial",
@@ -433,12 +492,12 @@ class TestFractionContract:
             "first write of a key": lambda: f * th1 + p,
         }[operation]
         calls = []
-        cancel = PolyElement.cancel
+        gcd = graded_algebra._gcd
 
-        def counting(self, other):
+        def counting(f, g):
             calls.append(1)
-            return cancel(self, other)
+            return gcd(f, g)
 
-        monkeypatch.setattr(PolyElement, "cancel", counting)
+        monkeypatch.setattr(graded_algebra, "_gcd", counting)
         run()
         assert len(calls) == 0
