@@ -51,6 +51,13 @@ from .geometry import (
 )
 from .graded_algebra import Dimension, SuperFunction
 
+# Largest n + m a scenario may declare.  The checks are measured up to 4|4,
+# whose Thomas extension is 5|4 (size 9); their work grows combinatorially
+# with the size (2^m odd monomials per coefficient, C(n+m+3, 3) Jacobi
+# triples, cubic connection tables), so larger dimensions are refused before
+# any table is built.
+MAX_DIMENSION = 12
+
 # ---------------------------------------------------------------------------
 # scenario model
 # ---------------------------------------------------------------------------
@@ -173,7 +180,11 @@ def parse_scenario(text: str) -> Scenario:
     dim_obj = doc.get("dimension")
     if not isinstance(dim_obj, dict) or "n" not in dim_obj or "m" not in dim_obj:
         raise ValidationError("scenario must declare dimension {n, m}")
-    dim = Dimension.of(_count(dim_obj, "n"), _count(dim_obj, "m"))
+    n, m = _count(dim_obj, "n"), _count(dim_obj, "m")
+    if n + m > MAX_DIMENSION:
+        raise ValidationError(
+            f"dimension: n + m = {n + m} exceeds the limit {MAX_DIMENSION}")
+    dim = Dimension.of(n, m)
 
     def section(key):
         return _object(doc.get(key, {}), key).items()

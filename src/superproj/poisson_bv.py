@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations_with_replacement
 from typing import Mapping
 
 from .densities import (
@@ -286,14 +287,10 @@ def _triple_hamiltonians(triple: BracketTriple):
 
 
 def _default_jacobi_family(dim: Dimension):
-    out = []
-    for i in range(dim.size):
-        out.append(DensityElement.of(SuperFunction.coordinate(dim, i)))
+    """The generators of the density algebra: the coordinates and |Dx|."""
+    out = [DensityElement.of(SuperFunction.coordinate(dim, i))
+           for i in range(dim.size)]
     out.append(DensityElement.volume(dim))
-    x1 = SuperFunction.coordinate(dim, 0)
-    th = SuperFunction.coordinate(dim, dim.n) if dim.m else x1
-    out.append(DensityElement.of(x1 * th))
-    out.append(DensityElement.of(th, Fraction(1, 2)))
     return out
 
 
@@ -314,7 +311,16 @@ def jacobiator(triple: BracketTriple, a: DensityElement, b: DensityElement,
 
 def density_jacobi_check(triple: BracketTriple) -> ConditionReport:
     """The four master-Hamiltonian obstructions for a weight-0 odd bracket
-    on densities, cross-checked by direct Jacobi evaluation."""
+    on densities, cross-checked by direct Jacobi evaluation.
+
+    The direct route is exact on sorted generator triples.  The bracket is
+    a graded-symmetric biderivation (the engine builds it from the generator
+    table by the Leibniz rule, quotients included, and
+    {a, |Dx|^mu} = mu |Dx|^{mu-1} {a, |Dx|}), so its jacobiator is a
+    derivation in each argument and totally graded-skew.  It therefore
+    vanishes on all densities iff it vanishes on every triple
+    i <= j <= k of the generators x^1 .. x^{n+m}, |Dx|: C(n+m+3, 3)
+    evaluations."""
     if triple.weight != 0:
         raise WrongWeight("density Jacobi conditions require weight 0")
     if triple.eps != ODD:
@@ -332,9 +338,9 @@ def density_jacobi_check(triple: BracketTriple) -> ConditionReport:
             + canonical_pb(gamma_ph, gamma_ph, dim).scale(2)),
         "(gamma,theta)": canonical_pb(gamma_ph, theta_ph, dim),
     }
-    family = _default_jacobi_family(dim)
-    witness = next(((a, b, c) for a in family for b in family for c in family
-                    if not jacobiator(triple, a, b, c).is_zero()), None)
+    generators = _default_jacobi_family(dim)
+    witness = next((abc for abc in combinations_with_replacement(generators, 3)
+                    if not jacobiator(triple, *abc).is_zero()), None)
     direct = witness is None
     info = {
         "direct_jacobi_holds": direct,

@@ -303,6 +303,15 @@ class TestMain:
             assert ("expressions.f: exponent 17 exceeds the limit 16 "
                     "(line 1, column 5)") in err
 
+    @pytest.mark.parametrize("n, code", [(6, 0), (7, 1)])
+    def test_validate_dimension_limit(self, tmp_path, capsys, n, code):
+        path = tmp_path / "wide.json"
+        path.write_text(f'{{"dimension": {{"n": {n}, "m": 6}}}}')
+        assert main(["validate", str(path)]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert "dimension: n + m = 13 exceeds the limit 12" in err
+
     def test_singular_check_still_exits_zero(self, tmp_path, capsys):
         path = tmp_path / "mixed.json"
         path.write_text(MIXED_SINGULAR)

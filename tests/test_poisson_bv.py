@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from superproj import poisson_bv
 from superproj.densities import BracketTriple, DensityElement, bracket_from_triple
 from superproj.errors import (
     Degenerate,
@@ -29,7 +32,13 @@ from superproj.poisson_bv import (
     symmetric_from_odd,
 )
 
-from helpers import darboux_odd, rand_super, rand_triple, rand_upper
+from helpers import (
+    darboux_odd,
+    rand_scalar,
+    rand_super,
+    rand_triple,
+    rand_upper,
+)
 
 D11 = Dimension.of(1, 1)
 D22 = Dimension.of(2, 2)
@@ -361,6 +370,88 @@ class TestDensityJacobi:
         t = rand_triple(rng, D11, 0, 0)
         with pytest.raises(WrongParity):
             density_jacobi_check(t)
+
+
+# ---------------------------------------------------------------------------
+# direct Jacobi route: generator triples decide like the sampled family
+# ---------------------------------------------------------------------------
+
+def sampled_family_verdict(triple):
+    """Whether the jacobiator vanishes on all ordered triples of the family
+    the direct route sampled before: the generators, x1*th1 and
+    th1 |Dx|^(1/2)."""
+    dim = triple.dim
+    x1 = SuperFunction.coordinate(dim, 0)
+    th1 = SuperFunction.coordinate(dim, dim.n)
+    family = [DensityElement.of(SuperFunction.coordinate(dim, i))
+              for i in range(dim.size)]
+    family += [DensityElement.volume(dim), DensityElement.of(x1 * th1),
+               DensityElement.of(th1, Fraction(1, 2))]
+    return all(jacobiator(triple, a, b, c).is_zero()
+               for a in family for b in family for c in family)
+
+
+def near_darboux_triple(seed, dims, kind):
+    """Constant S pairing x_b with th_b, with the canonical gamma and theta
+    of the formal volume exp(f) for an even polynomial f (passes Jacobi);
+    `kind` then plants c x_a th_b on the (a, a) slot of S, adds a random
+    gamma or adds a random theta (mostly fails)."""
+    rng = random.Random(seed)
+    dim = Dimension.of(*dims)
+    comps = {}
+    for b in range(min(dim.n, dim.m)):
+        c = SuperFunction.constant(dim, rng.choice([1, -1, 2, Fraction(1, 2)]))
+        comps[(b, dim.n + b)] = comps[(dim.n + b, b)] = c
+    if kind == "planted":
+        a, b = rng.randrange(dim.n), dim.n + rng.randrange(dim.m)
+        comps[(a, a)] = (SuperFunction.coordinate(dim, a)
+                         * SuperFunction.coordinate(dim, b)).scale(
+                             rng.choice([1, -2, 3]))
+    s = Sym2Upper(dim, comps, 1)
+    f = SuperFunction(dim, {(): rand_scalar(rng, dim, deg=1)})
+    df = [f.partial(j) for j in range(dim.size)]
+    gamma = {}
+    for i in range(dim.size):
+        acc = SuperFunction.zero(dim)
+        for j in range(dim.size):
+            acc = acc - s.component(i, j) * df[j]
+        gamma[i] = acc
+    theta = SuperFunction.zero(dim)
+    for k in range(dim.size):
+        theta = theta - gamma[k] * df[k]
+    if kind == "gamma":
+        i = rng.randrange(dim.size)
+        gamma[i] = gamma[i] + rand_super(rng, dim, (dim.parity(i) + 1) % 2)
+    elif kind == "theta":
+        theta = theta + rand_super(rng, dim, 1)
+    return BracketTriple(s, gamma, theta, 1, 0)
+
+
+class TestGeneratorTriples:
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10**6), st.sampled_from([(1, 1), (2, 1), (2, 2)]),
+           st.sampled_from(["darboux", "planted", "gamma", "theta"]))
+    def test_verdict_equals_sampled_family_verdict(self, seed, dims, kind):
+        triple = near_darboux_triple(seed, dims, kind)
+        rep = density_jacobi_check(triple)
+        assert rep.info["direct_jacobi_holds"] == sampled_family_verdict(triple)
+        assert rep.info["verdicts_agree"]
+        if kind == "darboux":
+            assert rep.satisfied
+
+    @pytest.mark.parametrize("dim, calls", [(D11, 10), (D22, 35)])
+    def test_one_jacobiator_per_sorted_generator_triple(
+            self, monkeypatch, dim, calls):
+        counted = []
+
+        def counting(*args):
+            counted.append(args)
+            return jacobiator(*args)
+
+        monkeypatch.setattr(poisson_bv, "jacobiator", counting)
+        triple = BracketTriple(darboux_odd(dim), {}, SuperFunction.zero(dim), 1, 0)
+        assert density_jacobi_check(triple).info["direct_jacobi_holds"]
+        assert len(counted) == calls
 
 
 # ---------------------------------------------------------------------------
