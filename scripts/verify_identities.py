@@ -89,13 +89,15 @@ def main() -> int:
     t0 = time.perf_counter()
     delta = canonical_operator(triple)
     one = DensityElement.of(SuperFunction.one(dim))
+    fraction = xs[0] / (SuperFunction.one(dim) + xs[0] * xs[0])
     pairs = [(DensityElement.of(xs[0]), DensityElement.volume(dim)),
-             (DensityElement.of(xs[2]), DensityElement.of(xs[1] * xs[3]))]
+             (DensityElement.of(xs[2]), DensityElement.of(xs[1] * xs[3])),
+             (DensityElement.of(fraction), DensityElement.of(xs[2] * xs[3]))]
     ok = delta(one).is_zero() and formal_adjoint(delta) == delta and all(
         generated_bracket(delta, a, b) == bracket_from_triple(triple, a, b)
         for a, b in pairs)
     all_ok &= show("generating operator: constant-free, self-adjoint, "
-                   "reproduces the bracket", ok, t0)
+                   "reproduces the bracket (a fraction included)", ok, t0)
 
     t0 = time.perf_counter()
     darboux = darboux_odd(dim)

@@ -75,25 +75,6 @@ class Scenario:
     volume_forms: Mapping[str, SuperFunction]
     checks: tuple
 
-    def __eq__(self, other):
-        if not isinstance(other, Scenario):
-            return False
-        return (
-            self.dim == other.dim
-            and dict(self.expressions) == dict(other.expressions)
-            and {k: dict(v.comps) for k, v in self.connections.items()}
-            == {k: dict(v.comps) for k, v in other.connections.items()}
-            and {k: dict(v.comps) for k, v in self.projective_classes.items()}
-            == {k: dict(v.comps) for k, v in other.projective_classes.items()}
-            and {k: (dict(v.comps), v.parity) for k, v in self.tensors.items()}
-            == {k: (dict(v.comps), v.parity) for k, v in other.tensors.items()}
-            and {k: (v.forward, v.inverse) for k, v in self.changes.items()}
-            == {k: (v.forward, v.inverse) for k, v in other.changes.items()}
-            and dict(self.triples) == dict(other.triples)
-            and dict(self.volume_forms) == dict(other.volume_forms)
-            and self.checks == other.checks
-        )
-
 
 def _parse_fraction(text, where) -> Fraction:
     try:
@@ -144,20 +125,15 @@ def _expr(dim, text, where) -> SuperFunction:
         raise ValidationError(f"{where}: {exc}") from None
 
 
-def _complete_symmetric(dim, comps, upper_only: bool, where: str):
-    """Fill missing graded-symmetric mirrors; reject inconsistent pairs."""
+def _complete_symmetric(dim, comps):
+    """Fill the missing graded-symmetric mirrors of the last two indices;
+    the tensor constructors reject inconsistent pairs."""
     out = dict(comps)
     for key, val in comps.items():
-        if upper_only:
-            i, j = key
-            mirror = (j, i)
-            sign = -1 if dim.parity(i) and dim.parity(j) else 1
-        else:
-            k, i, j = key
-            mirror = (k, j, i)
-            sign = -1 if dim.parity(i) and dim.parity(j) else 1
+        *head, i, j = key
+        mirror = (*head, j, i)
         if mirror not in comps:
-            out[mirror] = val.scale(sign)
+            out[mirror] = val.scale(-1 if dim.parity(i) and dim.parity(j) else 1)
     return out
 
 
@@ -195,7 +171,7 @@ def parse_scenario(text: str) -> Scenario:
     connections = {}
     for name, table in section("connections"):
         comps = _table(dim, table, 3, f"connections.{name}")
-        comps = _complete_symmetric(dim, comps, False, f"connections.{name}")
+        comps = _complete_symmetric(dim, comps)
         try:
             connections[name] = Connection(dim, comps)
         except (ValidationError, KernelError) as exc:
@@ -204,7 +180,7 @@ def parse_scenario(text: str) -> Scenario:
     pclasses = {}
     for name, table in section("projective_classes"):
         comps = _table(dim, table, 3, f"projective_classes.{name}")
-        comps = _complete_symmetric(dim, comps, False, f"projective_classes.{name}")
+        comps = _complete_symmetric(dim, comps)
         try:
             pclasses[name] = ProjectiveClass(dim, comps)
         except (ValidationError, KernelError) as exc:
@@ -215,7 +191,7 @@ def parse_scenario(text: str) -> Scenario:
         spec = _object(spec, f"tensors.{name}")
         parity = _parity(spec.get("parity", "even"), f"tensors.{name}")
         comps = _table(dim, spec.get("components", {}), 2, f"tensors.{name}")
-        comps = _complete_symmetric(dim, comps, True, f"tensors.{name}")
+        comps = _complete_symmetric(dim, comps)
         try:
             tensors[name] = Sym2Upper(dim, comps, parity)
         except (ValidationError, KernelError) as exc:
@@ -376,6 +352,12 @@ def _residual_map(pairs) -> dict:
     return out
 
 
+def _table3_residuals(t: Sym2Cov) -> dict:
+    """The nonzero components of a connection-type tensor, keyed "k,i,j"."""
+    return _residual_map((f"{k + 1},{i + 1},{j + 1}", v)
+                         for (k, i, j), v in sorted(t.comps.items()))
+
+
 def _check_projective_class(s: Scenario, chk: dict) -> dict:
     gamma = s.connections[chk["connection"]]
     pc = projective_class(gamma)
@@ -391,8 +373,7 @@ def _check_projectively_equivalent(s: Scenario, chk: dict) -> dict:
     if equal:
         return {"verdict": "pass", "info": {"equivalent": True}}
     diff = projective_class(g1) - projective_class(g2)
-    residuals = _residual_map(
-        (f"{k + 1},{i + 1},{j + 1}", v) for (k, i, j), v in sorted(diff.comps.items()))
+    residuals = _table3_residuals(diff)
     return {"verdict": "fail", "residuals": residuals,
             "info": {"equivalent": False}}
 
@@ -401,8 +382,7 @@ def _check_schwarzian_vanishes(s: Scenario, chk: dict) -> dict:
     sch = super_schwarzian(s.changes[chk["change"]])
     if sch.is_zero():
         return {"verdict": "pass"}
-    residuals = _residual_map(
-        (f"{k + 1},{i + 1},{j + 1}", v) for (k, i, j), v in sorted(sch.comps.items()))
+    residuals = _table3_residuals(sch)
     return {"verdict": "fail", "residuals": residuals}
 
 
@@ -417,8 +397,7 @@ def _check_schwarzian_defect(s: Scenario, chk: dict) -> dict:
     diff = Sym2Cov(dim, lhs.comps, 0) - rhs
     if diff.is_zero():
         return {"verdict": "pass"}
-    residuals = _residual_map(
-        (f"{k + 1},{i + 1},{j + 1}", v) for (k, i, j), v in sorted(diff.comps.items()))
+    residuals = _table3_residuals(diff)
     return {"verdict": "fail", "residuals": residuals}
 
 
@@ -479,12 +458,20 @@ def _check_canonical_operator(s: Scenario, chk: dict) -> dict:
     gens = [DensityElement.of(SuperFunction.coordinate(dim, i))
             for i in range(dim.size)]
     vol = DensityElement.volume(dim)
+    # The four-term bracket of any operator is graded-symmetric, and so is
+    # S, so the (i, j) defect is (-1)^{i~j~} times the (j, i) one.
+    defects = {}
     for i in range(dim.size):
         for j in range(dim.size):
-            got = generated_bracket(delta, gens[i], gens[j])
-            want = DensityElement(dim, {triple.weight: triple.s.component(i, j)})
-            if not (got - want).is_zero():
-                residuals[f"generates_S^{i + 1}{j + 1}"] = got - want
+            if i <= j:
+                got = generated_bracket(delta, gens[i], gens[j])
+                want = DensityElement(dim, {triple.weight: triple.s.component(i, j)})
+                defects[i, j] = got - want
+            else:
+                sign = -1 if dim.parity(i) and dim.parity(j) else 1
+                defects[i, j] = defects[j, i].scale(sign)
+            if not defects[i, j].is_zero():
+                residuals[f"generates_S^{i + 1}{j + 1}"] = defects[i, j]
     for i in range(dim.size):
         got = generated_bracket(delta, gens[i], vol)
         want = DensityElement(dim, {triple.weight + 1: triple.gamma_component(i)})

@@ -23,7 +23,12 @@ Normalization notes (constraints, not derivable from the code):
 * the adjoint is taken with respect to the pairing of weights summing to 1,
   with the graded convention <D a, b> = (-1)^{D~a~} <a, D+ b>; primitive
   adjoints are (mult f)+ = mult f, (d_i)+ = -d_i, w+ = 1 - w, and products
-  reverse with the Koszul sign.
+  reverse with the Koszul sign.  `formal_adjoint` applies the resulting
+  closed form term by term.
+* `bracket_from_triple` evaluates the bracket of a triple in closed form,
+  a sum of products of first derivatives (of the coefficients and of the
+  |Dx| exponents) of its two arguments, so it is a biderivation by
+  construction; it equals the bracket the canonical operator generates.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     DimensionMismatch,
@@ -46,8 +51,6 @@ from .graded_algebra import (
     Dimension,
     Parity,
     SuperFunction,
-    numer_denom,
-    reciprocal,
     scalar_ring,
 )
 
@@ -483,52 +486,29 @@ def op_order(d: DensityOperator) -> int:
 
 def formal_adjoint(d: DensityOperator) -> DensityOperator:
     """Adjoint for the pairing of complementary weights; antihomomorphism
-    with the Koszul sign, (mult f)+ = mult f, (d_i)+ = -d_i, w+ = 1 - w."""
+    with the Koszul sign, (mult f)+ = mult f, (d_i)+ = -d_i, w+ = 1 - w.
+
+    A homogeneous piece f of the term f d_{i_1} .. d_{i_l} w^k
+    (i_1 <= .. <= i_l) with q odd factors among f and the d's has the adjoint
+
+        (-1)^{q(q-1)/2 + l} (1 - w)^k d_{i_l} .. d_{i_1} f.
+    """
     dim = d.dim
-    ident = DensityOperator.identity(dim)
-    w_adj = ident - DensityOperator.weight(dim)
     total = DensityOperator.zero(dim)
     for (alpha, wpow), coeff in d.terms.items():
-        for piece in _split_homogeneous(coeff):
-            prims = [("m", piece)]
+        odd_derivs = sum(alpha[i] for i in range(dim.size) if dim.parity(i) == ODD)
+        for par, piece in enumerate(coeff.parity_split()):
+            if piece.is_zero():
+                continue
+            op = DensityOperator.mult(piece)
             for i in range(dim.size):
-                prims.extend([("d", i)] * alpha[i])
-            prims.extend([("w", None)] * wpow)
-            total = total + _adjoint_of_chain(dim, prims, w_adj)
+                for _ in range(alpha[i]):
+                    op = op._compose_deriv(i)
+            for _ in range(wpow):
+                op = op - op._compose_weight()
+            q = par + odd_derivs
+            total = total + op.scale((-1) ** (q * (q - 1) // 2 + sum(alpha)))
     return total
-
-
-def _split_homogeneous(coeff: DensityElement):
-    ev, od = coeff.parity_split()
-    return [p for p in (ev, od) if not p.is_zero()]
-
-
-def _prim_parity(dim, prim) -> int:
-    kind, payload = prim
-    if kind == "m":
-        return int(payload.parity())
-    if kind == "d":
-        return dim.parity(payload)
-    return EVEN
-
-
-def _prim_adjoint(dim, prim, w_adj) -> DensityOperator:
-    kind, payload = prim
-    if kind == "m":
-        return DensityOperator.mult(payload)
-    if kind == "d":
-        return DensityOperator.deriv(dim, payload).scale(-1)
-    return w_adj
-
-
-def _adjoint_of_chain(dim, prims, w_adj) -> DensityOperator:
-    if len(prims) == 1:
-        return _prim_adjoint(dim, prims[0], w_adj)
-    head, rest = prims[0], prims[1:]
-    rest_parity = sum(_prim_parity(dim, p) for p in rest) % 2
-    sign = -1 if (_prim_parity(dim, head) and rest_parity) else 1
-    rest_adj = _adjoint_of_chain(dim, rest, w_adj)
-    return rest_adj.compose(_prim_adjoint(dim, head, w_adj)).scale(sign)
 
 
 # ---------------------------------------------------------------------------
@@ -578,218 +558,62 @@ class BracketTriple:
                              SuperFunction.zero(dim), eps, weight)
 
 
-class _BracketEngine:
-    """Evaluates the biderivation of a triple by Leibniz recursion.
-
-    Rules (eps = bracket parity, {a,b} has parity a~ + b~ + eps):
-      second argument   {a, bc} = {a,b}c + (-1)^{(a~+eps)b~} b {a,c}
-      symmetry          {a, b}  = (-1)^{a~b~} {b, a}
-      generators        {x^i, x^j} = S^ij |Dx|^lam,
-                        {x^i, |Dx|^mu} = mu gamma^i |Dx|^{lam+mu},
-                        {|Dx|^mu, |Dx|^nu} = mu nu theta |Dx|^{lam+mu+nu}
-      quotients         {a, u/Q} = ({a,u} - (-1)^{(a~+eps)u~}(u/Q){a,Q})/Q.
-    """
-
-    def __init__(self, triple: BracketTriple):
-        self.t = triple
-        self.dim = triple.dim
-        self.cache: dict = {}
-        self.ring, self.gens = scalar_ring(self.dim)
-
-    # a "term" is (canonical coefficient, odd key, weight); built-in terms
-    # use the ring's one and gens so cache keys match stored coefficients
-
-    def bracket(self, a: DensityElement, b: DensityElement) -> DensityElement:
-        out = DensityElement.zero(self.dim)
-        for ta in self._terms(a):
-            for tb in self._terms(b):
-                out = out + self._term_bracket(ta, tb)
-        return out
-
-    def _terms(self, a: DensityElement):
-        out = []
-        for w, f in a.slices.items():
-            for key, coeff in f.terms.items():
-                out.append((coeff, key, w))
-        return out
-
-    @staticmethod
-    def _term_parity(term) -> int:
-        return len(term[1]) % 2
-
-    def _term_density(self, term) -> DensityElement:
-        coeff, key, w = term
-        return DensityElement(self.dim, {w: SuperFunction(self.dim, {key: coeff})})
-
-    def _term_bracket(self, ta, tb) -> DensityElement:
-        key = (ta, tb)
-        hit = self.cache.get(key)
-        if hit is None:
-            hit = self._term_bracket_raw(ta, tb)
-            self.cache[key] = hit
-        return hit
-
-    def _factors(self, term):
-        """Split a non-atomic term into head factor and remainder."""
-        coeff, key, w = term
-        one = self.ring.one
-        if coeff != one:
-            return ("coeff", coeff), (one, key, w)
-        return ("odd", key[0]), (one, key[1:], w)
-
-    def _term_bracket_raw(self, ta, tb) -> DensityElement:
-        dim = self.dim
-        if self._is_atomic(tb) is not None:
-            return self._atomic_second(ta, tb)
-        head, rest = self._factors(tb)
-        if head[0] == "coeff":
-            return self._coeff_bracket(ta, head[1], rest)
-        # odd generator head factor
-        slot = head[1]
-        left = self._term_bracket(ta, (self.ring.one, (slot,), Fraction(0)))
-        val = left * self._term_density(rest)
-        sign = (-1) ** ((self._term_parity(ta) + self.t.eps) * 1)
-        right = self._term_bracket(ta, rest)
-        theta_density = DensityElement.of(SuperFunction(dim, {(slot,): 1}))
-        return val + (theta_density * right).scale(sign)
-
-    def _coeff_bracket(self, ta, coeff, rest) -> DensityElement:
-        """{ta, (P/Q) * rest} with P/Q an even rational coefficient."""
-        dim = self.dim
-        num, den = numer_denom(coeff)
-        val_num = self._poly_bracket(ta, num)
-        if den == 1:
-            val_c = val_num
-        else:
-            val_den = self._poly_bracket(ta, den)
-            frac = SuperFunction(dim, {(): coeff})
-            # {a, u/Q} = ({a,u} - (u/Q){a,Q}) / Q   (u, Q even)
-            correction = DensityElement.of(frac) * val_den
-            inv_q = SuperFunction(dim, {(): reciprocal(den)})
-            val_c = (val_num - correction) * DensityElement.of(inv_q)
-        rest_density = self._term_density(rest)
-        out = val_c * rest_density
-        rest_bracket = self._term_bracket(ta, rest)
-        coeff_fn = DensityElement.of(SuperFunction(dim, {(): coeff}))
-        out = out + coeff_fn * rest_bracket
-        return out
-
-    def _poly_bracket(self, ta, poly) -> DensityElement:
-        """{ta, P} for a polynomial P in the even coordinates."""
-        out = DensityElement.zero(self.dim)
-        for monom, q in poly.terms():
-            acc = self._monom_bracket(ta, tuple(monom))
-            out = out + acc.scale(q)
-        return out
-
-    def _monom_bracket(self, ta, monom) -> DensityElement:
-        """{ta, x^monom} by peeling even coordinate factors (x_i even, so
-        the Leibniz signs are trivial)."""
-        dim = self.dim
-        if sum(monom) == 0:
-            return DensityElement.zero(dim)
-        gens = self.gens
-        i = next(idx for idx, e in enumerate(monom) if e)
-        rest = list(monom)
-        rest[i] -= 1
-        rest_coeff = self.ring.one
-        for idx, e in enumerate(rest):
-            rest_coeff = rest_coeff * gens[idx] ** e
-        rest_term = (rest_coeff, (), Fraction(0))
-        coord = (gens[i], (), Fraction(0))
-        left = self._term_bracket(ta, coord)
-        val = left * self._term_density(rest_term)
-        right = self._term_bracket(ta, rest_term)
-        head_density = DensityElement.of(SuperFunction(dim, {(): gens[i]}))
-        return val + head_density * right
-
-    def _is_atomic(self, term) -> Optional[tuple]:
-        """Classify an atomic term: ('even', i) / ('odd', slot) /
-        ('vol', mu) / ('const',).  Returns None when not atomic."""
-        coeff, key, w = term
-        one = self.ring.one
-        if key and (len(key) > 1 or coeff != one or w != 0):
-            return None
-        if key:
-            return ("odd", key[0])
-        if w != 0:
-            if coeff != one:
-                return None
-            return ("vol", w)
-        # pure even scalar: atomic iff a single coordinate
-        if coeff in self.gens:
-            return ("even", self.gens.index(coeff))
-        if coeff == one:
-            return ("const",)
-        return None
-
-    def _atomic_second(self, ta, tb) -> DensityElement:
-        """Second argument is atomic; peel the first (or use the table)."""
-        kind_a = self._is_atomic(ta)
-        kind_b = self._is_atomic(tb)
-        if kind_b is None:
-            raise AssertionError("second argument expected atomic")
-        if kind_a is not None:
-            return self._table(kind_a, kind_b)
-        # flip with the symmetry rule and peel the (composite) first argument
-        sign = (-1) ** (self._term_parity(ta) * self._term_parity(tb))
-        return self._term_bracket(tb, ta).scale(sign)
-
-    def _table(self, ka, kb) -> DensityElement:
-        dim = self.dim
-        t = self.t
-        lam = t.weight
-
-        def coord_index(kind):
-            if kind[0] == "even":
-                return kind[1]
-            if kind[0] == "odd":
-                return dim.n + kind[1]
-            return None
-
-        if ka[0] == "const" or kb[0] == "const":
-            return DensityElement.zero(dim)
-        ia, ib = coord_index(ka), coord_index(kb)
-        if ia is not None and ib is not None:
-            return DensityElement(dim, {lam: t.s.component(ia, ib)})
-        if ia is not None and kb[0] == "vol":
-            mu = kb[1]
-            return DensityElement(
-                dim, {lam + mu: t.gamma_component(ia).scale(mu)})
-        if ka[0] == "vol" and ib is not None:
-            # {|Dx|^mu, x^i} = (-1)^{0 * i~} {x^i, |Dx|^mu}
-            mu = ka[1]
-            return DensityElement(
-                dim, {lam + mu: t.gamma_component(ib).scale(mu)})
-        if ka[0] == "vol" and kb[0] == "vol":
-            mu, nu = ka[1], kb[1]
-            return DensityElement(dim, {lam + mu + nu: t.theta.scale(mu * nu)})
-        raise AssertionError(f"unhandled atomic pair {ka}, {kb}")
-
-
-_ENGINE_CACHE: dict = {}
-
-
-def _engine_for(triple: BracketTriple) -> _BracketEngine:
-    # keyed by identity; the cached entry pins the triple so ids stay valid
-    hit = _ENGINE_CACHE.get(id(triple))
-    if hit is not None and hit[0] is triple:
-        return hit[1]
-    if len(_ENGINE_CACHE) > 64:
-        _ENGINE_CACHE.clear()
-    engine = _BracketEngine(triple)
-    _ENGINE_CACHE[id(triple)] = (triple, engine)
-    return engine
-
-
 def bracket_from_triple(triple: BracketTriple, a: DensityElement,
                         b: DensityElement) -> DensityElement:
     """The biderivation of parity eps and weight lam determined by the
-    triple's component values; symmetric: {a,b} = (-1)^{a~b~}{b,a}."""
+    triple's component values.  For a = f|Dx|^mu and b = g|Dx|^nu,
+
+        {a, b} = |Dx|^{lam+mu+nu} ( sum_{(j,i)} (-1)^{a~j~} S^ji d_i f d_j g
+                   + mu sum_j (-1)^{a~j~} gamma^j f d_j g
+                   + nu sum_i gamma^i d_i f g  +  mu nu theta f g ),
+
+    summed over slices.  Every term is linear in the first derivatives of f
+    and |Dx| in a, and of g and |Dx| in b, so this is a biderivation; it is
+    graded-symmetric, {a,b} = (-1)^{a~b~}{b,a}."""
     for arg in (a, b):
         if not arg.is_homogeneous():
             raise NonHomogeneous("bracket arguments must be parity homogeneous")
-    return _engine_for(triple).bracket(a, b)
+    dim = triple.dim
+    odd_a = int(a.parity())
+
+    def signed(j, term):
+        return -term if odd_a and dim.parity(j) else term
+
+    b_slices = [(nu, g, _partials(g)) for nu, g in b.slices.items()]
+    out: dict = {}
+    for mu, f in a.slices.items():
+        df = _partials(f)
+        for nu, g, dg in b_slices:
+            acc = SuperFunction.zero(dim)
+            for (j, i), s_ji in triple.s.comps.items():
+                if df(i).is_zero() or dg(j).is_zero():
+                    continue
+                acc = acc + signed(j, s_ji * df(i) * dg(j))
+            if mu:
+                for j, gamma_j in triple.gamma.items():
+                    if not dg(j).is_zero():
+                        acc = acc + signed(j, gamma_j * f * dg(j)).scale(mu)
+            if nu:
+                for i, gamma_i in triple.gamma.items():
+                    if not df(i).is_zero():
+                        acc = acc + (gamma_i * df(i) * g).scale(nu)
+            if mu and nu:
+                acc = acc + (triple.theta * f * g).scale(mu * nu)
+            w = triple.weight + mu + nu
+            out[w] = out[w] + acc if w in out else acc
+    return DensityElement(dim, out)
+
+
+def _partials(f: SuperFunction):
+    """i -> d_i f, each derivative computed on first use."""
+    done: dict = {}
+
+    def d(i):
+        if i not in done:
+            done[i] = f.partial(i)
+        return done[i]
+
+    return d
 
 
 def generated_bracket(delta: DensityOperator, a: DensityElement,

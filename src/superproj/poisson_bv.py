@@ -206,24 +206,14 @@ class ConditionReport:
 # ---------------------------------------------------------------------------
 
 
-def _second_order_action(s: Sym2Upper, t_vec: dict, f: SuperFunction):
-    """(S^{jk} d_k d_j + T^j d_j) f."""
-    dim = s.dim
-    acc = SuperFunction.zero(dim)
-    for (j, k), val in s.comps.items():
-        acc = acc + val * f.partial(k).partial(j)
-    for j, tv in t_vec.items():
-        acc = acc + tv * f.partial(j)
-    return acc
-
-
 def bv_check(s: Sym2Upper, pi: ProjectiveClass) -> ConditionReport:
     """Conditions for the projective Laplacian of an odd bracket to square
     to zero, evaluated both by the displayed formulas and directly.
 
-    T^i is the first-order coefficient of the Laplacian; the first condition
-    is read as the operator applied to T^i, the second as printed with the
-    dangling exponent read as the parity of j.
+    T^i is the first-order coefficient of the Laplacian.  Both flow
+    conditions apply the Laplacian itself, S^kl d_l d_k + T^k d_k, to a
+    coefficient: the first to T^i, the second to S^ij, with the dangling
+    exponent of its printed form read as the parity of j.
 
     The direct route squares the Laplacian and tests the normal form for
     zero.  That is exact: the Laplacian has no w terms and no weight shift,
@@ -234,14 +224,19 @@ def bv_check(s: Sym2Upper, pi: ProjectiveClass) -> ConditionReport:
     if s.parity != ODD:
         raise WrongParity("BV check needs an odd bracket tensor")
     t_vec = laplacian_vector(s, pi)
+    delta = projective_laplacian(s, pi)
+
+    def apply(f):
+        return delta(DensityElement.of(f)).slice(0)
+
     conditions = {}
     for i in range(dim.size):
         ti = t_vec.get(i, SuperFunction.zero(dim))
-        conditions[f"flow_of_T^{i + 1}"] = _second_order_action(s, t_vec, ti)
+        conditions[f"flow_of_T^{i + 1}"] = apply(ti)
     for i in range(dim.size):
         for j in range(dim.size):
             s_ij = s.component(i, j)
-            acc = _second_order_action(s, t_vec, s_ij)
+            acc = apply(s_ij)
             for k in range(dim.size):
                 s_ik = s.component(i, k)
                 s_jk = s.component(j, k)
@@ -258,7 +253,6 @@ def bv_check(s: Sym2Upper, pi: ProjectiveClass) -> ConditionReport:
     if not conditions:
         conditions["flow"] = SuperFunction.zero(dim)
     # direct route: square the Laplacian
-    delta = projective_laplacian(s, pi)
     delta2 = compose(delta, delta)
     square_zero = delta2.is_zero()
     report_info = {
@@ -313,14 +307,16 @@ def density_jacobi_check(triple: BracketTriple) -> ConditionReport:
     """The four master-Hamiltonian obstructions for a weight-0 odd bracket
     on densities, cross-checked by direct Jacobi evaluation.
 
-    The direct route is exact on sorted generator triples.  The bracket is
-    a graded-symmetric biderivation (the engine builds it from the generator
-    table by the Leibniz rule, quotients included, and
-    {a, |Dx|^mu} = mu |Dx|^{mu-1} {a, |Dx|}), so its jacobiator is a
-    derivation in each argument and totally graded-skew.  It therefore
-    vanishes on all densities iff it vanishes on every triple
-    i <= j <= k of the generators x^1 .. x^{n+m}, |Dx|: C(n+m+3, 3)
-    evaluations."""
+    The direct route is exact on sorted generator triples.
+    `bracket_from_triple` is a closed form: each term is a product of a
+    component of the triple with one first derivative of each argument,
+    d_i f or the |Dx| exponent mu of a = f|Dx|^mu, and the same of b.  So
+    the bracket is a graded-symmetric biderivation by construction
+    (quotients and {a, |Dx|^mu} = mu |Dx|^{mu-1} {a, |Dx|} included), and
+    its jacobiator is a derivation in each argument and totally
+    graded-skew.  It therefore vanishes on all densities iff it vanishes on
+    every triple i <= j <= k of the generators x^1 .. x^{n+m}, |Dx|:
+    C(n+m+3, 3) evaluations."""
     if triple.weight != 0:
         raise WrongWeight("density Jacobi conditions require weight 0")
     if triple.eps != ODD:

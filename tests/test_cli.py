@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 import random
@@ -8,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superproj import thomas
+from superproj import cli, thomas
 from superproj.cli import (
     CHECK_HANDLERS,
     _intertwining_report,
+    _residual_map,
     emit_report,
     emit_scenario,
     main,
@@ -20,7 +22,10 @@ from superproj.cli import (
 )
 from superproj.densities import (
     DensityElement,
+    canonical_operator,
     density_test_family,
+    formal_adjoint,
+    generated_bracket,
     projective_laplacian,
 )
 from superproj.errors import ParseError, ValidationError
@@ -32,9 +37,14 @@ from superproj.geometry import (
     transform_connection,
     transform_upper2,
 )
-from superproj.graded_algebra import Dimension
+from superproj.graded_algebra import Dimension, SuperFunction
 
-from helpers import rand_linear_change, rand_projective_class, rand_upper
+from helpers import (
+    rand_linear_change,
+    rand_projective_class,
+    rand_triple,
+    rand_upper,
+)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -170,6 +180,39 @@ class TestRoundTrip:
                     "S": {"parity": "odd", "components": {"1," + str(n + 1): "1"}}}
             s1 = parse_scenario(json.dumps(doc))
             assert parse_scenario(emit_scenario(s1)) == s1
+
+
+SECTIONED = {
+    "dimension": {"n": 1, "m": 1},
+    "expressions": {"f": "x1^2 + 1"},
+    "tensors": {"S": {"parity": "odd", "components": {"1,2": "1"}},
+                "Z": {"parity": "even", "components": {}}},
+    "changes": {"c": {"forward": ["2*x1", "th1"], "inverse": ["x1/2", "th1"]}},
+    "triples": {"T": {"s": "S", "gamma": {}, "theta": "0",
+                      "parity": "odd", "weight": "0"}},
+}
+
+
+class TestScenarioEquality:
+    def test_same_document_equal(self):
+        text = json.dumps(SECTIONED)
+        assert parse_scenario(text) == parse_scenario(text)
+
+    @pytest.mark.parametrize("path, value", [
+        (("expressions", "f"), "x1^2 + 2"),
+        (("tensors", "Z", "parity"), "odd"),
+        (("changes", "c", "inverse"), None),
+        (("triples", "T", "weight"), "1/2"),
+    ])
+    def test_one_section_differs(self, path, value):
+        doc = copy.deepcopy(SECTIONED)
+        *head, last = path
+        node = doc
+        for key in head:
+            node = node[key]
+        node[last] = value
+        assert parse_scenario(json.dumps(doc)) != parse_scenario(
+            json.dumps(SECTIONED))
 
 
 class TestRunChecks:
@@ -386,3 +429,69 @@ class TestLaplacianInvarianceBasis:
         assert report["verdict"] == "fail" == family_verdict(change, op_src, op_tgt)
         assert report["residuals"]
         assert all(key.startswith("family[") for key in report["residuals"])
+
+
+def triple_scenario(n, m):
+    """A scenario holding one odd weight-0 triple T (constant S^{x1 th1} = 1)
+    and its canonical_operator check."""
+    return parse_scenario(json.dumps({
+        "dimension": {"n": n, "m": m},
+        "tensors": {"S": {"parity": "odd", "components": {f"1,{n + 1}": "1"}}},
+        "triples": {"T": {"s": "S", "gamma": {}, "theta": "0",
+                          "parity": "odd", "weight": "0"}},
+        "checks": [{"check": "canonical_operator", "triple": "T"}],
+    }))
+
+
+def all_pairs_residuals(triple, delta):
+    """The canonical_operator residuals, with every ordered pair (i, j)
+    evaluated by `generated_bracket`."""
+    dim = triple.dim
+    one = DensityElement.of(SuperFunction.one(dim))
+    gens = [DensityElement.of(SuperFunction.coordinate(dim, i))
+            for i in range(dim.size)]
+    vol = DensityElement.volume(dim)
+    want = {"Delta(1)": delta(one)}
+    if formal_adjoint(delta) != delta:
+        want["self_adjoint"] = SuperFunction.one(dim)
+    for i in range(dim.size):
+        for j in range(dim.size):
+            want[f"generates_S^{i + 1}{j + 1}"] = (
+                generated_bracket(delta, gens[i], gens[j])
+                - DensityElement(dim, {triple.weight: triple.s.component(i, j)}))
+    for i in range(dim.size):
+        want[f"generates_gamma^{i + 1}"] = (
+            generated_bracket(delta, gens[i], vol)
+            - DensityElement(dim, {triple.weight + 1: triple.gamma_component(i)}))
+    want["generates_theta"] = (
+        generated_bracket(delta, vol, vol)
+        - DensityElement(dim, {triple.weight + 2: triple.theta}))
+    return _residual_map(want.items())
+
+
+class TestCanonicalOperatorCheck:
+    @pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (2, 2)])
+    def test_symmetric_pairs_evaluated_once(self, monkeypatch, n, m):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return generated_bracket(*args)
+
+        monkeypatch.setattr(cli, "generated_bracket", counting)
+        report = run_checks(triple_scenario(n, m))
+        assert report.checks[0]["verdict"] == "pass"
+        size = n + m
+        assert len(calls) == size * (size + 1) // 2 + size + 1
+
+    def test_fail_report_equals_all_pairs_reference(self, monkeypatch):
+        scenario = triple_scenario(2, 2)
+        triple = scenario.triples["T"]
+        perturbed = rand_triple(random.Random(5), scenario.dim, 1, 0)
+        assert not perturbed.s.component(2, 3).is_zero()  # an odd-odd pair
+        delta = canonical_operator(perturbed)
+        monkeypatch.setattr(cli, "canonical_operator", lambda t: delta)
+        entry = run_checks(scenario).checks[0]
+        want = all_pairs_residuals(triple, delta)
+        assert entry["verdict"] == "fail"
+        assert list(entry["residuals"].items()) == list(want.items())

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superproj.densities import (
     BracketTriple,
@@ -41,6 +43,32 @@ def expr(dim, text):
 
 def fn(dim, text, weight=0):
     return DensityElement.of(expr(dim, text), weight)
+
+
+def rand_fraction_density(rng, dim, parity):
+    """Two weight slices of one parity whose coefficients are true
+    fractions."""
+    weights = rng.sample([Fraction(0), Fraction(1, 2), Fraction(1),
+                          Fraction(-1), Fraction(2)], 2)
+    slices = {}
+    for w in weights:
+        x = f"x{rng.randrange(dim.n) + 1}"
+        den = expr(dim, f"1/({rng.choice([1, 2])} + {rng.choice([1, 3])}*{x}^2)")
+        slices[w] = rand_super(rng, dim, parity) * den
+    return DensityElement(dim, slices)
+
+
+def rand_operator(rng, dim, parity):
+    """A homogeneous operator: a few terms f d_i.. w^k with k <= 2 and
+    coefficients of weight 0 or 1/2."""
+    op = DensityOperator.zero(dim)
+    for _ in range(rng.randint(1, 3)):
+        derivs = [rng.randrange(dim.size) for _ in range(rng.randint(0, 2))]
+        odd = sum(dim.parity(i) for i in derivs)
+        coeff = DensityElement.of(rand_super(rng, dim, (parity + odd) % 2),
+                                  rng.choice([Fraction(0), Fraction(1, 2)]))
+        op = op + DensityOperator.from_written(coeff, derivs, rng.randint(0, 2))
+    return op
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +236,28 @@ class TestBracketFromTriple:
             bracket_from_triple(t, mixed, mixed)
 
 
+class TestClosedFormBracket:
+    """`bracket_from_triple` is the bracket the canonical operator
+    generates, a biderivation and graded-symmetric, on fractions too."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 10**6), st.sampled_from([D11, D21, D22]),
+           st.sampled_from([0, 1]),
+           st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(2)]))
+    def test_generated_biderivation(self, seed, dim, eps, lam):
+        rng = random.Random(seed)
+        t = rand_triple(rng, dim, eps, lam)
+        a, b, c = (rand_fraction_density(rng, dim, rng.randint(0, 1))
+                   for _ in range(3))
+        pa, pb = int(a.parity()), int(b.parity())
+        ab = bracket_from_triple(t, a, b)
+        assert ab == generated_bracket(canonical_operator(t), a, b)
+        assert ab == bracket_from_triple(t, b, a).scale((-1) ** (pa * pb))
+        leibniz = ab * c + (b * bracket_from_triple(t, a, c)).scale(
+            (-1) ** ((pa + eps) * pb))
+        assert bracket_from_triple(t, a, b * c) == leibniz
+
+
 # ---------------------------------------------------------------------------
 # canonical operator
 # ---------------------------------------------------------------------------
@@ -304,6 +354,18 @@ class TestFormalAdjoint:
         # (AB)+ = (-1)^{A~B~} B+ A+ with both factors odd
         rhs = compose(formal_adjoint(mth), formal_adjoint(dth)).scale(-1)
         assert lhs == rhs
+
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 10**6), st.sampled_from([D11, D21, D22]))
+    def test_involutive_antihomomorphism(self, seed, dim):
+        rng = random.Random(seed)
+        pa, pb = rng.randint(0, 1), rng.randint(0, 1)
+        a, b = rand_operator(rng, dim, pa), rand_operator(rng, dim, pb)
+        assert formal_adjoint(formal_adjoint(a)) == a
+        # (AB)+ = (-1)^{A~B~} B+ A+
+        assert formal_adjoint(compose(a, b)) == compose(
+            formal_adjoint(b), formal_adjoint(a)).scale((-1) ** (pa * pb))
 
 
 # ---------------------------------------------------------------------------
