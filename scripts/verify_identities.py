@@ -14,7 +14,6 @@ from superproj.densities import (
     DensityElement,
     bracket_from_triple,
     canonical_operator,
-    compose,
     density_test_family,
     formal_adjoint,
     generated_bracket,
@@ -24,7 +23,6 @@ from superproj.geometry import (
     CoordinateChange,
     CovectorField,
     ProjectiveClass,
-    Sym2Cov,
     div_trace,
     j_inject,
     projective_class,
@@ -68,10 +66,10 @@ def main() -> int:
         (i0, xs[1] - i0 * i0, xs[2], xs[3] - i0 * xs[2]))
     gamma = rand_connection(rng, dim)
     lhs = projective_class(transform_connection(gamma, change))
-    rhs = transform_sym2cov(Sym2Cov(dim, projective_class(gamma).comps), change) \
+    rhs = transform_sym2cov(projective_class(gamma), change) \
         + super_schwarzian(change.inverted())
     all_ok &= show("Schwarzian measures the transformation defect of Pi",
-                   Sym2Cov(dim, lhs.comps) == rhs, t0)
+                   lhs == rhs, t0)
 
     t0 = time.perf_counter()
     pc = projective_class(gamma)
@@ -103,7 +101,7 @@ def main() -> int:
     darboux = darboux_odd(dim)
     rep = bv_check(darboux, ProjectiveClass(dim, {}))
     lap = projective_laplacian(darboux, ProjectiveClass(dim, {}))
-    sq = compose(lap, lap)
+    sq = lap.compose(lap)
     ok = rep.satisfied and all(
         sq(p).is_zero()
         for p in density_test_family(dim, weights=(Fraction(0),), max_degree=3))

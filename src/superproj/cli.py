@@ -3,7 +3,7 @@
 A scenario is a JSON document declaring a dimension, named expressions and
 component tables, and a list of checks to run.  Expressions are strings in
 the kernel grammar (see ``superproj grammar``).  Component tables are keyed
-by 1-based coordinate indices, ``"k,i,j"`` for connection-type tensors and
+by 1-based ASCII decimal indices, ``"k,i,j"`` for connection-type tensors and
 ``"i,j"`` for 2-upper-index tensors; missing graded-symmetric mirror
 components are filled in automatically, inconsistent ones are rejected.
 
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from dataclasses import dataclass, field
@@ -43,7 +44,6 @@ from .geometry import (
     Sym2Upper,
     div_trace,
     projective_class,
-    projectively_equivalent,
     super_schwarzian,
     transform_connection,
     transform_sym2cov,
@@ -84,15 +84,18 @@ def _parse_fraction(text, where) -> Fraction:
 
 
 def _parse_index_key(key: str, arity: int, dim: Dimension, where: str):
+    """1-based ASCII decimal indices, leading zeros allowed, to 0-based."""
     parts = [p.strip() for p in key.split(",")]
     if len(parts) != arity:
         raise ValidationError(f"{where}: key {key!r} must have {arity} indices")
+    indices = {str(a + 1): a for a in range(dim.size)}
     out = []
     for p in parts:
-        if not p.isdigit() or not 1 <= int(p) <= dim.size:
+        idx = indices.get(p.lstrip("0"))
+        if idx is None:
             raise ValidationError(
-                f"{where}: index {p!r} out of range 1..{dim.size}")
-        out.append(int(p) - 1)
+                f"{where}: key {key!r} has index {p!r} out of range 1..{dim.size}")
+        out.append(idx)
     return tuple(out)
 
 
@@ -133,7 +136,7 @@ def _complete_symmetric(dim, comps):
         *head, i, j = key
         mirror = (*head, j, i)
         if mirror not in comps:
-            out[mirror] = val.scale(-1 if dim.parity(i) and dim.parity(j) else 1)
+            out[mirror] = val.scale(dim.mirror_sign(i, j))
     return out
 
 
@@ -145,12 +148,27 @@ def _table(dim, obj, arity, where):
     return comps
 
 
+def _deepest(text: str):
+    """(line, column) of the first bracket at the greatest nesting depth."""
+    depth = deepest = pos = 0
+    for match in re.finditer(r'"(?:\\.|[^"\\])*"|[\[{\]}]', text):
+        if match.group() in ("[", "{"):
+            depth += 1
+            if depth > deepest:
+                deepest, pos = depth, match.start()
+        elif match.group() in ("]", "}"):
+            depth -= 1
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
+
+
 def parse_scenario(text: str) -> Scenario:
     """Parse and validate a scenario document."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply", *_deepest(text)) from None
     if not isinstance(doc, dict):
         raise ValidationError("scenario document must be a JSON object")
     dim_obj = doc.get("dimension")
@@ -280,15 +298,12 @@ def parse_scenario(text: str) -> Scenario:
 def emit_scenario(s: Scenario) -> str:
     """Serialize a scenario back to canonical JSON (round-trip stable)."""
 
-    def table3(t):
-        return {f"{k + 1},{i + 1},{j + 1}": format_super(v)
-                for (k, i, j), v in sorted(t.comps.items())}
-
     doc = {
         "dimension": {"n": s.dim.n, "m": s.dim.m},
         "expressions": {k: format_super(v) for k, v in sorted(s.expressions.items())},
-        "connections": {k: table3(v) for k, v in sorted(s.connections.items())},
-        "projective_classes": {k: table3(v)
+        "connections": {k: _table3_residuals(v)
+                        for k, v in sorted(s.connections.items())},
+        "projective_classes": {k: _table3_residuals(v)
                                for k, v in sorted(s.projective_classes.items())},
         "tensors": {
             k: {
@@ -360,30 +375,25 @@ def _table3_residuals(t: Sym2Cov) -> dict:
 
 def _check_projective_class(s: Scenario, chk: dict) -> dict:
     gamma = s.connections[chk["connection"]]
-    pc = projective_class(gamma)
-    comps = {f"{k + 1},{i + 1},{j + 1}": format_super(v)
-             for (k, i, j), v in sorted(pc.comps.items())}
-    return {"verdict": "pass", "info": {"components": comps}}
+    return {"verdict": "pass",
+            "info": {"components": _table3_residuals(projective_class(gamma))}}
+
+
+def _vanishing_report(t: Sym2Cov) -> dict:
+    """Pass iff the connection-type tensor t vanishes; else its table."""
+    if t.is_zero():
+        return {"verdict": "pass"}
+    return {"verdict": "fail", "residuals": _table3_residuals(t)}
 
 
 def _check_projectively_equivalent(s: Scenario, chk: dict) -> dict:
-    g1 = s.connections[chk["left"]]
-    g2 = s.connections[chk["right"]]
-    equal = projectively_equivalent(g1, g2)
-    if equal:
-        return {"verdict": "pass", "info": {"equivalent": True}}
-    diff = projective_class(g1) - projective_class(g2)
-    residuals = _table3_residuals(diff)
-    return {"verdict": "fail", "residuals": residuals,
-            "info": {"equivalent": False}}
+    diff = (projective_class(s.connections[chk["left"]])
+            - projective_class(s.connections[chk["right"]]))
+    return {**_vanishing_report(diff), "info": {"equivalent": diff.is_zero()}}
 
 
 def _check_schwarzian_vanishes(s: Scenario, chk: dict) -> dict:
-    sch = super_schwarzian(s.changes[chk["change"]])
-    if sch.is_zero():
-        return {"verdict": "pass"}
-    residuals = _table3_residuals(sch)
-    return {"verdict": "fail", "residuals": residuals}
+    return _vanishing_report(super_schwarzian(s.changes[chk["change"]]))
 
 
 def _check_schwarzian_defect(s: Scenario, chk: dict) -> dict:
@@ -392,13 +402,9 @@ def _check_schwarzian_defect(s: Scenario, chk: dict) -> dict:
     gamma = (s.connections[chk["connection"]]
              if "connection" in chk else Connection(dim, {}))
     lhs = projective_class(transform_connection(gamma, change))
-    rhs = (transform_sym2cov(Sym2Cov(dim, projective_class(gamma).comps, 0), change)
+    rhs = (transform_sym2cov(projective_class(gamma), change)
            + super_schwarzian(change.inverted()))
-    diff = Sym2Cov(dim, lhs.comps, 0) - rhs
-    if diff.is_zero():
-        return {"verdict": "pass"}
-    residuals = _table3_residuals(diff)
-    return {"verdict": "fail", "residuals": residuals}
+    return _vanishing_report(lhs - rhs)
 
 
 def _check_laplacian_invariance(s: Scenario, chk: dict) -> dict:
@@ -468,8 +474,7 @@ def _check_canonical_operator(s: Scenario, chk: dict) -> dict:
                 want = DensityElement(dim, {triple.weight: triple.s.component(i, j)})
                 defects[i, j] = got - want
             else:
-                sign = -1 if dim.parity(i) and dim.parity(j) else 1
-                defects[i, j] = defects[j, i].scale(sign)
+                defects[i, j] = defects[j, i].scale(dim.mirror_sign(i, j))
             if not defects[i, j].is_zero():
                 residuals[f"generates_S^{i + 1}{j + 1}"] = defects[i, j]
     for i in range(dim.size):

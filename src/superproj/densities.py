@@ -96,9 +96,6 @@ class DensityElement:
     def slice(self, w) -> SuperFunction:
         return self.slices.get(_as_weight(w), SuperFunction.zero(self.dim))
 
-    def weights(self):
-        return sorted(self.slices)
-
     def is_zero(self) -> bool:
         return not self.slices
 
@@ -417,11 +414,6 @@ class DensityOperator:
                 {key: coeff * c2 for key, c2 in acc.terms.items()})
             total = total + acc
         return total
-
-
-def compose(d1: DensityOperator, d2: DensityOperator) -> DensityOperator:
-    """Composition: apply(compose(d1, d2), phi) = apply(d1, apply(d2, phi))."""
-    return d1.compose(d2)
 
 
 # ---------------------------------------------------------------------------

@@ -153,7 +153,12 @@ class _Parser:
 
 def parse_expression(dim: Dimension, text: str) -> SuperFunction:
     """Parse an expression string over the given dimension."""
-    return _Parser(dim, text).parse()
+    parser = _Parser(dim, text)
+    try:
+        return parser.parse()
+    except RecursionError:
+        _, _, line, col = parser.peek()
+        raise ParseError("expression nested too deeply", line, col) from None
 
 
 GRAMMAR_HELP = f"""\

@@ -1,21 +1,32 @@
 """Supermatrices, Berezinians, coordinate changes, connections and the
 multidimensional super-Schwarzian derivative.
 
+Covectors, (1,2)-tensors, 2-upper-index tensors and supermatrices are one
+kind of value: an immutable table of nonzero components keyed by coordinate
+indices.  One component rule holds for all of them: the component at key K
+has parity ``sum K~ + parity`` for a tensor of overall ``parity`` (even for
+a supermatrix).  The tensors are graded-symmetric in their last two indices,
+``A^k_ij = (-1)^{i~j~} A^k_ji`` and ``S^ij = (-1)^{i~j~} S^ji``, with the
+sign `Dimension.mirror_sign`.
+
 Index conventions used throughout (and by `densities`/`thomas`):
 
 * A symmetric (1,2)-tensor stores ``comps[(k, i, j)] = A^k_ij`` where the
-  subscripts are in written order; graded symmetry reads
-  ``A^k_ij = (-1)^{i~j~} A^k_ji`` and the component parity is
-  ``i~ + j~ + k~ + parity`` for a tensor of overall ``parity``.
+  subscripts are in written order; a 2-upper-index tensor stores
+  ``comps[(i, j)] = S^ij``.
 * ``div_trace(A)_i = 2 sum_j A^j_ij (-1)^{j~(1+parity)}`` -- the supertrace
   pairing the upper index with the second written subscript.
 * ``j_inject`` is normalized so that ``div_trace(j_inject(phi))`` equals
   ``(n - m + 1) phi`` exactly, for either overall parity.
-* A 2-upper-index tensor stores ``comps[(i, j)] = S^ij`` with
-  ``S^ij = (-1)^{i~j~} S^ji`` and component parity ``i~ + j~ + parity``.
 * Coordinate frames transform by ``d_i = (d_i xbar^a) dbar_a`` with the
   Jacobian factor multiplying from the left (left derivatives); momenta by
   ``p_i = (d_i xbar^a) pbar_a``.
+
+Every tensor a public function returns is validated by its constructor;
+intermediates no caller sees are plain component dicts, so a derived tensor
+is built once.  The trace-free projection ``A - j(div A)/(n - m + 1)``
+behind `projective_class` and `super_schwarzian` adds ``j_inject``'s terms
+straight into A's components.
 
 Supermatrix inverses and Berezinians come from one Gauss-Jordan elimination;
 a `CoordinateChange` keeps the Jacobian grid and the inverse it computes
@@ -31,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from typing import Mapping, Optional
 
 from .errors import (
@@ -40,105 +52,71 @@ from .errors import (
     SingularDimension,
     ValidationError,
 )
-from .graded_algebra import EVEN, Dimension, Parity, SuperFunction
+from .graded_algebra import EVEN, Dimension, SuperFunction
 
 # ---------------------------------------------------------------------------
 # tensors with function components
 # ---------------------------------------------------------------------------
 
 
-def _as_map(dim, comps) -> dict:
-    out = {}
-    for key, val in comps.items():
-        if not isinstance(val, SuperFunction):
-            raise ValidationError(f"component {key} is not a SuperFunction")
-        if val.dim != dim:
-            raise DimensionMismatch(f"component {key} over {val.dim}, expected {dim}")
-        if not val.is_zero():
-            out[key] = val
-    return out
+class _Table:
+    """Immutable table of the nonzero components of a tensor of overall
+    ``parity``, keyed by coordinate indices (an int, or a tuple).
 
-
-@dataclass(frozen=True)
-class CovectorField:
-    """phi = e^i phi_i with component parity i~ + parity."""
-
-    dim: Dimension
-    comps: Mapping[int, SuperFunction]
-    parity: int = EVEN
-
-    def __post_init__(self):
-        object.__setattr__(self, "comps", _as_map(self.dim, dict(self.comps)))
-        for i, val in self.comps.items():
-            if not val.has_parity(self.dim.parity(i) + self.parity):
-                raise ValidationError(
-                    f"covector component {i} violates parity homogeneity")
-
-    def component(self, i: int) -> SuperFunction:
-        return self.comps.get(i, SuperFunction.zero(self.dim))
-
-    def is_zero(self) -> bool:
-        return not self.comps
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CovectorField)
-            and self.dim == other.dim
-            and dict(self.comps) == dict(other.comps)
-        )
-
-
-class Sym2Cov:
-    """Element of Sigma^2 V* (x) V with function coefficients A^k_ij."""
+    The one component rule: the component at key K has parity
+    ``sum K~ + parity``.  A ``symmetric`` table is also graded-symmetric in
+    its last two indices, ``T[.., i, j] = (-1)^{i~j~} T[.., j, i]``, checked
+    by normal-form equality after every parity has been checked.  Tables of
+    one kind (a class and its subclasses) compare equal on equal dimension,
+    parity and components."""
 
     __slots__ = ("dim", "comps", "parity")
+    symmetric = False
 
-    def __init__(self, dim: Dimension, comps: Mapping[tuple, SuperFunction],
-                 parity: int = EVEN):
-        comps = _as_map(dim, dict(comps))
-        for (k, i, j), val in comps.items():
-            want = Parity(dim.parity(i) + dim.parity(j) + dim.parity(k) + parity)
-            if not val.has_parity(want):
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if _Table in cls.__bases__:
+            cls._kind = cls
+
+    def __init__(self, dim: Dimension, comps: Mapping, parity: int = EVEN):
+        clean = {}
+        for key, val in comps.items():
+            if not isinstance(val, SuperFunction):
+                raise ValidationError(f"component {key} is not a SuperFunction")
+            if val.dim != dim:
+                raise DimensionMismatch(
+                    f"component {key} over {val.dim}, expected {dim}")
+            if not val.is_zero():
+                clean[key] = val
+        for key, val in clean.items():
+            idx = key if isinstance(key, tuple) else (key,)
+            if not val.has_parity(sum(dim.parity(a) for a in idx) + parity):
+                raise ValidationError(f"component {str(key).replace(' ', '')} "
+                                      "violates parity homogeneity")
+        for key, val in clean.items() if self.symmetric else ():
+            *head, i, j = key
+            mirror = clean.get((*head, j, i))
+            if mirror is None or val != mirror.scale(dim.mirror_sign(i, j)):
                 raise ValidationError(
-                    f"component ({k},{i},{j}) violates parity homogeneity")
-        for (k, i, j), val in comps.items():
-            sign = -1 if dim.parity(i) and dim.parity(j) else 1
-            mirror = comps.get((k, j, i), SuperFunction.zero(dim))
-            if not (val - mirror.scale(sign)).is_zero():
-                raise ValidationError(
-                    f"graded symmetry fails at ({k},{i},{j})")
+                    f"graded symmetry fails at {str(key).replace(' ', '')}")
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "comps", comps)
+        object.__setattr__(self, "comps", clean)
         object.__setattr__(self, "parity", parity)
 
     def __setattr__(self, *_):
         raise AttributeError("immutable")
 
-    def component(self, k: int, i: int, j: int) -> SuperFunction:
-        return self.comps.get((k, i, j), SuperFunction.zero(self.dim))
+    def component(self, *key) -> SuperFunction:
+        return self.comps.get(key if len(key) > 1 else key[0],
+                              SuperFunction.zero(self.dim))
 
     def is_zero(self) -> bool:
         return not self.comps
 
-    def __add__(self, other: "Sym2Cov") -> "Sym2Cov":
-        if self.dim != other.dim or self.parity != other.parity:
-            raise DimensionMismatch("tensor mismatch in addition")
-        out = dict(self.comps)
-        for key, val in other.comps.items():
-            out[key] = out.get(key, SuperFunction.zero(self.dim)) + val
-        return Sym2Cov(self.dim, out, self.parity)
-
-    def __sub__(self, other: "Sym2Cov") -> "Sym2Cov":
-        return self + other.scale(Fraction(-1))
-
-    def scale(self, q) -> "Sym2Cov":
-        return Sym2Cov(
-            self.dim, {key: val.scale(q) for key, val in self.comps.items()},
-            self.parity)
-
     def __eq__(self, other):
         return (
-            isinstance(other, Sym2Cov)
+            isinstance(other, _Table)
+            and self._kind is other._kind
             and self.dim == other.dim
             and self.parity == other.parity
             and self.comps == other.comps
@@ -146,6 +124,36 @@ class Sym2Cov:
 
     def __hash__(self):
         return hash((self.dim, self.parity, frozenset(self.comps.items())))
+
+
+class CovectorField(_Table):
+    """phi = e^i phi_i, stored comps[i]."""
+
+
+class Sym2Cov(_Table):
+    """Element of Sigma^2 V* (x) V with function coefficients A^k_ij."""
+
+    symmetric = True
+
+    def __add__(self, other: "Sym2Cov") -> "Sym2Cov":
+        return self._plus(other, 1)
+
+    def __sub__(self, other: "Sym2Cov") -> "Sym2Cov":
+        return self._plus(other, -1)
+
+    def _plus(self, other, sign):
+        if self.dim != other.dim or self.parity != other.parity:
+            raise DimensionMismatch("tensor mismatch in addition")
+        out = dict(self.comps)
+        for key, val in other.comps.items():
+            val = val if sign > 0 else -val
+            out[key] = out[key] + val if key in out else val
+        return Sym2Cov(self.dim, out, self.parity)
+
+    def scale(self, q) -> "Sym2Cov":
+        return Sym2Cov(
+            self.dim, {key: val.scale(q) for key, val in self.comps.items()},
+            self.parity)
 
 
 class Connection(Sym2Cov):
@@ -160,51 +168,14 @@ class ProjectiveClass(Sym2Cov):
 
     def __init__(self, dim, comps):
         super().__init__(dim, comps, EVEN)
-        residual = div_trace(self)
-        if not residual.is_zero():
+        if _div(self):
             raise ValidationError("projective class is not trace-free")
 
 
-class Sym2Upper:
+class Sym2Upper(_Table):
     """Graded-symmetric 2-upper-index tensor S^ij (stored comps[(i, j)])."""
 
-    __slots__ = ("dim", "comps", "parity")
-
-    def __init__(self, dim: Dimension, comps: Mapping[tuple, SuperFunction],
-                 parity: int = EVEN):
-        comps = _as_map(dim, dict(comps))
-        for (i, j), val in comps.items():
-            want = Parity(dim.parity(i) + dim.parity(j) + parity)
-            if not val.has_parity(want):
-                raise ValidationError(
-                    f"component ({i},{j}) violates parity homogeneity")
-            sign = -1 if dim.parity(i) and dim.parity(j) else 1
-            mirror = comps.get((j, i), SuperFunction.zero(dim))
-            if not (val - mirror.scale(sign)).is_zero():
-                raise ValidationError(f"graded symmetry fails at ({i},{j})")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "comps", comps)
-        object.__setattr__(self, "parity", parity)
-
-    def __setattr__(self, *_):
-        raise AttributeError("immutable")
-
-    def component(self, i: int, j: int) -> SuperFunction:
-        return self.comps.get((i, j), SuperFunction.zero(self.dim))
-
-    def is_zero(self) -> bool:
-        return not self.comps
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Sym2Upper)
-            and self.dim == other.dim
-            and self.parity == other.parity
-            and self.comps == other.comps
-        )
-
-    def __hash__(self):
-        return hash((self.dim, self.parity, frozenset(self.comps.items())))
+    symmetric = True
 
 
 # ---------------------------------------------------------------------------
@@ -212,54 +183,61 @@ class Sym2Upper:
 # ---------------------------------------------------------------------------
 
 
+def _div(a: Sym2Cov) -> dict:
+    """The nonzero components of `div_trace`, unvalidated."""
+    out = {}
+    for (k, i, j), val in a.comps.items():
+        if k == j:
+            term = val.scale(-2 if a.dim.parity(j) and not a.parity else 2)
+            out[i] = out[i] + term if i in out else term
+    return {i: val for i, val in out.items() if not val.is_zero()}
+
+
 def div_trace(a: Sym2Cov) -> CovectorField:
     """Supertrace div(A)_i = 2 A^j_ij (-1)^{j~(1+parity)} (summed over j)."""
-    dim = a.dim
-    comps = {}
-    for i in range(dim.size):
-        total = SuperFunction.zero(dim)
-        for j in range(dim.size):
-            val = a.component(j, i, j)
-            if val.is_zero():
-                continue
-            sign = (-1) ** (dim.parity(j) * (1 + a.parity))
-            total = total + val.scale(2 * sign)
-        comps[i] = total
-    return CovectorField(dim, comps, a.parity)
+    return CovectorField(a.dim, _div(a), a.parity)
 
 
 def j_inject(phi: CovectorField) -> Sym2Cov:
     """Natural injection phi -> phi v e^i (x) e_i, normalized so that
     div_trace o j_inject = (n - m + 1) id exactly."""
-    dim = phi.dim
-    eps = phi.parity
-    half = Fraction(1, 2)
-    comps: dict[tuple, SuperFunction] = {}
-    for k in range(dim.size):
-        for i in range(dim.size):
-            for j in range(dim.size):
-                total = SuperFunction.zero(dim)
-                if k == i:
-                    sign = (-1) ** ((dim.parity(j) + eps) * dim.parity(i))
-                    total = total + phi.component(j).scale(sign)
-                if k == j:
-                    sign = (-1) ** (eps * dim.parity(j))
-                    total = total + phi.component(i).scale(sign)
-                if not total.is_zero():
-                    comps[(k, i, j)] = total.scale(half)
+    dim, eps = phi.dim, phi.parity
+    comps = {}
+    for k, i, j in product(range(dim.size), repeat=3):
+        total = SuperFunction.zero(dim)
+        if k == i:
+            sign = (-1) ** ((dim.parity(j) + eps) * dim.parity(i))
+            total = total + phi.component(j).scale(sign)
+        if k == j:
+            total = total + phi.component(i).scale((-1) ** (eps * dim.parity(j)))
+        comps[(k, i, j)] = total.scale(Fraction(1, 2))
     return Sym2Cov(dim, comps, eps)
 
 
-def _trace_free(a: Sym2Cov) -> Sym2Cov:
-    """A - j(div A)/(n - m + 1); callers rule out n - m = -1."""
-    return a + j_inject(div_trace(a)).scale(Fraction(-1, a.dim.n0 + 1))
+def _trace_free(a: Sym2Cov) -> dict:
+    """The components of A - j(div A)/(n - m + 1), unvalidated; callers rule
+    out n - m = -1.  `j_inject`'s formula, added in one pass: phi_b enters
+    only the entries (t, t, b) and (t, b, t)."""
+    dim, eps = a.dim, a.parity
+    c = Fraction(-1, 2 * (dim.n0 + 1))
+    delta = {}
+    for b, phi in _div(a).items():
+        for t in range(dim.size):
+            for key, power in (((t, t, b), (dim.parity(b) + eps) * dim.parity(t)),
+                               ((t, b, t), eps * dim.parity(t))):
+                term = phi.scale(-c if power % 2 else c)
+                delta[key] = delta[key] + term if key in delta else term
+    out = dict(a.comps)
+    for key in sorted(delta):  # entries A lacks follow in key order, as in j_inject
+        out[key] = out[key] + delta[key] if key in out else delta[key]
+    return out
 
 
 def projective_class(gamma: Sym2Cov) -> ProjectiveClass:
     """Trace-free part Gamma - j(div Gamma)/(n - m + 1)."""
     if gamma.dim.n0 == -1:
         raise SingularDimension("n - m = -1: trace projection undefined")
-    return ProjectiveClass(gamma.dim, _trace_free(gamma).comps)
+    return ProjectiveClass(gamma.dim, _trace_free(gamma))
 
 
 def projectively_equivalent(g1: Connection, g2: Connection) -> bool:
@@ -272,32 +250,14 @@ def projectively_equivalent(g1: Connection, g2: Connection) -> bool:
 # ---------------------------------------------------------------------------
 
 
-class SuperMatrix:
-    """Square even supermatrix indexed by the coordinates of a Dimension.
-
-    Entry (r, c) must be homogeneous of parity r~ + c~.
-    """
-
-    __slots__ = ("dim", "entries")
-
-    def __init__(self, dim: Dimension, entries: Mapping[tuple, SuperFunction]):
-        clean = _as_map(dim, dict(entries))
-        for (r, c), val in clean.items():
-            if not val.has_parity(dim.parity(r) + dim.parity(c)):
-                raise ValidationError(f"matrix entry ({r},{c}) violates parity")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "entries", clean)
-
-    def __setattr__(self, *_):
-        raise AttributeError("immutable")
+class SuperMatrix(_Table):
+    """Square even supermatrix indexed by the coordinates of a Dimension:
+    comps[(r, c)], of parity r~ + c~."""
 
     @staticmethod
     def identity(dim: Dimension) -> "SuperMatrix":
         one = SuperFunction.one(dim)
         return SuperMatrix(dim, {(i, i): one for i in range(dim.size)})
-
-    def entry(self, r: int, c: int) -> SuperFunction:
-        return self.entries.get((r, c), SuperFunction.zero(self.dim))
 
     def __mul__(self, other: "SuperMatrix") -> "SuperMatrix":
         if self.dim != other.dim:
@@ -308,17 +268,9 @@ class SuperMatrix:
             for c in range(size):
                 acc = SuperFunction.zero(self.dim)
                 for k in range(size):
-                    acc = acc + self.entry(r, k) * other.entry(k, c)
-                if not acc.is_zero():
-                    out[(r, c)] = acc
+                    acc = acc + self.component(r, k) * other.component(k, c)
+                out[(r, c)] = acc
         return SuperMatrix(self.dim, out)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SuperMatrix)
-            and self.dim == other.dim
-            and self.entries == other.entries
-        )
 
 
 def _eliminate(grid, dim: Dimension):
@@ -359,7 +311,7 @@ def berezinian(mat: SuperMatrix) -> SuperFunction:
     """Ber(M), which is det(A - B D^{-1} C) det(D)^{-1} on the standard
     blocks, by Gauss-Jordan elimination."""
     size = mat.dim.size
-    grid = [[mat.entry(r, c) for c in range(size)] for r in range(size)]
+    grid = [[mat.component(r, c) for c in range(size)] for r in range(size)]
     return _eliminate(grid, mat.dim)[1]
 
 
@@ -572,8 +524,8 @@ def transform_upper2(s: Sym2Upper, c: CoordinateChange) -> Sym2Upper:
     sym = {}
     for aa in range(size):
         for bb in range(size):
-            sign = -1 if dim.parity(aa) and dim.parity(bb) else 1
-            val = (raw[(aa, bb)] + raw[(bb, aa)].scale(sign)).scale(half)
+            val = (raw[(aa, bb)]
+                   + raw[(bb, aa)].scale(dim.mirror_sign(aa, bb))).scale(half)
             if not val.is_zero():
                 sym[(aa, bb)] = val
     return Sym2Upper(dim, _substitute_comps(sym, inverse), s.parity)
@@ -613,4 +565,4 @@ def super_schwarzian(c: CoordinateChange) -> Sym2Cov:
     cocycle, expressed in the old coordinates of the change."""
     if c.dim.n0 == -1:
         raise SingularDimension("n - m = -1: Schwarzian undefined")
-    return _trace_free(schwarzian_raw(c))
+    return Sym2Cov(c.dim, _trace_free(schwarzian_raw(c)), EVEN)

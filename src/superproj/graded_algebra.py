@@ -115,6 +115,11 @@ class Dimension:
             raise UnknownCoordinate(f"coordinate index {i} out of range for {self}")
         return EVEN if i < self.n else ODD
 
+    def mirror_sign(self, i: int, j: int) -> int:
+        """(-1)^{i~j~}: the sign relating the (i, j) and (j, i) entries of a
+        graded-symmetric tensor."""
+        return (-1) ** (self.parity(i) * self.parity(j))
+
     def index(self, name: str) -> int:
         try:
             return self.names.index(name)
@@ -780,12 +785,6 @@ class SuperFunction:
                 values.append(SuperFunction.zero(new_dim))
         return self.substitute(values)
 
-    # -- canonical form -------------------------------------------------
-
-    def normal_form(self) -> "SuperFunction":
-        """Identity: construction already is the canonical form."""
-        return self
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SuperFunction)
@@ -800,22 +799,3 @@ class SuperFunction:
         from .expressions import format_super
 
         return f"<{format_super(self)}>"
-
-
-def gmul(a: SuperFunction, b: SuperFunction) -> SuperFunction:
-    """Supercommutative product (Koszul sign on odd generators)."""
-    return a * b
-
-
-def partial(i: int, a: SuperFunction) -> SuperFunction:
-    """Left partial derivative by coordinate index."""
-    return a.partial(i)
-
-
-def normal_form(a: SuperFunction) -> SuperFunction:
-    return a.normal_form()
-
-
-def is_zero(a: SuperFunction) -> bool:
-    return a.is_zero()
-

@@ -25,7 +25,6 @@ from .densities import (
     BracketTriple,
     DensityElement,
     bracket_from_triple,
-    compose,
     contract_class,
     contract_lower,
     div_upper,
@@ -161,11 +160,6 @@ def odd_from_symmetric(a: SuperFunction, value: DensityElement | SuperFunction):
     return value.scale(sign)
 
 
-def symmetric_from_odd(a: SuperFunction, value):
-    """Inverse of `odd_from_symmetric` (the same sign)."""
-    return odd_from_symmetric(a, value)
-
-
 def jacobi_obstruction(s_phase: SuperFunction, dim: Dimension) -> SuperFunction:
     """(S, S); vanishes iff the derived odd bracket satisfies the shifted
     Jacobi identity."""
@@ -253,7 +247,7 @@ def bv_check(s: Sym2Upper, pi: ProjectiveClass) -> ConditionReport:
     if not conditions:
         conditions["flow"] = SuperFunction.zero(dim)
     # direct route: square the Laplacian
-    delta2 = compose(delta, delta)
+    delta2 = delta.compose(delta)
     square_zero = delta2.is_zero()
     report_info = {
         "laplacian_square_zero": square_zero,

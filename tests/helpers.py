@@ -8,6 +8,7 @@ from superproj.geometry import (
     Connection,
     CoordinateChange,
     CovectorField,
+    Sym2Cov,
     Sym2Upper,
     projective_class,
 )
@@ -43,20 +44,23 @@ def rand_covector(rng, dim, eps=0):
     )
 
 
-def rand_connection(rng, dim, deg=1):
+def rand_sym2cov(rng, dim, eps=0, deg=1):
     comps = {}
     for k in range(dim.size):
         for i in range(dim.size):
             for j in range(i, dim.size):
                 if i == j and dim.parity(i):
                     continue
-                p = (dim.parity(i) + dim.parity(j) + dim.parity(k)) % 2
+                p = (dim.parity(i) + dim.parity(j) + dim.parity(k) + eps) % 2
                 v = rand_super(rng, dim, p, deg)
                 comps[(k, i, j)] = v
                 if i != j:
-                    sign = -1 if dim.parity(i) and dim.parity(j) else 1
-                    comps[(k, j, i)] = v.scale(sign)
-    return Connection(dim, comps)
+                    comps[(k, j, i)] = v.scale(dim.mirror_sign(i, j))
+    return Sym2Cov(dim, comps, eps)
+
+
+def rand_connection(rng, dim, deg=1):
+    return Connection(dim, rand_sym2cov(rng, dim, 0, deg).comps)
 
 
 def rand_projective_class(rng, dim, deg=1):
@@ -73,8 +77,7 @@ def rand_upper(rng, dim, eps, deg=1):
             v = rand_super(rng, dim, p, deg)
             comps[(i, j)] = v
             if i != j:
-                sign = -1 if dim.parity(i) and dim.parity(j) else 1
-                comps[(j, i)] = v.scale(sign)
+                comps[(j, i)] = v.scale(dim.mirror_sign(i, j))
     return Sym2Upper(dim, comps, eps)
 
 

@@ -13,6 +13,7 @@ import random
 import time
 from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -23,7 +24,6 @@ from superproj.densities import (
     DensityOperator,
     bracket_from_triple,
     canonical_operator,
-    compose,
     density_test_family,
     formal_adjoint,
     generated_bracket,
@@ -322,7 +322,7 @@ def test_criterion_8_bv_equivalence():
             assert rep.info["laplacian_square_zero"]
             assert rep.info["verdicts_agree"]
             delta = projective_laplacian(s, pc)
-            delta2 = compose(delta, delta)
+            delta2 = delta.compose(delta)
             for phi in density_test_family(dim, weights=(Fraction(0),),
                                            max_degree=3):
                 assert delta2(phi).is_zero()
@@ -391,3 +391,17 @@ def test_criterion_10_cli():
         verdicts = [e["verdict"] for e in r1.checks]
         assert verdicts == ["error", "pass", "pass"]
         assert "SingularDimension" in r1.checks[0]["error"]
+
+
+def test_criterion_11_geometry_3_3():
+    # Parse and checks of scenarios/geometry_3_3.json took 0.14-0.20 s (five
+    # runs, 2 vCPUs) before the geometry tensors shared one component table;
+    # the budget is ten times the median.
+    with criterion(11, "bundled 3|3 geometry scenario", 1.5):
+        path = Path(__file__).resolve().parent.parent / "scenarios"
+        text = (path / "geometry_3_3.json").read_text(encoding="utf-8")
+        report = run_checks(parse_scenario(text))
+        assert [(e["check"], e["verdict"]) for e in report.checks] == [
+            ("projective_class", "pass"), ("schwarzian_defect", "pass"),
+            ("laplacian_invariance", "pass"), ("schwarzian_vanishes", "fail")]
+        assert report.checks[3]["residuals"]["2,1,1"] == "2"

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import json
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -361,6 +362,49 @@ class TestMain:
         assert main(["run", str(path)]) == 0
         out = capsys.readouterr().out
         assert "[ERROR]" in out and "[PASS]" in out
+
+
+class TestMalformedInput:
+    """Malformed documents exit 1 with a located message, no traceback."""
+
+    @staticmethod
+    def run(tmp_path, capsys, text):
+        path = tmp_path / "doc.json"
+        path.write_text(text, encoding="utf-8")
+        code = main(["run", str(path)])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return code, err
+
+    @pytest.mark.parametrize("fields, key", [
+        ({"connections": {"G": {"1,\u00b2,1": "x1"}}}, "1,\u00b2,1"),
+        ({"projective_classes": {"P": {"\u00b2,1,1": "x1"}}}, "\u00b2,1,1"),
+        ({"tensors": {"S": {"components": {"1,\u00b2": "x1"}}}}, "1,\u00b2"),
+        ({"tensors": {"S": {"components": {"1,\u0662": "x1"}}}}, "1,\u0662"),
+        ({"tensors": {"S": {}},
+          "triples": {"T": {"s": "S", "gamma": {"\u00b2": "x1"}}}}, "\u00b2"),
+    ], ids=["connection", "class", "tensor", "arabic_indic", "gamma"])
+    def test_non_ascii_index_digit(self, tmp_path, capsys, fields, key):
+        doc = {"dimension": {"n": 2, "m": 0}, **fields}
+        code, err = self.run(tmp_path, capsys, json.dumps(doc))
+        assert code == 1
+        assert f"key {key!r} has index" in err
+
+    @pytest.mark.parametrize("kind", ["json", "parentheses", "minus_signs"])
+    def test_deep_nesting(self, tmp_path, capsys, kind):
+        depth = sys.getrecursionlimit()
+        text = {
+            "json": "[" * depth + "]" * depth,
+            "parentheses": json.dumps({"dimension": {"n": 1, "m": 0}, "expressions": {
+                "f": "(" * depth + "x1" + ")" * depth}}),
+            "minus_signs": json.dumps({"dimension": {"n": 1, "m": 0}, "expressions": {
+                "f": "-" * depth + "x1"}}),
+        }[kind]
+        code, err = self.run(tmp_path, capsys, text)
+        assert code == 1
+        assert "nested too deeply (line 1, column " in err
+        if kind != "json":
+            assert "expressions.f: expression nested too deeply" in err
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from superproj.densities import (
     DensityOperator,
     bracket_from_triple,
     canonical_operator,
-    compose,
     density_test_family,
     formal_adjoint,
     generated_bracket,
@@ -95,7 +94,7 @@ class TestDensityAlgebra:
         a = fn(D11, "x1", Fraction(1, 2))
         b = fn(D11, "th1", Fraction(1, 3))
         prod = a * b
-        assert prod.weights() == [Fraction(5, 6)]
+        assert sorted(prod.slices) == [Fraction(5, 6)]
         assert prod.slice(Fraction(5, 6)) == expr(D11, "x1*th1")
 
 
@@ -110,13 +109,13 @@ class TestOperators:
             DensityElement.of(rand_super(rng, D11)), [0, 1], 1)
         d2 = DensityOperator.from_written(
             DensityElement.of(rand_super(rng, D11), Fraction(1, 2)), [1])
-        both = compose(d1, d2)
+        both = d1.compose(d2)
         for phi in density_test_family(D11, max_degree=2):
             assert both(phi) == d1(d2(phi))
 
     def test_odd_derivative_squares_to_zero(self):
         dth = DensityOperator.deriv(D11, 1)
-        assert compose(dth, dth).is_zero()
+        assert dth.compose(dth).is_zero()
 
     def test_order_of_multiplication(self):
         assert op_order(DensityOperator.mult(fn(D11, "x1^2 + th1"))) == 0
@@ -350,9 +349,9 @@ class TestFormalAdjoint:
         dth = DensityOperator.deriv(D11, 1)
         mth = DensityOperator.mult(
             DensityElement.of(SuperFunction.coordinate(D11, 1)))
-        lhs = formal_adjoint(compose(dth, mth))
+        lhs = formal_adjoint(dth.compose(mth))
         # (AB)+ = (-1)^{A~B~} B+ A+ with both factors odd
-        rhs = compose(formal_adjoint(mth), formal_adjoint(dth)).scale(-1)
+        rhs = formal_adjoint(mth).compose(formal_adjoint(dth)).scale(-1)
         assert lhs == rhs
 
 
@@ -364,8 +363,8 @@ class TestFormalAdjoint:
         a, b = rand_operator(rng, dim, pa), rand_operator(rng, dim, pb)
         assert formal_adjoint(formal_adjoint(a)) == a
         # (AB)+ = (-1)^{A~B~} B+ A+
-        assert formal_adjoint(compose(a, b)) == compose(
-            formal_adjoint(b), formal_adjoint(a)).scale((-1) ** (pa * pb))
+        assert formal_adjoint(a.compose(b)) == formal_adjoint(b).compose(
+            formal_adjoint(a)).scale((-1) ** (pa * pb))
 
 
 # ---------------------------------------------------------------------------

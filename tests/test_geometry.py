@@ -1,8 +1,12 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from superproj import geometry
 from superproj.errors import (
     NonHomogeneous,
     NotInvertible,
@@ -16,6 +20,7 @@ from superproj.geometry import (
     CovectorField,
     SuperMatrix,
     Sym2Cov,
+    Sym2Upper,
     berezinian,
     berezinian_of_change,
     div_trace,
@@ -40,6 +45,7 @@ from helpers import (
     rand_covector,
     rand_linear_change,
     rand_super,
+    rand_sym2cov,
     rand_upper,
 )
 
@@ -92,7 +98,7 @@ class TestJacobian:
         d10 = Dimension.of(1, 0)
         x = SuperFunction.coordinate(d10, 0)
         c = CoordinateChange(d10, (x.scale(2),), (x.scale(Fraction(1, 2)),))
-        assert jacobian(c).entry(0, 0) == SuperFunction.constant(d10, 2)
+        assert jacobian(c).component(0, 0) == SuperFunction.constant(d10, 2)
 
     def test_odd_pair_shift(self):
         # xbar = x + th1 th2, thbar = th: hand-differentiated oracle
@@ -101,11 +107,11 @@ class TestJacobian:
             D12, (xs[0] + xs[1] * xs[2], xs[1], xs[2]),
             (xs[0] - xs[1] * xs[2], xs[1], xs[2]))
         jac = jacobian(c)
-        assert jac.entry(0, 0) == SuperFunction.one(D12)
-        assert jac.entry(0, 1) == xs[2]          # d_th1 (th1 th2) = th2
-        assert jac.entry(0, 2) == -xs[1]         # d_th2 (th1 th2) = -th1
-        assert jac.entry(1, 1) == SuperFunction.one(D12)
-        assert jac.entry(2, 2) == SuperFunction.one(D12)
+        assert jac.component(0, 0) == SuperFunction.one(D12)
+        assert jac.component(0, 1) == xs[2]          # d_th1 (th1 th2) = th2
+        assert jac.component(0, 2) == -xs[1]         # d_th2 (th1 th2) = -th1
+        assert jac.component(1, 1) == SuperFunction.one(D12)
+        assert jac.component(2, 2) == SuperFunction.one(D12)
 
     def test_parity_invariant_enforced(self):
         with pytest.raises((ValidationError, NonHomogeneous)):
@@ -164,8 +170,8 @@ class TestBerezinian:
         entries[(0, 0)] = entries[(0, 0)] + SuperFunction.constant(D20, 5)
         entries[(1, 1)] = entries[(1, 1)] + SuperFunction.constant(D20, 5)
         mat = SuperMatrix(D20, entries)
-        det = (mat.entry(0, 0) * mat.entry(1, 1)
-               - mat.entry(0, 1) * mat.entry(1, 0))
+        det = (mat.component(0, 0) * mat.component(1, 1)
+               - mat.component(0, 1) * mat.component(1, 0))
         assert berezinian(mat) == det
 
 
@@ -239,6 +245,79 @@ class TestJInject:
         out = div_trace(j_inject(phi))
         for i in range(dim.size):
             assert out.component(i) == phi.component(i).scale(2)
+
+
+# ---------------------------------------------------------------------------
+# the shared component table
+# ---------------------------------------------------------------------------
+
+class TestComponentTable:
+    @pytest.mark.parametrize("make, message", [
+        (lambda f: CovectorField(D11, {1: f}), "component 1 violates"),
+        (lambda f: Sym2Cov(D11, {(0, 0, 1): f}), "component (0,0,1) violates"),
+        (lambda f: Sym2Upper(D11, {(0, 1): f, (1, 0): f}),
+         "component (0,1) violates"),
+        (lambda f: SuperMatrix(D11, {(0, 1): f}), "component (0,1) violates"),
+    ])
+    def test_one_parity_rule(self, make, message):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            make(expr(D11, "x1"))
+
+    def test_graded_symmetry_of_the_last_two_indices(self):
+        th = expr(D12, "th1")
+        with pytest.raises(ValidationError, match=re.escape("fails at (0,1,2)")):
+            Sym2Cov(D12, {(0, 1, 2): th, (0, 2, 1): th}, 1)
+        a = Sym2Cov(D12, {(0, 1, 2): th, (0, 2, 1): -th}, 1)
+        assert a.component(0, 2, 1) == -th
+        with pytest.raises(ValidationError, match=re.escape("fails at (1,1)")):
+            Sym2Upper(D12, {(1, 1): expr(D12, "x1")})
+
+    def test_every_parity_is_checked_before_symmetry(self):
+        comps = {(0, 1): expr(D11, "th1"), (1, 0): expr(D11, "x1")}
+        with pytest.raises(ValidationError, match=re.escape("component (1,0)")):
+            Sym2Upper(D11, comps)
+
+    def test_equality_within_a_kind(self):
+        rng = random.Random(21)
+        g = rand_connection(rng, D11)
+        assert g == Sym2Cov(D11, g.comps) and hash(g) == hash(Sym2Cov(D11, g.comps))
+        assert Sym2Cov(D11, {}) != Sym2Cov(D11, {}, 1)
+        assert Sym2Cov(D11, {}) != Sym2Upper(D11, {})
+        assert Sym2Upper(D11, {}) != SuperMatrix(D11, {})
+
+    @staticmethod
+    def count_tables(monkeypatch):
+        built = []
+        init = geometry._Table.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(type(self).__name__)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(geometry._Table, "__init__", counting)
+        return built
+
+    @pytest.mark.parametrize("dims", [(1, 1), (2, 1), (2, 2)])
+    def test_projective_class_builds_one_table(self, monkeypatch, dims):
+        gamma = rand_connection(random.Random(22), Dimension.of(*dims))
+        built = self.count_tables(monkeypatch)
+        projective_class(gamma)
+        assert built == ["ProjectiveClass"]
+
+    def test_schwarzian_builds_the_cocycle_and_the_result(self, monkeypatch):
+        change = shear_2_0()
+        built = self.count_tables(monkeypatch)
+        super_schwarzian(change)
+        assert built == ["Sym2Cov", "Sym2Cov"]
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10**6), st.sampled_from([(1, 1), (2, 1), (2, 2)]),
+           st.integers(0, 1))
+    def test_one_pass_trace_free_matches_reference(self, seed, dims, eps):
+        dim = Dimension.of(*dims)
+        a = rand_sym2cov(random.Random(seed), dim, eps)
+        want = a - j_inject(div_trace(a)).scale(Fraction(1, dim.n0 + 1))
+        assert Sym2Cov(dim, geometry._trace_free(a), eps) == want
 
 
 # ---------------------------------------------------------------------------
