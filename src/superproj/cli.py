@@ -148,6 +148,11 @@ def _table(dim, obj, arity, where):
     return comps
 
 
+def _location(text: str, pos: int):
+    """(line, column) of offset pos in text."""
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
+
+
 def _deepest(text: str):
     """(line, column) of the first bracket at the greatest nesting depth."""
     depth = deepest = pos = 0
@@ -158,7 +163,16 @@ def _deepest(text: str):
                 deepest, pos = depth, match.start()
         elif match.group() in ("]", "}"):
             depth -= 1
-    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
+    return _location(text, pos)
+
+
+def _longest_number(text: str):
+    """(length, line, column) of the first longest digit run outside the
+    strings of a JSON text."""
+    runs = [match for match in re.finditer(r'"(?:\\.|[^"\\])*"|\d+', text)
+            if match.group()[0] != '"']
+    best = max(runs, key=lambda match: len(match.group()))
+    return (len(best.group()), *_location(text, best.start()))
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -169,6 +183,10 @@ def parse_scenario(text: str) -> Scenario:
         raise ParseError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) from None
     except RecursionError:
         raise ParseError("invalid JSON: nested too deeply", *_deepest(text)) from None
+    except ValueError:  # an integer beyond the interpreter's digit limit
+        digits, *where = _longest_number(text)
+        raise ParseError(f"invalid JSON: integer literal of {digits} digits "
+                         "is too long", *where) from None
     if not isinstance(doc, dict):
         raise ValidationError("scenario document must be a JSON object")
     dim_obj = doc.get("dimension")

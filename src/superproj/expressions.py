@@ -47,7 +47,12 @@ def _tokenize(text: str):
         number, name, op = match.groups()
         col = match.start(1 if number else 2 if name else 3) - line_start
         if number is not None:
-            tokens.append(("num", int(number), line, col))
+            try:
+                value = int(number)
+            except ValueError:  # beyond the interpreter's digit limit
+                raise ParseError(f"integer literal of {len(number)} digits "
+                                 "is too long", line, col) from None
+            tokens.append(("num", value, line, col))
         elif name is not None:
             tokens.append(("name", name, line, col))
         else:

@@ -19,11 +19,11 @@ kind.
 A polynomial gcd runs only where a common factor can arise: in the sum or
 product of two true fractions, in the derivative of a fraction, and, as
 gcd(P, b), in a fraction a/b times a non-constant polynomial P.  Those gcds
-are sympy's, in :func:`_gcd`, the only place sympy is imported, so work on
-polynomial data never loads it.  A fraction plus a polynomial, a fraction
-times a rational, a reciprocal, and the first coefficient written at a key
-need no gcd; their results only have their integer content cancelled
-(:func:`_reduced`).
+are exact and in-house (:func:`_gcd`, a recursive primitive remainder
+sequence over ZZ[x]), so no run imports sympy.  A fraction plus a
+polynomial, a fraction times a rational, a reciprocal, and the first
+coefficient written at a key need no gcd; their results only have their
+integer content cancelled (:func:`_reduced`).
 
 Conventions fixed here and relied on everywhere else:
 
@@ -331,15 +331,21 @@ def _pmul(a: Poly, b: Poly) -> Poly:
         else:
             num = {m: c * cb for m, c in a.num.items()}
     else:
-        num = {}
-        get = num.get
-        for ma, ca in a.num.items():
-            for mb, cb in b.num.items():
-                m = tuple(map(_add_int, ma, mb))
-                num[m] = get(m, 0) + ca * cb
-        if 0 in num.values():
-            num = {m: c for m, c in num.items() if c}
+        num = _zmul(a.num, b.num)
     return _poly(a.ring, num, a.den * b.den)
+
+
+def _zmul(f: dict, g: dict) -> dict:
+    """The product of two integer numerator dicts."""
+    num: dict = {}
+    get = num.get
+    for ma, ca in f.items():
+        for mb, cb in g.items():
+            m = tuple(map(_add_int, ma, mb))
+            num[m] = get(m, 0) + ca * cb
+    if 0 in num.values():
+        num = {m: c for m, c in num.items() if c}
+    return num
 
 
 def _ground(a: Poly) -> tuple[int, int]:
@@ -385,32 +391,195 @@ def _quotient(num: Poly, den: Poly):
     return _reduced(num, den)
 
 
-_GCD_RINGS: dict = {}
-
-
 def _gcd(f: Poly, g: Poly) -> tuple[Poly, Poly, Poly]:
     """(h, f/h, g/h) for nonzero polynomials f, g, with h a greatest common
     divisor up to a rational factor.
 
-    This is the one place sympy is used, imported on the first call: the
-    integer numerators go to sympy's ZZ[x] and ``cofactors`` (heuristic
-    gcd) runs there.  Only products and sums of two fractions, derivatives
-    of fractions and a fraction times a polynomial call it.
+    Only products and sums of two fractions, derivatives of fractions and a
+    fraction times a polynomial call it.  h is :func:`_zgcd` of the integer
+    numerators, and the cofactors come from exact division, keeping f's and
+    g's denominators; a constant operand gives h = 1 at once.
     """
-    from sympy import ZZ
-    from sympy.polys.rings import ring as sympy_ring
-
     ring = f.ring
-    n = len(ring.names)
-    zz = _GCD_RINGS.get(n)
-    if zz is None:
-        zz = _GCD_RINGS[n] = sympy_ring([f"x{i}" for i in range(n)], ZZ)[0]
-    h, cf, cg = zz.from_dict(f.num).cofactors(zz.from_dict(g.num))
+    if f.is_ground or g.is_ground:
+        return ring.one, f, g
+    h = _zgcd(f.num, g.num)
+    if h == ring.one.num:
+        return ring.one, f, g
+    return (Poly(ring, h, 1), Poly(ring, _zdiv(f.num, h), f.den),
+            Poly(ring, _zdiv(g.num, h), g.den))
 
-    def back(p, den):
-        return Poly(ring, {m: int(c) for m, c in p.items()}, den)
 
-    return back(h, 1), back(cf, f.den), back(cg, g.den)
+# Exact gcd over ZZ[x] by a recursive primitive PRS.  Integer polynomials
+# are sparse dicts from full-length exponent tuples to nonzero ints; a
+# coefficient "in ZZ[other variables]" is such a dict with exponent 0 in
+# the main variable.
+
+
+def _zgcd(f: dict, g: dict) -> dict:
+    """A gcd of nonzero integer polynomials f, g without integer content
+    (its sign is arbitrary); a constant gcd is returned as 1."""
+    df = [max(e) for e in zip(*f)]
+    dg = [max(e) for e in zip(*g)]
+    zero = (0,) * len(df)
+    one = {zero: 1}
+    if not (any(df) and any(dg)):
+        return one
+    for v, (a, b) in enumerate(zip(df, dg)):
+        if bool(a) != bool(b):
+            # x_v occurs in f alone (after a swap): gcd(f, g) is the gcd of
+            # g and f's coefficients in x_v
+            if b:
+                f, g = g, f
+            for c in sorted(_coeffs(f, v), key=len):
+                g = _zgcd(g, c)
+                if one == g:
+                    break
+            return g
+    shared = [v for v, a in enumerate(df) if a]
+    if len(shared) == 1:
+        v, = shared
+        return _sparse(_ugcd(_dense(f, v), _dense(g, v)), zero, v)
+    # primitive PRS in the variable of least degree, coefficients in
+    # ZZ[other variables]
+    v = min(shared, key=lambda i: max(df[i], dg[i]))
+    cf, f = _primitive(f, v, one)
+    cg, g = _primitive(g, v, one)
+    c = one if one in (cf, cg) else _zgcd(cf, cg)
+    if df[v] < dg[v]:
+        f, g = g, f
+    while True:
+        r = _zprem(f, g, v)
+        if not r:
+            return _zmul(c, g)
+        if not any(m[v] for m in r):
+            return c
+        f, g = g, _primitive(r, v, one)[1]
+
+
+def _coeffs(f: dict, v: int) -> list:
+    """f's coefficients as a polynomial in x_v, each free of x_v."""
+    out: dict = {}
+    for m, c in f.items():
+        out.setdefault(m[v], {})[m[:v] + (0,) + m[v + 1:]] = c
+    return list(out.values())
+
+
+def _primitive(f: dict, v: int, one: dict) -> tuple[dict, dict]:
+    """(content, primitive part) of f as a polynomial in x_v: the content
+    is the gcd of its coefficients, and the primitive part f/content has
+    its integer content removed as well."""
+    coeffs = sorted(_coeffs(f, v), key=len)
+    h = coeffs[0]
+    for c in coeffs[1:]:
+        h = _zgcd(h, c)
+        if one == h:
+            break
+    else:
+        h = _zprim(h)
+    return h, _zprim(f if one == h else _zdiv(f, h))
+
+
+def _zprim(f: dict) -> dict:
+    """f with its integer content removed."""
+    k = math.gcd(*f.values())
+    return f if k == 1 else {m: c // k for m, c in f.items()}
+
+
+def _zprem(f: dict, g: dict, v: int) -> dict:
+    """The pseudo-remainder of f by g as polynomials in x_v, up to a
+    nonzero factor from ZZ[other variables]: while deg f >= deg g, replace
+    f by lc(g) f - lc(f) x_v^(deg f - deg g) g, whose top terms cancel."""
+    dg = max(m[v] for m in g)
+    lead = {m[:v] + (0,) + m[v + 1:]: c for m, c in g.items() if m[v] == dg}
+    tail = {m: c for m, c in g.items() if m[v] < dg}
+    while f:
+        d = max(m[v] for m in f)
+        if d < dg:
+            break
+        top = {m[:v] + (d - dg,) + m[v + 1:]: -c for m, c in f.items()
+               if m[v] == d}
+        out = _zmul(lead, {m: c for m, c in f.items() if m[v] < d})
+        for m, c in _zmul(top, tail).items():
+            c += out.get(m, 0)
+            if c:
+                out[m] = c
+            else:
+                del out[m]
+        f = out
+    return f
+
+
+def _zdiv(f: dict, g: dict) -> dict:
+    """f/g for integer polynomials where g divides f exactly: take the
+    quotient's terms one by one from the leading (lex) term of what is
+    left of f."""
+    mg = max(g)
+    cg = g[mg]
+    tail = [(m, c) for m, c in g.items() if m != mg]
+    rest, out = dict(f), {}
+    while rest:
+        m = max(rest)
+        q = rest.pop(m) // cg
+        m = tuple(a - b for a, b in zip(m, mg))
+        out[m] = q
+        for mt, ct in tail:
+            mt = tuple(map(_add_int, m, mt))
+            c = rest.get(mt, 0) - q * ct
+            if c:
+                rest[mt] = c
+            else:
+                del rest[mt]
+    return out
+
+
+# one variable: dense coefficient lists, leading coefficient first
+
+
+def _dense(f: dict, v: int) -> list:
+    out = [0] * (max(m[v] for m in f) + 1)
+    for m, c in f.items():
+        out[-1 - m[v]] = c
+    return out
+
+
+def _sparse(a: list, zero: tuple, v: int) -> dict:
+    top = len(a) - 1
+    return {zero[:v] + (top - i,) + zero[v + 1:]: c
+            for i, c in enumerate(a) if c}
+
+
+def _ugcd(a: list, b: list) -> list:
+    """The primitive PRS gcd of two nonzero integer coefficient lists."""
+    a, b = _uprim(a), _uprim(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        r = _uprem(a, b)
+        if not r:
+            return b
+        a, b = b, _uprim(r)
+    return [1]
+
+
+def _uprim(a: list) -> list:
+    k = math.gcd(*a)
+    return a if k == 1 else [c // k for c in a]
+
+
+def _uprem(a: list, b: list) -> list:
+    """A nonzero integer multiple of the remainder of a by b (empty for
+    zero)."""
+    n, lb = len(b), b[0]
+    while len(a) >= n:
+        k = math.gcd(a[0], lb)
+        p, q = lb // k, a[0] // k
+        a = [p * x - q * y for x, y in zip(a[1:n], b[1:])] + [p * x for x in a[n:]]
+        i = 0
+        while i < len(a) and not a[i]:
+            i += 1
+        a = a[i:]
+    return a
 
 
 # Coefficient arithmetic on canonical coefficients.  A polynomial gcd runs

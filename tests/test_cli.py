@@ -406,6 +406,24 @@ class TestMalformedInput:
         if kind != "json":
             assert "expressions.f: expression nested too deeply" in err
 
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("text, message", [
+        ('{"dimension": {"n": 1, "m": 0}, "expressions": {"f": "2*%s*x1"}}',
+         "expressions.f: integer literal of 5000 digits is too long "
+         "(line 1, column 2)"),
+        ('{"dimension": {"n": %s, "m": 0}}',
+         "invalid JSON: integer literal of 5000 digits is too long "
+         "(line 1, column 21)"),
+    ], ids=["expression", "dimension"])
+    def test_oversized_integer_literal(self, tmp_path, capsys, command, text,
+                                       message):
+        # 5,000 digits: over the interpreter's int <-> str conversion limit
+        path = tmp_path / "doc.json"
+        path.write_text(text % ("1" * 5000), encoding="utf-8")
+        assert main([command, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and message in err
+
 
 # ---------------------------------------------------------------------------
 # laplacian_invariance: the structural basis decides like the test family

@@ -1,4 +1,5 @@
-"""Polynomial work never imports sympy; only a fraction's gcd does.
+"""No run imports sympy: polynomial data, and fraction data whose exact
+gcds run in-house, leave it unloaded.
 
 Each case runs in a fresh interpreter, since the test process itself has
 sympy loaded (the coefficient tests use it as their oracle).
@@ -45,5 +46,6 @@ def test_import_and_polynomial_runs_leave_sympy_unloaded():
         workloads=("geometry_changes", "brackets_bv"))
 
 
-def test_fraction_gcd_loads_sympy():
-    assert sympy_loaded(scenarios=("rational_1_1",))
+def test_fraction_runs_leave_sympy_unloaded():
+    assert not sympy_loaded(scenarios=("rational_1_1",),
+                            workloads=("rational_coeffs",))

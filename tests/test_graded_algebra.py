@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from sympy import QQ
+from sympy import QQ, ZZ
 from sympy.polys.fields import field
+from sympy.polys.rings import ring as sympy_ring
 
 import superproj.graded_algebra as graded_algebra
 from superproj.errors import (
@@ -492,3 +493,112 @@ class TestFractionContract:
         monkeypatch.setattr(graded_algebra, "_gcd", counting)
         run()
         assert len(calls) == 0
+
+
+# ---------------------------------------------------------------------------
+# the in-house gcd over ZZ[x], with sympy's cofactors as the oracle
+# ---------------------------------------------------------------------------
+
+GCD_NAMES = ("x1", "x2", "x3")
+# sympy's ZZ[x1], ZZ[x1, x2] and ZZ[x1, x2, x3]
+GCD_ORACLES = {n: sympy_ring(",".join(GCD_NAMES[:n]), ZZ)[0] for n in (1, 2, 3)}
+
+
+def int_polys(n, free):
+    """Sparse integer polynomials in n variables, free of the variables in
+    `free` (a constant when all are free), with coefficients of both signs."""
+    exponents = [st.just(0) if v in free else st.integers(0, 3)
+                 for v in range(n)]
+    return st.dictionaries(st.tuples(*exponents),
+                           st.integers(-9, 9).filter(bool),
+                           min_size=1, max_size=4)
+
+
+@st.composite
+def gcd_pairs(draw):
+    """(f, g) = (a k, b k) with a planted common factor k; each of a, b, k
+    may be free of some variables or constant, and f may be negated."""
+    n = draw(st.integers(1, 3))
+    oracle = GCD_ORACLES[n]
+
+    def factor():
+        free = draw(st.sets(st.integers(0, n - 1)))
+        return oracle.from_dict(draw(int_polys(n, free)))
+
+    k = factor()
+    f, g = factor() * k, factor() * k
+    if draw(st.booleans()):
+        f = -f
+    ring = graded_algebra._ring_of(GCD_NAMES[:n])
+    return tuple(Poly(ring, {m: int(c) for m, c in p.items()}, 1)
+                 for p in (f, g))
+
+
+def assert_exact_gcd(f, g):
+    """_gcd(f, g) = (h, f/h, g/h) with h sympy's gcd up to a rational
+    factor, and the cofactors exact: h (f/h) = f and h (g/h) = g."""
+    oracle = GCD_ORACLES[len(f.ring.names)]
+    h, cf, cg = graded_algebra._gcd(f, g)
+    assert h * cf == f and h * cg == g
+    want = oracle.from_dict(f.num).cofactors(oracle.from_dict(g.num))[0]
+    got = oracle.from_dict(h.num).primitive()[1]
+    assert got in (want.primitive()[1], -want.primitive()[1])
+
+
+# seed-301 case 232 of the rational_coeffs benchmark: f has degree 17 in
+# x2 and degree 1 in x1, g has degree 14 in x2 alone
+CASE_232 = (
+    {(0, 0): 10206, (0, 1): 24786, (0, 2): 33777, (0, 3): -36207,
+     (0, 4): -85212, (0, 5): 54918, (0, 6): 86940, (0, 7): -56268,
+     (0, 8): -50688, (0, 9): 49464, (0, 10): 17136, (0, 11): -27216,
+     (0, 12): -4032, (0, 13): 8736, (0, 14): 576, (0, 15): -1600,
+     (0, 17): 128, (1, 0): -4374, (1, 1): -20412, (1, 2): -8505,
+     (1, 3): 58320, (1, 4): 15066, (1, 5): -99792, (1, 6): 16524,
+     (1, 7): 86400, (1, 8): -38520, (1, 9): -37440, (1, 10): 26064,
+     (1, 11): 8448, (1, 12): -8736, (1, 13): -768, (1, 14): 1600,
+     (1, 16): -128},
+    {(0, 0): 1458, (0, 2): -4374, (0, 4): 3888, (0, 6): 1080,
+     (0, 8): -4320, (0, 10): 3168, (0, 12): -1024, (0, 14): 128},
+)
+
+
+def case_232(f_factor, g_factor):
+    ring, _ = scalar_ring(D22)
+    f, g = (Poly(ring, num, 1) for num in CASE_232)
+    return f * expr(D22, f_factor).body(), g * expr(D22, g_factor).body()
+
+
+class TestGcd:
+    @settings(max_examples=200, deadline=None)
+    @given(gcd_pairs())
+    def test_matches_sympy_cofactors(self, pair):
+        assert_exact_gcd(*pair)
+
+    def test_rational_operands_keep_their_denominators(self):
+        f = expr(D22, "(x1 - x2)*(x1/3 + 1/2)").body()
+        g = expr(D22, "(x1 - x2)*(x2 - 5/4)").body()
+        h, cf, cg = graded_algebra._gcd(f, g)
+        assert (h * cf, h * cg) == (f, g)
+        assert (cf.den, cg.den) == (6, 4)
+
+    @pytest.mark.parametrize("f_factor, g_factor", [
+        ("1", "1"),                  # x1 occurs in f alone: eliminated first
+        ("1", "x1 + 1"),             # both variables shared, coprime
+        ("x2 - x1", "(x1*x2 + 3)*(x2 - x1)"),   # a planted common factor
+    ])
+    def test_case_232(self, f_factor, g_factor):
+        assert_exact_gcd(*case_232(f_factor, g_factor))
+
+    def test_prs_runs_in_the_variable_of_least_degree(self, monkeypatch):
+        # f and g (x1 + 1) have degree 1 in x1 and up to 17 in x2; a PRS in
+        # x2 takes about 50 times as long
+        main_variables = set()
+        prem = graded_algebra._zprem
+
+        def recording(f, g, v):
+            main_variables.add(v)
+            return prem(f, g, v)
+
+        monkeypatch.setattr(graded_algebra, "_zprem", recording)
+        graded_algebra._gcd(*case_232("1", "x1 + 1"))
+        assert main_variables == {0}
