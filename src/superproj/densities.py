@@ -78,12 +78,20 @@ class DensityElement:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "slices", clean)
 
+    @staticmethod
+    def _of(dim: Dimension, slices: dict) -> "DensityElement":
+        """Trusted: Fraction weights to slices over dim; drops zero slices."""
+        out = object.__new__(DensityElement)
+        object.__setattr__(out, "dim", dim)
+        object.__setattr__(out, "slices", {w: f for w, f in slices.items() if f.terms})
+        return out
+
     def __setattr__(self, *_):
         raise AttributeError("immutable")
 
     @staticmethod
     def zero(dim: Dimension) -> "DensityElement":
-        return DensityElement(dim, {})
+        return DensityElement._of(dim, {})
 
     @staticmethod
     def of(f: SuperFunction, weight=0) -> "DensityElement":
@@ -104,8 +112,8 @@ class DensityElement:
             raise DimensionMismatch("density dimensions differ")
         out = dict(self.slices)
         for w, f in other.slices.items():
-            out[w] = out.get(w, SuperFunction.zero(self.dim)) + f
-        return DensityElement(self.dim, out)
+            out[w] = out[w] + f if w in out else f
+        return DensityElement._of(self.dim, out)
 
     def __neg__(self):
         return self.scale(-1)
@@ -121,19 +129,14 @@ class DensityElement:
             for w2, f2 in other.slices.items():
                 w = w1 + w2
                 prod = f1 * f2
-                if not prod.is_zero():
-                    out[w] = out.get(w, SuperFunction.zero(self.dim)) + prod
-        return DensityElement(self.dim, out)
+                out[w] = out[w] + prod if w in out else prod
+        return DensityElement._of(self.dim, out)
 
     def scale(self, q) -> "DensityElement":
-        return DensityElement(self.dim, {w: f.scale(q) for w, f in self.slices.items()})
-
-    def weight_action(self) -> "DensityElement":
-        """w acting on this element: each slice scaled by its weight."""
-        return DensityElement(self.dim, {w: f.scale(w) for w, f in self.slices.items()})
+        return DensityElement._of(self.dim, {w: f.scale(q) for w, f in self.slices.items()})
 
     def partial(self, i: int) -> "DensityElement":
-        return DensityElement(self.dim, {w: f.partial(i) for w, f in self.slices.items()})
+        return DensityElement._of(self.dim, {w: f.partial(i) for w, f in self.slices.items()})
 
     def is_homogeneous(self) -> bool:
         parities = set()
@@ -161,7 +164,7 @@ class DensityElement:
                 ev[w] = fe
             if not fo.is_zero():
                 od[w] = fo
-        return DensityElement(self.dim, ev), DensityElement(self.dim, od)
+        return DensityElement._of(self.dim, ev), DensityElement._of(self.dim, od)
 
     def __eq__(self, other):
         return (
@@ -223,6 +226,14 @@ class DensityOperator:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "terms", clean)
 
+    @staticmethod
+    def _of(dim: Dimension, terms: dict) -> "DensityOperator":
+        """Trusted: normal-ordered keys to coefficients; drops zero ones."""
+        out = object.__new__(DensityOperator)
+        object.__setattr__(out, "dim", dim)
+        object.__setattr__(out, "terms", {k: v for k, v in terms.items() if v.slices})
+        return out
+
     def __setattr__(self, *_):
         raise AttributeError("immutable")
 
@@ -230,7 +241,7 @@ class DensityOperator:
 
     @staticmethod
     def zero(dim: Dimension) -> "DensityOperator":
-        return DensityOperator(dim, {})
+        return DensityOperator._of(dim, {})
 
     @staticmethod
     def identity(dim: Dimension) -> "DensityOperator":
@@ -276,14 +287,14 @@ class DensityOperator:
             raise DimensionMismatch("operator dimensions differ")
         out = dict(self.terms)
         for key, coeff in other.terms.items():
-            out[key] = out.get(key, DensityElement.zero(self.dim)) + coeff
-        return DensityOperator(self.dim, out)
+            out[key] = out[key] + coeff if key in out else coeff
+        return DensityOperator._of(self.dim, out)
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, q) -> "DensityOperator":
-        return DensityOperator(
+        return DensityOperator._of(
             self.dim, {key: coeff.scale(q) for key, coeff in self.terms.items()})
 
     def is_zero(self) -> bool:
@@ -364,15 +375,15 @@ class DensityOperator:
         out: dict = {}
 
         def add(key, coeff):
-            out[key] = out.get(key, DensityElement.zero(self.dim)) + coeff
+            out[key] = out[key] + coeff if key in out else coeff
 
         for (alpha, wpow), coeff in self.terms.items():
             for mu, f in coeff.slices.items():
-                piece = DensityElement(self.dim, {mu: f})
+                piece = DensityElement._of(self.dim, {mu: f})
                 add((alpha, wpow + 1), piece)
                 if mu:
                     add((alpha, wpow), piece.scale(mu))
-        return DensityOperator(self.dim, out)
+        return DensityOperator._of(self.dim, out)
 
     def _compose_deriv(self, i: int) -> "DensityOperator":
         """d_i o self, normal-ordered via the graded Leibniz rule."""
@@ -380,7 +391,7 @@ class DensityOperator:
         out: dict = {}
 
         def add(key, coeff):
-            out[key] = out.get(key, DensityElement.zero(dim)) + coeff
+            out[key] = out[key] + coeff if key in out else coeff
 
         for (alpha, wpow), coeff in self.terms.items():
             add((alpha, wpow), coeff.partial(i))
@@ -395,7 +406,7 @@ class DensityOperator:
                 if dim.parity(i) == ODD and par == ODD:
                     sign = -sign
                 add((alpha2, wpow), piece.scale(sign))
-        return DensityOperator(dim, out)
+        return DensityOperator._of(dim, out)
 
     def compose(self, other: "DensityOperator") -> "DensityOperator":
         """self o other (apply other first)."""
@@ -409,9 +420,8 @@ class DensityOperator:
             for i in reversed(range(self.dim.size)):
                 for _ in range(alpha[i]):
                     acc = acc._compose_deriv(i)
-            acc = DensityOperator(
-                self.dim,
-                {key: coeff * c2 for key, c2 in acc.terms.items()})
+            acc = DensityOperator._of(
+                self.dim, {key: coeff * c2 for key, c2 in acc.terms.items()})
             total = total + acc
         return total
 

@@ -182,6 +182,16 @@ generators.
 """
 
 
+def _digits(c: int) -> str:
+    """c in decimal, 1,000 digits at a time: a result can exceed the
+    interpreter's limit on one int-to-str conversion."""
+    head, chunks = abs(c), []
+    while head.bit_length() > 4000:  # over 1,204 digits
+        head, low = divmod(head, 10 ** 1000)
+        chunks.append(f"{low:01000d}")
+    return ("-" if c < 0 else "") + str(head) + "".join(reversed(chunks))
+
+
 def _poly_str(poly, even_names) -> str:
     """An integer polynomial, leading term first (lex order)."""
     parts = []
@@ -192,7 +202,7 @@ def _poly_str(poly, even_names) -> str:
                 factors.append(name)
             elif e > 1:
                 factors.append(f"{name}^{e}")
-        cs = str(coeff)
+        cs = _digits(coeff)
         if factors and cs == "1":
             text = "*".join(factors)
         elif factors and cs == "-1":

@@ -52,7 +52,7 @@ from .errors import (
     SingularDimension,
     ValidationError,
 )
-from .graded_algebra import EVEN, Dimension, SuperFunction
+from .graded_algebra import EVEN, Dimension, Substitution, SuperFunction
 
 # ---------------------------------------------------------------------------
 # tensors with function components
@@ -240,11 +240,6 @@ def projective_class(gamma: Sym2Cov) -> ProjectiveClass:
     return ProjectiveClass(gamma.dim, _trace_free(gamma))
 
 
-def projectively_equivalent(g1: Connection, g2: Connection) -> bool:
-    """True iff both connections have the same projective class."""
-    return projective_class(g1) == projective_class(g2)
-
-
 # ---------------------------------------------------------------------------
 # supermatrices
 # ---------------------------------------------------------------------------
@@ -330,7 +325,8 @@ class CoordinateChange:
     Operations needing only the inverse Jacobian (Berezinians, Schwarzians)
     work without ``inverse``; re-expressing results in the new chart needs
     it.  The Jacobian grid and its inverse, computed once to validate the
-    change, are kept (see `jacobian_rows`, `inverse_jacobian_rows`).
+    change, are kept (see `jacobian_rows`, `inverse_jacobian_rows`), and so
+    are the `Substitution` plans of both maps, for every later use.
     """
 
     dim: Dimension
@@ -338,6 +334,9 @@ class CoordinateChange:
     inverse: Optional[tuple] = None
     _jacobian: tuple = field(init=False, repr=False, compare=False)
     _inverse_jacobian: tuple = field(init=False, repr=False, compare=False)
+    _forward_plan: Substitution = field(init=False, repr=False, compare=False)
+    _inverse_plan: Optional[Substitution] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.forward) != self.dim.size:
@@ -353,47 +352,58 @@ class CoordinateChange:
         kinv, _ = _eliminate(jac, self.dim)
         object.__setattr__(self, "_jacobian", jac)
         object.__setattr__(self, "_inverse_jacobian", kinv)
+        forward = Substitution(self.dim, self.forward)
+        object.__setattr__(self, "_forward_plan", forward)
         if self.inverse is not None:
             if len(self.inverse) != self.dim.size:
                 raise ValidationError("inverse tuple has wrong length")
             for a, val in enumerate(self.inverse):
                 if not val.has_parity(self.dim.parity(a)):
                     raise NonHomogeneous(f"inverse component {a} has wrong parity")
+            inverse = Substitution(self.dim, self.inverse)
             for a in range(self.dim.size):
                 coord = SuperFunction.coordinate(self.dim, a)
-                if self.inverse[a].substitute(self.forward) != coord:
+                if forward(self.inverse[a]) != coord:
                     raise ValidationError(
                         f"inverse o forward is not the identity at coordinate {a}")
-                if self.forward[a].substitute(self.inverse) != coord:
+                if inverse(self.forward[a]) != coord:
                     raise ValidationError(
                         f"forward o inverse is not the identity at coordinate {a}")
+            object.__setattr__(self, "_inverse_plan", inverse)
 
     @staticmethod
     def identity(dim: Dimension) -> "CoordinateChange":
         coords = tuple(SuperFunction.coordinate(dim, a) for a in range(dim.size))
         return CoordinateChange(dim, coords, coords)
 
-    def require_inverse(self):
+    def require_inverse(self) -> Substitution:
         if self.inverse is None:
             raise NotInvertible("coordinate change lacks an explicit inverse map")
-        return self.inverse
+        return self._inverse_plan
 
     def inverted(self) -> "CoordinateChange":
-        return CoordinateChange(self.dim, self.require_inverse(), self.forward)
+        """The change back: its own Jacobians, this change's plans swapped and
+        no identity checks, since they are this change's two checks."""
+        plan = self.require_inverse()
+        back = CoordinateChange(self.dim, self.inverse)
+        for name, value in (("inverse", self.forward), ("_forward_plan", plan),
+                            ("_inverse_plan", self._forward_plan)):
+            object.__setattr__(back, name, value)
+        return back
 
     def then(self, second: "CoordinateChange") -> "CoordinateChange":
         """The composite change x -> second(self(x))."""
         if self.dim != second.dim:
             raise DimensionMismatch("composing changes over different dimensions")
-        fwd = tuple(expr.substitute(self.forward) for expr in second.forward)
+        fwd = tuple(map(self._forward_plan, second.forward))
         inv = None
         if self.inverse is not None and second.inverse is not None:
-            inv = tuple(expr.substitute(second.inverse) for expr in self.inverse)
+            inv = tuple(map(second._inverse_plan, self.inverse))
         return CoordinateChange(self.dim, fwd, inv)
 
     def pullback(self, f: SuperFunction) -> SuperFunction:
         """Express a function of the new chart in the old one (f o forward)."""
-        return f.substitute(self.forward)
+        return self._forward_plan(f)
 
 
 def jacobian_rows(c: CoordinateChange):
@@ -478,8 +488,8 @@ def _transform_core(a: Sym2Cov, c: CoordinateChange):
     return out
 
 
-def _substitute_comps(comps, inverse):
-    return {key: val.substitute(inverse) for key, val in comps.items()}
+def _substitute_comps(comps, inverse: Substitution):
+    return {key: inverse(val) for key, val in comps.items()}
 
 
 def transform_connection(gamma: Sym2Cov, c: CoordinateChange) -> Connection:

@@ -25,6 +25,12 @@ polynomial, a fraction times a rational, a reciprocal, and the first
 coefficient written at a key need no gcd; their results only have their
 integer content cancelled (:func:`_reduced`).
 
+Only the public constructors validate: ``SuperFunction._of`` builds the
+result of an operation, whose coefficients are canonical and nonzero
+already, and :class:`Dimension` computes its counts once.  A
+:class:`Substitution` validates its values once and keeps its monomials; a
+`geometry.CoordinateChange` keeps one for each of its maps.
+
 Conventions fixed here and relied on everywhere else:
 
 * coordinates are indexed 0..n+m-1, evens first;
@@ -37,7 +43,6 @@ Conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import add as _add_int
@@ -69,17 +74,29 @@ class Parity(int):
         return "odd" if self else "even"
 
 
-@dataclass(frozen=True)
 class Dimension:
     """An n|m coordinate system: named even and odd coordinates."""
 
-    even_names: tuple[str, ...]
-    odd_names: tuple[str, ...]
+    __slots__ = ("even_names", "odd_names", "names", "n", "m", "n0", "size")
 
-    def __post_init__(self):
-        names = self.even_names + self.odd_names
+    def __init__(self, even_names: tuple[str, ...], odd_names: tuple[str, ...]):
+        names = even_names + odd_names
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate coordinate names in {names}")
+        n, m = len(even_names), len(odd_names)
+        for slot, value in zip(self.__slots__, (even_names, odd_names, names,
+                                                n, m, n - m, n + m)):
+            object.__setattr__(self, slot, value)
+
+    def __setattr__(self, *_):
+        raise AttributeError("Dimension is immutable")
+
+    def __eq__(self, other):
+        return self is other or (type(other) is Dimension
+                                 and (self.n, self.names) == (other.n, other.names))
+
+    def __hash__(self):
+        return hash((self.even_names, self.odd_names))
 
     @staticmethod
     def of(n: int, m: int) -> "Dimension":
@@ -89,26 +106,6 @@ class Dimension:
             tuple(f"x{i + 1}" for i in range(n)),
             tuple(f"th{j + 1}" for j in range(m)),
         )
-
-    @property
-    def n(self) -> int:
-        return len(self.even_names)
-
-    @property
-    def m(self) -> int:
-        return len(self.odd_names)
-
-    @property
-    def n0(self) -> int:
-        return self.n - self.m
-
-    @property
-    def size(self) -> int:
-        return self.n + self.m
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return self.even_names + self.odd_names
 
     def parity(self, i: int) -> int:
         if not 0 <= i < self.size:
@@ -690,6 +687,9 @@ def _canonical(coeff, ring: ScalarRing):
     return coeff if type(coeff) is Poly or type(coeff) is Frac else ring(coeff)
 
 
+_new, _set = object.__new__, object.__setattr__
+
+
 def _merge_sign(left: tuple[int, ...], right: tuple[int, ...]):
     """Merge two sorted odd-index tuples; return (key, sign) or None if a
     generator repeats (nilpotency)."""
@@ -720,8 +720,16 @@ class SuperFunction:
             coeff = _canonical(coeff, ring)
             if coeff:
                 clean[tuple(key)] = coeff
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "terms", clean)
+        _set(self, "dim", dim)
+        _set(self, "terms", clean)
+
+    @staticmethod
+    def _of(dim: Dimension, terms: dict) -> "SuperFunction":
+        """Trusted: tuple keys to canonical nonzero coefficients, unchecked."""
+        out = _new(SuperFunction)
+        _set(out, "dim", dim)
+        _set(out, "terms", terms)
+        return out
 
     def __setattr__(self, *_):
         raise AttributeError("SuperFunction is immutable")
@@ -730,12 +738,11 @@ class SuperFunction:
 
     @staticmethod
     def zero(dim: Dimension) -> "SuperFunction":
-        return SuperFunction(dim, {})
+        return SuperFunction._of(dim, {})
 
     @staticmethod
     def one(dim: Dimension) -> "SuperFunction":
-        ring, _ = scalar_ring(dim)
-        return SuperFunction(dim, {(): ring.one})
+        return SuperFunction._of(dim, {(): _ring_of(dim.even_names).one})
 
     @staticmethod
     def constant(dim: Dimension, value) -> "SuperFunction":
@@ -754,7 +761,7 @@ class SuperFunction:
     # -- structure ----------------------------------------------------
 
     def _check_dim(self, other: "SuperFunction"):
-        if self.dim != other.dim:
+        if self.dim is not other.dim and self.dim != other.dim:
             raise DimensionMismatch(f"{self.dim} vs {other.dim}")
 
     def is_zero(self) -> bool:
@@ -782,7 +789,7 @@ class SuperFunction:
     def parity_split(self) -> tuple["SuperFunction", "SuperFunction"]:
         ev = {k: c for k, c in self.terms.items() if len(k) % 2 == 0}
         od = {k: c for k, c in self.terms.items() if len(k) % 2 == 1}
-        return SuperFunction(self.dim, ev), SuperFunction(self.dim, od)
+        return SuperFunction._of(self.dim, ev), SuperFunction._of(self.dim, od)
 
     def is_even_scalar(self) -> bool:
         """True if no odd generator occurs (a bare rational function)."""
@@ -795,10 +802,12 @@ class SuperFunction:
         out = dict(self.terms)
         for key, coeff in other.terms.items():
             out[key] = _add(out[key], coeff) if key in out else coeff
-        return SuperFunction(self.dim, out)
+        if not all(out.values()):
+            out = {k: c for k, c in out.items() if c}
+        return SuperFunction._of(self.dim, out)
 
     def __neg__(self) -> "SuperFunction":
-        return SuperFunction(self.dim, {k: -c for k, c in self.terms.items()})
+        return SuperFunction._of(self.dim, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other: "SuperFunction") -> "SuperFunction":
         return self + (-other)
@@ -816,14 +825,16 @@ class SuperFunction:
                 if sign < 0:
                     prod = -prod
                 out[key] = _add(out[key], prod) if key in out else prod
-        return SuperFunction(self.dim, out)
+        if not all(out.values()):
+            out = {k: c for k, c in out.items() if c}
+        return SuperFunction._of(self.dim, out)
 
     def scale(self, value) -> "SuperFunction":
         """Multiply by a rational scalar (an int or a Fraction)."""
         p, q = value.numerator, value.denominator
         if not p:
             return SuperFunction.zero(self.dim)
-        return SuperFunction(self.dim, {
+        return SuperFunction._of(self.dim, {
             k: _scaled(c, p, q) for k, c in self.terms.items()})
 
     def __pow__(self, k: int) -> "SuperFunction":
@@ -850,16 +861,14 @@ class SuperFunction:
         b = self.body()
         if not b:
             raise NotInvertible("zero body")
-        binv = reciprocal(b)
-        soul = SuperFunction(self.dim, {k: c for k, c in self.terms.items() if k})
-        acc = SuperFunction(self.dim, {(): binv})
-        term = SuperFunction(self.dim, {(): binv})
-        step = soul.scale(-1)
-        for _ in range(self.dim.m // 2 + 1):
+        dim, binv = self.dim, reciprocal(b)
+        step = SuperFunction._of(dim, {k: -c for k, c in self.terms.items() if k})
+        acc = term = SuperFunction._of(dim, {(): binv})
+        for _ in range(dim.m // 2 + 1):
             term = term * step
-            term = SuperFunction(term.dim, {k: _mul(c, binv) for k, c in term.terms.items()})
             if term.is_zero():
                 break
+            term = SuperFunction._of(dim, {k: _mul(c, binv) for k, c in term.terms.items()})
             acc = acc + term
         return acc
 
@@ -874,8 +883,8 @@ class SuperFunction:
         if not 0 <= i < dim.size:
             raise UnknownCoordinate(f"coordinate index {i} out of range for {dim}")
         if i < dim.n:
-            return SuperFunction(dim, {
-                k: _diff(c, i) for k, c in self.terms.items()})
+            return SuperFunction._of(dim, {
+                k: d for k, c in self.terms.items() if (d := _diff(c, i))})
         slot = i - dim.n
         out = {}
         for key, coeff in self.terms.items():
@@ -884,58 +893,13 @@ class SuperFunction:
             pos = key.index(slot)
             rest = key[:pos] + key[pos + 1:]
             out[rest] = -coeff if pos % 2 else coeff
-        return SuperFunction(dim, out)
+        return SuperFunction._of(dim, out)
 
     # -- substitution ---------------------------------------------------
 
     def substitute(self, values: Sequence["SuperFunction"]) -> "SuperFunction":
-        """Evaluate at coordinate values (one SuperFunction per coordinate).
-
-        Values must share a common dimension and match coordinate parities.
-        Polynomial coefficients are evaluated directly; fractions P/Q as
-        P(values)/Q(values), where Q(values) must have invertible body.
-        """
-        dim = self.dim
-        if len(values) != dim.size:
-            raise DimensionMismatch(
-                f"need {dim.size} values, got {len(values)}")
-        tgt = values[0].dim
-        for i, v in enumerate(values):
-            if v.dim != tgt:
-                raise DimensionMismatch("substitution values over mixed dimensions")
-            if not v.has_parity(dim.parity(i)):
-                raise NonHomogeneous(
-                    f"value for coordinate {dim.names[i]} has wrong parity")
-        even_vals = values[:dim.n]
-        odd_vals = values[dim.n:]
-        pow_cache: dict[tuple[int, int], SuperFunction] = {}
-
-        def even_power(i, e):
-            key = (i, e)
-            if key not in pow_cache:
-                pow_cache[key] = even_vals[i] ** e
-            return pow_cache[key]
-
-        def eval_poly(poly) -> SuperFunction:
-            acc = SuperFunction.zero(tgt)
-            for monom, coeff in poly.num.items():
-                term = SuperFunction.constant(tgt, coeff)
-                for i, e in enumerate(monom):
-                    if e:
-                        term = term * even_power(i, e)
-                acc = acc + term
-            return acc.scale(Fraction(1, poly.den)) if poly.den != 1 else acc
-
-        result = SuperFunction.zero(tgt)
-        for key, coeff in self.terms.items():
-            if type(coeff) is Poly:
-                piece = eval_poly(coeff)
-            else:
-                piece = eval_poly(coeff.numer) * eval_poly(coeff.denom).invert()
-            for slot in key:
-                piece = piece * odd_vals[slot]
-            result = result + piece
-        return result
+        """Evaluate at coordinate values; see `Substitution`."""
+        return Substitution(self.dim, values)(self)
 
     def migrate(self, new_dim: Dimension) -> "SuperFunction":
         """Reinterpret over a dimension matching coordinates by name.
@@ -968,3 +932,52 @@ class SuperFunction:
         from .expressions import format_super
 
         return f"<{format_super(self)}>"
+
+
+class Substitution:
+    """Evaluation of functions over ``dim`` at values, one SuperFunction per
+    coordinate, planned once for many functions: the values are validated
+    here, and the monomials of the even values are kept across calls.  A
+    fraction P/Q gives P(values)/Q(values); Q(values) needs invertible body.
+    """
+
+    __slots__ = ("dim", "target", "_even", "_odd", "_monomials")
+
+    def __init__(self, dim: Dimension, values: Sequence[SuperFunction]):
+        if len(values) != dim.size:
+            raise DimensionMismatch(f"need {dim.size} values, got {len(values)}")
+        self.dim, self.target, self._monomials = dim, values[0].dim if values else dim, {}
+        for i, v in enumerate(values):
+            if v.dim != self.target:
+                raise DimensionMismatch("substitution values over mixed dimensions")
+            if not v.has_parity(dim.parity(i)):
+                raise NonHomogeneous(
+                    f"value for coordinate {dim.names[i]} has wrong parity")
+        self._even, self._odd = tuple(values[:dim.n]), tuple(values[dim.n:])
+
+    def __call__(self, f: SuperFunction) -> SuperFunction:
+        if f.dim != self.dim:
+            raise DimensionMismatch(f"{f.dim} vs {self.dim}")
+        result = SuperFunction.zero(self.target)
+        for key, coeff in f.terms.items():
+            if type(coeff) is Poly:
+                piece = self._poly(coeff)
+            else:
+                piece = self._poly(coeff.numer) * self._poly(coeff.denom).invert()
+            for slot in key:
+                piece = piece * self._odd[slot]
+            result = result + piece
+        return result
+
+    def _poly(self, poly: Poly) -> SuperFunction:
+        acc = SuperFunction.zero(self.target)
+        for monom, coeff in poly.num.items():
+            term = self._monomials.get(monom)
+            if term is None:
+                term = SuperFunction.one(self.target)
+                for v, e in zip(self._even, monom):
+                    if e:
+                        term = term * v ** e
+                self._monomials[monom] = term
+            acc = acc + (term if coeff == 1 else term.scale(coeff))
+        return acc.scale(Fraction(1, poly.den)) if poly.den != 1 else acc

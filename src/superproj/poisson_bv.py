@@ -154,12 +154,6 @@ def hamiltonian_bracket(s_phase: SuperFunction, f: SuperFunction,
     return from_phase(canonical_pb(inner, G, dim), dim)
 
 
-def odd_from_symmetric(a: SuperFunction, value: DensityElement | SuperFunction):
-    """[a, .] = (-1)^{a~} {a, .} applied to an already-computed bracket value."""
-    sign = (-1) ** int(a.parity())
-    return value.scale(sign)
-
-
 def jacobi_obstruction(s_phase: SuperFunction, dim: Dimension) -> SuperFunction:
     """(S, S); vanishes iff the derived odd bracket satisfies the shifted
     Jacobi identity."""

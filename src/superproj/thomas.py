@@ -61,15 +61,8 @@ class TildeChart:
     def ext(self) -> Dimension:
         return Dimension(("x0",) + self.base.even_names, self.base.odd_names)
 
-    def to_ext(self, base_index: int) -> int:
-        """Base coordinate index -> extended (Gothic) index."""
-        return base_index + 1
-
     def embed(self, f: SuperFunction) -> SuperFunction:
         return f.migrate(self.ext)
-
-    def restrict(self, f: SuperFunction) -> SuperFunction:
-        return f.migrate(self.base)
 
 
 def _q_sign(dim: Dimension, q: int, i: int, j: int) -> int:

@@ -1,0 +1,142 @@
+"""The summary step of ``scripts/bench_pairs.py`` on synthetic result
+lines; nothing here runs the benchmark."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+SPEC = [{"name": "checks_per_s", "better": "higher", "bound": 0.25},
+        {"name": "report_s.p50", "better": "lower", "bound": 0.25}]
+
+
+def output(rate, p50, failed=0, digest="f762f45d" + "0" * 56):
+    """The tail of a bench/run.py output, as its main() prints it."""
+    result = {"correct": failed == 0, "attempted": 180, "failed": failed,
+              "metrics": {"checks_per_s": {"value": rate, "unit": "1/s"},
+                          "report_s.p50": {"value": p50, "unit": "s"}}}
+    return "\n".join([
+        "workload geometry_changes seed 301 trace 0",
+        "env nproc=2 python=3.11.7 sympy=1.14.0 ground_types=python "
+        "machine=x86_64 system=Linux",
+        f"reports 108 checks 180 failed {failed}",
+        f"digest {digest} (first 100 reports, duration_ms removed)",
+        f"checks_per_s {rate:.6g} 1/s",
+        json.dumps(result)])
+
+
+def test_parse_run():
+    run = bench_pairs.parse_run(output(150.5, 0.008, failed=2))
+    assert run["digest"] == "f762f45d" and run["failed"] == 2
+    assert run["metrics"] == {"checks_per_s": 150.5, "report_s.p50": 0.008}
+    assert run["env"]["python"] == "3.11.7" and run["env"]["nproc"] == "2"
+
+
+@pytest.mark.parametrize("text", ["", "digest abc\n", "{\"failed\": 0}"])
+def test_parse_run_without_result_line(text):
+    with pytest.raises(ValueError):
+        bench_pairs.parse_run(text)
+
+
+def runs_of(rates, p50s):
+    return [bench_pairs.parse_run(output(r, p)) for r, p in zip(rates, p50s)]
+
+
+PARENT_RATES = [150, 160, 170, 155, 165, 158, 162, 168, 152, 175]
+CHANGE_RATES = [220, 230, 210, 225, 150, 228, 226, 231, 219, 240]
+P50 = [0.010] * 10
+
+
+def test_summary_medians_iqr_and_pairs():
+    out = bench_pairs.summarize(
+        {"geometry_changes": {"parent": runs_of(PARENT_RATES, P50),
+                              "change": runs_of(CHANGE_RATES, [0.012] * 10)}},
+        SPEC)["geometry_changes"]
+    assert out["digest"] == {"parent": ["f762f45d"], "change": ["f762f45d"]}
+    assert out["failed"] == {"parent": 0, "change": 0}
+    rate = out["metrics"]["checks_per_s"]
+    assert rate["parent"]["median"] == 161.0 and rate["change"]["median"] == 225.5
+    # inclusive quartiles of the parent's runs: 155.75 and 167.25
+    assert rate["parent"]["iqr"] == 11.5
+    assert rate["parent"]["runs"] == PARENT_RATES
+    assert rate["change_better_pairs"] == 9  # pair 5 is lost
+    assert rate["relative_change"] == round(-(225.5 - 161) / 161, 4)
+    assert rate["within_bound"] is True
+    p50 = out["metrics"]["report_s.p50"]
+    assert p50["relative_change"] == 0.2 and p50["within_bound"] is True
+    assert p50["change_better_pairs"] == 0
+
+
+def test_summary_flags_a_regression_beyond_its_bound():
+    out = bench_pairs.summarize(
+        {"w": {"parent": runs_of(PARENT_RATES, P50),
+               "change": runs_of([r * 0.7 for r in PARENT_RATES], P50)}}, SPEC)
+    rate = out["w"]["metrics"]["checks_per_s"]
+    assert rate["relative_change"] == 0.3 and rate["within_bound"] is False
+
+
+def test_claim_needs_nine_of_ten_pairs_and_more_than_the_iqr():
+    def claim(change_rates):
+        workloads = bench_pairs.summarize(
+            {"w": {"parent": runs_of(PARENT_RATES, P50),
+                   "change": runs_of(change_rates, P50)}}, SPEC)
+        return bench_pairs.claim_verdict(workloads, "w", "checks_per_s", "seed 301, 30 s")
+
+    met = claim(CHANGE_RATES)
+    assert met["met"] and met["change_better_pairs"] == 9 and met["pairs"] == 10
+    assert met["median_gain"] == 64.5 and met["parent_iqr"] == 11.5
+    # eight pairs won
+    assert not claim([140, 150] + CHANGE_RATES[2:])["met"]
+    # every pair won, by less than the parent's interquartile range
+    assert not claim([r + 5 for r in PARENT_RATES])["met"]
+
+
+def test_machine_line_names_the_bytecode_setting(monkeypatch):
+    env = bench_pairs.parse_run(output(1, 1))["env"]
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    line = bench_pairs.machine_line(env)
+    assert line.startswith("2 vCPUs (") and "Python 3.11.7" in line
+    assert line.endswith("PYTHONDONTWRITEBYTECODE='1'")
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE")
+    assert bench_pairs.machine_line(env).endswith("PYTHONDONTWRITEBYTECODE=unset")
+
+
+def fake_checkout(root, name, rate, failed):
+    """A checkout whose bench/run.py prints a fixed result and exits 1 on
+    failed checks, as the real one does."""
+    bench = root / name / "bench"
+    bench.mkdir(parents=True)
+    (bench / "run.py").write_text(
+        f"import sys\nprint({output(rate, 0.01, failed)!r})\n"
+        f"sys.exit({1 if failed else 0})\n")
+    (root / name / "BENCHMARK.json").write_text(
+        json.dumps({"end_to_end": SPEC}))
+    return root / name
+
+
+@pytest.mark.parametrize("failed, status", [(0, 0), (3, 1)])
+def test_main_exits_nonzero_when_a_run_fails(tmp_path, failed, status):
+    parent = fake_checkout(tmp_path, "parent", 150, 0)
+    change = fake_checkout(tmp_path, "change", 200, failed)
+    out = tmp_path / "BENCH.json"
+    args = [str(parent), str(change), "--workload", "w", "--seed", "1",
+            "--seconds", "0", "--pairs", "2", "--pr", "7", "--out", str(out),
+            "--claim", "w:checks_per_s"]
+    assert bench_pairs.main(args) == status
+    record = json.loads(out.read_text())
+    assert record["pr"] == 7 and record["pairs"] == 2
+    assert record["workloads"]["w"]["failed"] == {"parent": 0, "change": 2 * failed}
+    assert record["claim"][0]["change_better_pairs"] == 2
+
+
+def test_main_refuses_an_unmeasured_claim(tmp_path):
+    parent = fake_checkout(tmp_path, "parent", 150, 0)
+    with pytest.raises(SystemExit):
+        bench_pairs.main([str(parent), str(parent), "--workload", "w", "--seed", "1",
+                          "--seconds", "0", "--pairs", "1", "--claim", "v:checks_per_s"])

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import decimal
 import json
 import random
 import sys
@@ -423,6 +424,19 @@ class TestMalformedInput:
         assert main([command, str(path)]) == 1
         err = capsys.readouterr().err
         assert "Traceback" not in err and message in err
+
+def test_oversized_result_coefficient_is_printed():
+    # every literal is under the interpreter's 4,300-digit conversion limit,
+    # but the residual's coefficients are not: N^2 has 5,000 digits
+    doc = json.loads((SCENARIOS / "rational_1_1.json").read_text(encoding="utf-8"))
+    big = "7" * 2500
+    doc["volume_forms"]["rho"] = f"1/(3 - ({big}*x1)^2)"
+    report = json.loads(emit_report(run_checks(parse_scenario(json.dumps(doc))), "json"))
+    entry = next(e for e in report["checks"] if e["check"] == "projective_poisson")
+    assert entry["verdict"] == "fail" and "error" not in entry
+    square = decimal.Context(prec=6000).create_decimal(int(big) ** 2)
+    assert len(str(square)) == 5000
+    assert f"/({square}*x1^4 - " in entry["residuals"]["volume_flatness^2"]
 
 
 # ---------------------------------------------------------------------------

@@ -56,14 +56,15 @@ class TestTildeChart:
         chart = TildeChart(D22)
         assert chart.ext.even_names == ("x0", "x1", "x2")
         assert chart.ext.odd_names == ("th1", "th2")
-        assert chart.to_ext(0) == 1
-        assert chart.to_ext(2) == 3  # first odd coordinate shifts by one
+        # Gothic index g >= 1 is base coordinate g - 1, odd ones included
+        assert chart.ext.names[1:] == D22.names
+        assert chart.ext.index(D22.names[2]) == 3
 
     def test_embed_restrict_round_trip(self):
         rng = random.Random(61)
         chart = TildeChart(D22)
         f = rand_super(rng, D22)
-        assert chart.restrict(chart.embed(f)) == f
+        assert chart.embed(f).migrate(D22) == f
 
     def test_weight_realized_as_volume_derivative(self):
         # functions f e^{w x0} are densities: d_0 acts as the weight operator
