@@ -5,10 +5,11 @@ Usage (each directory is a checkout holding ``bench/run.py``):
 
     python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR \\
         --workload geometry_changes --workload brackets_bv \\
-        --seed 301 --seconds 30 --pairs 10 --trace 0 --pr NUMBER \\
+        --seed 301 --seconds 30 --pairs 10 --pr NUMBER \\
         --claim geometry_changes:checks_per_s
 
-For each workload, pair i runs ``bench/run.py`` once in each checkout, the
+For each workload, pair i runs ``bench/run.py --trace 0`` (end-to-end
+metrics only) once in each checkout, the
 parent first when i is even and the change first when i is odd, so that
 neither side always runs on a warmer or cooler host.  The summary gives,
 per workload and per end-to-end metric of the change's ``BENCHMARK.json``,
@@ -145,7 +146,7 @@ def run_once(checkout: Path, args, workload: str) -> tuple:
     """(run, ok) for one bench/run.py process in checkout."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload,
            "--seed", str(args.seed), "--seconds", str(args.seconds),
-           "--trace", str(args.trace)]
+           "--trace", "0"]
     done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     try:
         run = parse_run(done.stdout)
@@ -167,8 +168,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--trace", type=int, choices=(0,), default=0,
-                        help="bench/run.py --trace: end-to-end runs only")
     parser.add_argument("--pr", type=int)
     parser.add_argument("--claim", action="append", default=[],
                         metavar="WORKLOAD:METRIC")
@@ -205,7 +204,7 @@ def main(argv=None) -> int:
                  "alternating which side runs first in each pair"),
         "claim": claims or None,
         "command": (f"python3 bench/run.py --workload W --seed {args.seed} "
-                    f"--seconds {args.seconds:g} --trace {args.trace}, in a "
+                    f"--seconds {args.seconds:g} --trace 0, in a "
                     "clean copy of each side"),
         "pairs": args.pairs,
         "machine": machine_line(env),

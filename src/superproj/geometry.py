@@ -332,26 +332,31 @@ class CoordinateChange:
     dim: Dimension
     forward: tuple
     inverse: Optional[tuple] = None
+    # Plans handed over only by `inverted`, whose change ran every check.
+    _forward_plan: Substitution = field(default=None, repr=False, compare=False)
+    _inverse_plan: Optional[Substitution] = field(
+        default=None, repr=False, compare=False)
     _jacobian: tuple = field(init=False, repr=False, compare=False)
     _inverse_jacobian: tuple = field(init=False, repr=False, compare=False)
-    _forward_plan: Substitution = field(init=False, repr=False, compare=False)
-    _inverse_plan: Optional[Substitution] = field(
-        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.forward) != self.dim.size:
-            raise ValidationError("forward tuple has wrong length")
-        for a, val in enumerate(self.forward):
-            if val.dim != self.dim:
-                raise DimensionMismatch("forward component over wrong dimension")
-            if not val.has_parity(self.dim.parity(a)):
-                raise NonHomogeneous(f"forward component {a} has wrong parity")
+        trusted = self._forward_plan is not None
+        if not trusted:
+            if len(self.forward) != self.dim.size:
+                raise ValidationError("forward tuple has wrong length")
+            for a, val in enumerate(self.forward):
+                if val.dim != self.dim:
+                    raise DimensionMismatch("forward component over wrong dimension")
+                if not val.has_parity(self.dim.parity(a)):
+                    raise NonHomogeneous(f"forward component {a} has wrong parity")
         size = self.dim.size
         jac = tuple(tuple(self.forward[a].partial(i) for a in range(size))
                     for i in range(size))
         kinv, _ = _eliminate(jac, self.dim)
         object.__setattr__(self, "_jacobian", jac)
         object.__setattr__(self, "_inverse_jacobian", kinv)
+        if trusted:
+            return
         forward = Substitution(self.dim, self.forward)
         object.__setattr__(self, "_forward_plan", forward)
         if self.inverse is not None:
@@ -382,14 +387,9 @@ class CoordinateChange:
         return self._inverse_plan
 
     def inverted(self) -> "CoordinateChange":
-        """The change back: its own Jacobians, this change's plans swapped and
-        no identity checks, since they are this change's two checks."""
-        plan = self.require_inverse()
-        back = CoordinateChange(self.dim, self.inverse)
-        for name, value in (("inverse", self.forward), ("_forward_plan", plan),
-                            ("_inverse_plan", self._forward_plan)):
-            object.__setattr__(back, name, value)
-        return back
+        """The change back: own Jacobians, this change's plans, no re-checks."""
+        return CoordinateChange(self.dim, self.inverse, self.forward,
+                                self.require_inverse(), self._forward_plan)
 
     def then(self, second: "CoordinateChange") -> "CoordinateChange":
         """The composite change x -> second(self(x))."""
