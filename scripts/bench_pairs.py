@@ -6,7 +6,8 @@ Usage (each directory is a checkout holding ``bench/run.py``):
     python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR \\
         --workload geometry_changes --workload brackets_bv \\
         --seed 301 --seconds 30 --pairs 10 --pr NUMBER \\
-        --claim geometry_changes:checks_per_s
+        --claim geometry_changes:checks_per_s \\
+        [--holdout-seed 305 [--holdout-seconds 10]]
 
 For each workload, pair i runs ``bench/run.py --trace 0`` (end-to-end
 metrics only) once in each checkout, the
@@ -19,7 +20,13 @@ and in how many pairs the change was better; also each side's report
 digests and failed checks, and the machine, including
 ``PYTHONDONTWRITEBYTECODE``.  A claim ``WORKLOAD:METRIC`` is met when the
 change is better in at least 9 of 10 pairs (the same share of any other
-count) and the medians differ by more than the parent's interquartile range.
+count; at least 2 pairs, for quartiles) and the medians differ by more than
+the parent's interquartile range.
+
+With ``--holdout-seed``, the same alternating pairs then run again on that
+seed (for ``--holdout-seconds``, by default ``--seconds``); their summary is
+the record's ``holdout`` block, and each claim gets a second verdict on
+those runs, labelled with their seed.
 
 Exits 1 when any run fails: a non-zero exit of ``bench/run.py`` (a wrong
 verdict, say) or no result line.  The summary is written first unless a run
@@ -142,11 +149,10 @@ def machine_line(env: dict) -> str:
             f"{'unset' if flag is None else repr(flag)}")
 
 
-def run_once(checkout: Path, args, workload: str) -> tuple:
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple:
     """(run, ok) for one bench/run.py process in checkout."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload,
-           "--seed", str(args.seed), "--seconds", str(args.seconds),
-           "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     try:
         run = parse_run(done.stdout)
@@ -158,6 +164,31 @@ def run_once(checkout: Path, args, workload: str) -> tuple:
         sys.stderr.write(f"error: {checkout}: {workload} exited "
                          f"{done.returncode} with {run['failed']} failed checks\n")
     return run, done.returncode == 0
+
+
+def run_pairs(sides: dict, workloads: list, pairs: int, seed: int,
+              seconds: float) -> tuple:
+    """(runs, ok, env) of alternating pairs of each workload on one seed,
+    with ``runs`` as `summarize` takes it; runs is None when a run gave no
+    result."""
+    runs, ok, env = {}, True, {}
+    for workload in workloads:
+        runs[workload] = {"parent": [], "change": []}
+        for i in range(pairs):
+            for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+                run, run_ok = run_once(sides[side], workload, seed, seconds)
+                if run is None:
+                    return None, False, env
+                ok &= run_ok
+                env = env or run["env"]
+                runs[workload][side].append(run)
+            print(f"{workload} seed {seed} pair {i + 1}/{pairs} done", flush=True)
+    return runs, ok, env
+
+
+def command_line(seed: int, seconds: float) -> str:
+    return (f"python3 bench/run.py --workload W --seed {seed} "
+            f"--seconds {seconds:g} --trace 0, in a clean copy of each side")
 
 
 def main(argv=None) -> int:
@@ -173,7 +204,14 @@ def main(argv=None) -> int:
                         metavar="WORKLOAD:METRIC")
     parser.add_argument("--out", type=Path,
                         help="default: BENCH_<pr>.json, or bench_pairs.json")
+    parser.add_argument("--holdout-seed", type=int)
+    parser.add_argument("--holdout-seconds", type=float,
+                        help="default: --seconds")
     args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2 for quartiles")
+    if args.holdout_seconds is not None and args.holdout_seed is None:
+        parser.error("--holdout-seconds needs --holdout-seed")
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
     for claim in args.claim:
@@ -181,36 +219,38 @@ def main(argv=None) -> int:
         if workload not in args.workload or metric not in {m["name"] for m in spec}:
             parser.error(f"--claim {claim}: not a measured WORKLOAD:METRIC")
     sides = {"parent": args.parent, "change": args.change}
-    runs, ok, env = {}, True, {}
-    for workload in args.workload:
-        runs[workload] = {"parent": [], "change": []}
-        for i in range(args.pairs):
-            for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-                run, run_ok = run_once(sides[side], args, workload)
-                if run is None:
-                    return 1
-                ok &= run_ok
-                env = env or run["env"]
-                runs[workload][side].append(run)
-            print(f"{workload} pair {i + 1}/{args.pairs} done", flush=True)
-
-    workloads = summarize(runs, spec)
-    label = f"seed {args.seed}, {args.seconds:g} s"
-    claims = [claim_verdict(workloads, *c.partition(":")[::2], label)
-              for c in args.claim]
+    seeds = [(args.seed, args.seconds)]
+    if args.holdout_seed is not None:
+        seeds.append((args.holdout_seed, args.seconds if args.holdout_seconds is None
+                      else args.holdout_seconds))
+    summaries, claims, ok = [], [], True
+    for seed, seconds in seeds:
+        runs, seed_ok, env = run_pairs(sides, args.workload, args.pairs, seed, seconds)
+        if runs is None:
+            return 1
+        ok &= seed_ok
+        workloads = summarize(runs, spec)
+        label = f"seed {seed}, {seconds:g} s"
+        claims += [claim_verdict(workloads, *c.partition(":")[::2], label)
+                   for c in args.claim]
+        summaries.append(workloads)
     record = {
         "pr": args.pr,
         "what": (f"parent ({args.parent.name}) vs change ({args.change.name}), "
                  "alternating which side runs first in each pair"),
         "claim": claims or None,
-        "command": (f"python3 bench/run.py --workload W --seed {args.seed} "
-                    f"--seconds {args.seconds:g} --trace 0, in a "
-                    "clean copy of each side"),
+        "command": command_line(args.seed, args.seconds),
         "pairs": args.pairs,
         "machine": machine_line(env),
         "statistic": STATISTIC,
-        "workloads": workloads,
+        "workloads": summaries[0],
     }
+    if args.holdout_seed is not None:
+        seed, seconds = seeds[1]
+        record["holdout"] = {
+            "command": f"{command_line(seed, seconds)}, after the seed-{args.seed} runs",
+            "workloads": summaries[1],
+        }
     out = args.out or Path(f"BENCH_{args.pr}.json" if args.pr else "bench_pairs.json")
     out.write_text(json.dumps(record, indent=2) + "\n")
     print(f"wrote {out}")

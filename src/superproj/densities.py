@@ -102,7 +102,8 @@ class DensityElement:
         return DensityElement(dim, {_as_weight(weight): SuperFunction.one(dim)})
 
     def slice(self, w) -> SuperFunction:
-        return self.slices.get(_as_weight(w), SuperFunction.zero(self.dim))
+        val = self.slices.get(_as_weight(w))
+        return SuperFunction.zero(self.dim) if val is None else val
 
     def is_zero(self) -> bool:
         return not self.slices
@@ -552,7 +553,8 @@ class BracketTriple:
         return self.s.dim
 
     def gamma_component(self, i: int) -> SuperFunction:
-        return self.gamma.get(i, SuperFunction.zero(self.dim))
+        val = self.gamma.get(i)
+        return SuperFunction.zero(self.dim) if val is None else val
 
     @staticmethod
     def zero(dim: Dimension, eps=ODD, weight=0) -> "BracketTriple":
@@ -603,7 +605,7 @@ def bracket_from_triple(triple: BracketTriple, a: DensityElement,
                 acc = acc + (triple.theta * f * g).scale(mu * nu)
             w = triple.weight + mu + nu
             out[w] = out[w] + acc if w in out else acc
-    return DensityElement(dim, out)
+    return DensityElement._of(dim, out)
 
 
 def _partials(f: SuperFunction):

@@ -107,8 +107,8 @@ class _Table:
         raise AttributeError("immutable")
 
     def component(self, *key) -> SuperFunction:
-        return self.comps.get(key if len(key) > 1 else key[0],
-                              SuperFunction.zero(self.dim))
+        val = self.comps.get(key if len(key) > 1 else key[0])
+        return SuperFunction.zero(self.dim) if val is None else val
 
     def is_zero(self) -> bool:
         return not self.comps

@@ -21,10 +21,10 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 from typing import Mapping
 
+from . import densities
 from .densities import (
     BracketTriple,
     DensityElement,
-    bracket_from_triple,
     contract_class,
     contract_lower,
     div_upper,
@@ -217,19 +217,17 @@ def bv_check(s: Sym2Upper, pi: ProjectiveClass) -> ConditionReport:
     def apply(f):
         return delta(DensityElement.of(f)).slice(0)
 
-    conditions = {}
+    zero = SuperFunction.zero(dim)
+    t = [t_vec.get(i, zero) for i in range(dim.size)]
+    conditions = {f"flow_of_T^{i + 1}": apply(t[i]) for i in range(dim.size)}
     for i in range(dim.size):
-        ti = t_vec.get(i, SuperFunction.zero(dim))
-        conditions[f"flow_of_T^{i + 1}"] = apply(ti)
-    for i in range(dim.size):
+        ti = t[i]
         for j in range(dim.size):
-            s_ij = s.component(i, j)
-            acc = apply(s_ij)
+            tj = t[j]
+            acc = apply(s.component(i, j))
             for k in range(dim.size):
                 s_ik = s.component(i, k)
                 s_jk = s.component(j, k)
-                ti = t_vec.get(i, SuperFunction.zero(dim))
-                tj = t_vec.get(j, SuperFunction.zero(dim))
                 if not s_ik.is_zero():
                     sign = (-1) ** dim.parity(j)
                     acc = acc + (s_ik * tj.partial(k)).scale(sign)
@@ -239,7 +237,7 @@ def bv_check(s: Sym2Upper, pi: ProjectiveClass) -> ConditionReport:
             if not acc.is_zero():
                 conditions[f"flow_of_S^{i + 1}{j + 1}"] = acc
     if not conditions:
-        conditions["flow"] = SuperFunction.zero(dim)
+        conditions["flow"] = zero
     # direct route: square the Laplacian
     delta2 = delta.compose(delta)
     square_zero = delta2.is_zero()
@@ -276,19 +274,32 @@ def _default_jacobi_family(dim: Dimension):
     return out
 
 
+def _odd_bracket(triple: BracketTriple, u: DensityElement, pu: int,
+                 v: DensityElement) -> DensityElement:
+    """[u,v] = (-1)^{u~} {u,v} for u of parity pu."""
+    out = densities.bracket_from_triple(triple, u, v)
+    return out.scale(-1) if pu % 2 else out
+
+
+def _jacobi_combination(pa: int, pb: int, term1: DensityElement,
+                        term2: DensityElement,
+                        term3: DensityElement) -> DensityElement:
+    """term1 - term2 - (-1)^{(a~+1)(b~+1)} term3 for term1 = [a,[b,c]],
+    term2 = [[a,b],c] and term3 = [b,[a,c]]."""
+    return term1 - term2 - term3.scale((-1) ** ((pa + 1) * (pb + 1)))
+
+
 def jacobiator(triple: BracketTriple, a: DensityElement, b: DensityElement,
                c: DensityElement) -> DensityElement:
     """[a,[b,c]] - [[a,b],c] - (-1)^{(a~+1)(b~+1)} [b,[a,c]] for the odd
     bracket [u,v] = (-1)^{u~} {u,v}."""
-
-    def odd_bracket(u, v):
-        return bracket_from_triple(triple, u, v).scale((-1) ** int(u.parity()))
-
     pa, pb = int(a.parity()), int(b.parity())
-    term1 = odd_bracket(a, odd_bracket(b, c))
-    term2 = odd_bracket(odd_bracket(a, b), c)
-    term3 = odd_bracket(b, odd_bracket(a, c)).scale((-1) ** ((pa + 1) * (pb + 1)))
-    return term1 - term2 - term3
+    ab = _odd_bracket(triple, a, pa, b)
+    return _jacobi_combination(
+        pa, pb,
+        _odd_bracket(triple, a, pa, _odd_bracket(triple, b, pb, c)),
+        _odd_bracket(triple, ab, int(ab.parity()), c),
+        _odd_bracket(triple, b, pb, _odd_bracket(triple, a, pa, c)))
 
 
 def density_jacobi_check(triple: BracketTriple) -> ConditionReport:
@@ -303,8 +314,16 @@ def density_jacobi_check(triple: BracketTriple) -> ConditionReport:
     (quotients and {a, |Dx|^mu} = mu |Dx|^{mu-1} {a, |Dx|} included), and
     its jacobiator is a derivation in each argument and totally
     graded-skew.  It therefore vanishes on all densities iff it vanishes on
-    every triple i <= j <= k of the generators x^1 .. x^{n+m}, |Dx|:
-    C(n+m+3, 3) evaluations."""
+    every triple a <= b <= c of the generators g = x^1 .. x^{n+m}, |Dx|:
+    C(n+m+3, 3) evaluations, in that order, up to the first that fails.
+
+    The inner brackets of those jacobiators are brackets of two
+    generators, so the check computes the table T[p,q] = [g_p, g_q],
+    p <= q, once, and each triple needs only its three outer brackets
+    [g_a, T[b,c]], [T[a,b], g_c] and [g_b, T[a,c]].  An outer bracket whose
+    table entry is zero is skipped: the bracket is bilinear, so that term
+    is exactly zero.  The parities come from the dimension: g_p has the
+    parity of x^p (|Dx| is even), and T[p,q] has parity p~ + q~ + 1."""
     if triple.weight != 0:
         raise WrongWeight("density Jacobi conditions require weight 0")
     if triple.eps != ODD:
@@ -323,8 +342,28 @@ def density_jacobi_check(triple: BracketTriple) -> ConditionReport:
         "(gamma,theta)": canonical_pb(gamma_ph, theta_ph, dim),
     }
     generators = _default_jacobi_family(dim)
-    witness = next((abc for abc in combinations_with_replacement(generators, 3)
-                    if not jacobiator(triple, *abc).is_zero()), None)
+    parity = [dim.parity(i) for i in range(dim.size)] + [EVEN]
+    table = {(p, q): _odd_bracket(triple, generators[p], parity[p], generators[q])
+             for p, q in combinations_with_replacement(range(len(generators)), 2)}
+    zero = DensityElement.zero(dim)
+
+    def outer(u, pu, v):
+        if u.is_zero() or v.is_zero():
+            return zero
+        return _odd_bracket(triple, u, pu, v)
+
+    witness = None
+    for a, b, c in combinations_with_replacement(range(len(generators)), 3):
+        pa, pb = parity[a], parity[b]
+        ga, gb, gc = generators[a], generators[b], generators[c]
+        jac = _jacobi_combination(
+            pa, pb,
+            outer(ga, pa, table[b, c]),
+            outer(table[a, b], pa + pb + 1, gc),
+            outer(gb, pb, table[a, c]))
+        if not jac.is_zero():
+            witness = (ga, gb, gc)
+            break
     direct = witness is None
     info = {
         "direct_jacobi_holds": direct,

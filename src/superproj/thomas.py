@@ -24,7 +24,7 @@ Sign conventions settled by the consistency requirement
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .densities import (
@@ -56,10 +56,11 @@ class TildeChart:
     """Base dimension together with its volume-coordinate extension."""
 
     base: Dimension
+    ext: Dimension = field(init=False, repr=False, compare=False)
 
-    @property
-    def ext(self) -> Dimension:
-        return Dimension(("x0",) + self.base.even_names, self.base.odd_names)
+    def __post_init__(self):
+        object.__setattr__(self, "ext", Dimension(
+            ("x0",) + self.base.even_names, self.base.odd_names))
 
     def embed(self, f: SuperFunction) -> SuperFunction:
         return f.migrate(self.ext)

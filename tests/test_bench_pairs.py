@@ -107,13 +107,19 @@ def test_machine_line_names_the_bytecode_setting(monkeypatch):
     assert bench_pairs.machine_line(env).endswith("PYTHONDONTWRITEBYTECODE=unset")
 
 
-def fake_checkout(root, name, rate, failed):
-    """A checkout whose bench/run.py prints a fixed result and exits 1 on
-    failed checks, as the real one does."""
+def fake_checkout(root, name, rate, failed, holdout_rate=None):
+    """A checkout whose bench/run.py prints a fixed result per seed (rate,
+    or holdout_rate on seed 5) and exits 1 on failed checks, as the real one
+    does; it appends its arguments to calls.log in the checkout."""
     bench = root / name / "bench"
     bench.mkdir(parents=True)
+    texts = {1: output(rate, 0.01, failed),
+             5: output(holdout_rate or rate, 0.01, failed, digest="6bf8eb07" + "0" * 56)}
     (bench / "run.py").write_text(
-        f"import sys\nprint({output(rate, 0.01, failed)!r})\n"
+        "import sys\n"
+        "with open('calls.log', 'a') as log:\n"
+        "    log.write(' '.join(sys.argv[1:]) + '\\n')\n"
+        f"print({texts!r}[int(sys.argv[sys.argv.index('--seed') + 1])])\n"
         f"sys.exit({1 if failed else 0})\n")
     (root / name / "BENCHMARK.json").write_text(
         json.dumps({"end_to_end": SPEC}))
@@ -139,4 +145,51 @@ def test_main_refuses_an_unmeasured_claim(tmp_path):
     parent = fake_checkout(tmp_path, "parent", 150, 0)
     with pytest.raises(SystemExit):
         bench_pairs.main([str(parent), str(parent), "--workload", "w", "--seed", "1",
-                          "--seconds", "0", "--pairs", "1", "--claim", "v:checks_per_s"])
+                          "--seconds", "0", "--pairs", "2", "--claim", "v:checks_per_s"])
+    assert not (parent / "calls.log").exists()
+
+
+@pytest.mark.parametrize("extra", [["--pairs", "1"], ["--pairs", "2", "--holdout-seconds", "3"]])
+def test_main_refuses_one_pair_or_a_holdout_without_seed(tmp_path, extra):
+    parent = fake_checkout(tmp_path, "parent", 150, 0)
+    with pytest.raises(SystemExit):
+        bench_pairs.main([str(parent), str(parent), "--workload", "w", "--seed", "1",
+                          "--seconds", "0"] + extra)
+    assert not (parent / "calls.log").exists()
+
+
+def test_holdout_runs_the_same_pairs_on_its_seed(tmp_path):
+    parent = fake_checkout(tmp_path, "parent", 150, 0, holdout_rate=150)
+    change = fake_checkout(tmp_path, "change", 200, 0, holdout_rate=140)
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main([
+        str(parent), str(change), "--workload", "w", "--seed", "1",
+        "--seconds", "0", "--pairs", "2", "--out", str(out),
+        "--claim", "w:checks_per_s", "--holdout-seed", "5",
+        "--holdout-seconds", "0.5"]) == 0
+    record = json.loads(out.read_text())
+    main_claim, holdout_claim = record["claim"]
+    assert main_claim["runs"] == "seed 1, 0 s" and main_claim["met"]
+    assert holdout_claim["runs"] == "seed 5, 0.5 s" and not holdout_claim["met"]
+    assert holdout_claim["change_better_pairs"] == 0
+    holdout = record["holdout"]
+    assert holdout["command"].startswith(
+        "python3 bench/run.py --workload W --seed 5 --seconds 0.5 --trace 0")
+    assert holdout["command"].endswith("after the seed-1 runs")
+    assert holdout["workloads"]["w"]["digest"]["change"] == ["6bf8eb07"]
+    assert record["workloads"]["w"]["digest"]["change"] == ["f762f45d"]
+    rates = holdout["workloads"]["w"]["metrics"]["checks_per_s"]
+    assert rates["parent"]["runs"] == [150, 150] and rates["change"]["runs"] == [140, 140]
+    # each checkout: two runs on the seed, then two on the holdout
+    for side in (parent, change):
+        assert (side / "calls.log").read_text().splitlines() == [
+            "--workload w --seed 1 --seconds 0.0 --trace 0"] * 2 + [
+            "--workload w --seed 5 --seconds 0.5 --trace 0"] * 2
+
+
+def test_no_holdout_block_without_a_holdout_seed(tmp_path):
+    parent = fake_checkout(tmp_path, "parent", 150, 0)
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main([str(parent), str(parent), "--workload", "w", "--seed", "1",
+                             "--seconds", "0", "--pairs", "2", "--out", str(out)]) == 0
+    assert "holdout" not in json.loads(out.read_text())

@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superproj import poisson_bv
+from superproj import densities
 from superproj.densities import BracketTriple, DensityElement, bracket_from_triple
 from superproj.errors import (
     Degenerate,
@@ -441,19 +442,65 @@ class TestGeneratorTriples:
         if kind == "darboux":
             assert rep.satisfied
 
-    @pytest.mark.parametrize("dim, calls", [(D11, 10), (D22, 35)])
-    def test_one_jacobiator_per_sorted_generator_triple(
-            self, monkeypatch, dim, calls):
+    @pytest.mark.parametrize("dim, calls, reference_calls",
+                             [(D11, 11, 60), (D22, 29, 210)])
+    def test_each_generator_bracket_evaluated_once(
+            self, monkeypatch, dim, calls, reference_calls):
+        # the check: C(n+m+2, 2) table brackets, then an outer bracket only
+        # where a table entry is nonzero; the reference: six per jacobiator
         counted = []
+        bracket = densities.bracket_from_triple
 
         def counting(*args):
             counted.append(args)
-            return jacobiator(*args)
+            return bracket(*args)
 
-        monkeypatch.setattr(poisson_bv, "jacobiator", counting)
+        monkeypatch.setattr(densities, "bracket_from_triple", counting)
         triple = BracketTriple(darboux_odd(dim), {}, SuperFunction.zero(dim), 1, 0)
         assert density_jacobi_check(triple).info["direct_jacobi_holds"]
         assert len(counted) == calls
+        counted.clear()
+        assert reference_witness(triple) is None
+        assert len(counted) == reference_calls
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10**6), st.sampled_from([(1, 1), (2, 1), (2, 2)]),
+           st.sampled_from(["darboux", "planted", "gamma", "theta"]))
+    def test_table_route_equals_reference_jacobiators(self, seed, dims, kind):
+        assert_reference_verdict(near_darboux_triple(seed, dims, kind))
+
+    @pytest.mark.parametrize("slot, perturbation", [
+        (None, None), ("gamma", "th1/(1 + x2^2)"), ("theta", "x1*th2/(1 - x2)")])
+    def test_table_route_equals_reference_on_fractions(self, slot, perturbation):
+        t = canonical_flat_triple(D22, expr(D22, "1 + x1^2 + x2*th1*th2"))
+        gamma, theta = dict(t.gamma), t.theta
+        if slot == "gamma":
+            gamma[0] = gamma.get(0, SuperFunction.zero(D22)) + expr(D22, perturbation)
+        elif slot == "theta":
+            theta = theta + expr(D22, perturbation)
+        rep = assert_reference_verdict(BracketTriple(t.s, gamma, theta, 1, 0))
+        assert rep.info["direct_jacobi_holds"] == (slot is None)
+
+
+def reference_witness(triple):
+    """The first sorted generator triple whose reference jacobiator is
+    nonzero, or None."""
+    dim = triple.dim
+    generators = [DensityElement.of(SuperFunction.coordinate(dim, i))
+                  for i in range(dim.size)] + [DensityElement.volume(dim)]
+    return next((abc for abc in combinations_with_replacement(generators, 3)
+                 if not jacobiator(triple, *abc).is_zero()), None)
+
+
+def assert_reference_verdict(triple):
+    """The check's direct verdict and witness equal the reference loop's,
+    and the direct verdict equals the master-Hamiltonian one."""
+    rep = density_jacobi_check(triple)
+    witness = reference_witness(triple)
+    assert rep.info["direct_jacobi_holds"] == (witness is None)
+    assert rep.info.get("jacobi_witness") == witness
+    assert rep.info["verdicts_agree"]
+    return rep
 
 
 # ---------------------------------------------------------------------------

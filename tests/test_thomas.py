@@ -60,6 +60,14 @@ class TestTildeChart:
         assert chart.ext.names[1:] == D22.names
         assert chart.ext.index(D22.names[2]) == 3
 
+    def test_ext_built_once(self):
+        chart = TildeChart(D22)
+        assert chart.ext is chart.ext
+        assert chart.embed(SuperFunction.one(D22)).dim is chart.ext
+        lifted = lift_connection(rand_projective_class(random.Random(62), D22))
+        assert lifted.comps
+        assert all(val.dim is lifted.dim for val in lifted.comps.values())
+
     def test_embed_restrict_round_trip(self):
         rng = random.Random(61)
         chart = TildeChart(D22)
