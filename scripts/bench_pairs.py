@@ -16,7 +16,10 @@ neither side always runs on a warmer or cooler host.  The summary gives,
 per workload and per end-to-end metric of the change's ``BENCHMARK.json``,
 each side's runs, median and interquartile range, the relative change of
 the medians (positive is worse), whether it is within the metric's bound,
-and in how many pairs the change was better; also each side's report
+in how many pairs the change was better, and whether the comparison is
+resolved: it is not when either side's interquartile range exceeds the
+bound relative to its median, unless every run of the change beats every
+run of the parent; also each side's report
 digests and failed checks, and the machine, including
 ``PYTHONDONTWRITEBYTECODE``.  A claim ``WORKLOAD:METRIC`` is met when the
 change is better in at least 9 of 10 pairs (the same share of any other
@@ -47,7 +50,10 @@ from pathlib import Path
 STATISTIC = (
     "median and interquartile range (inclusive quartiles) over the runs of "
     "each side; relative_change is (change median - parent median) / parent "
-    "median, signed so that positive is worse; a claim is met when the change "
+    "median, signed so that positive is worse; a metric is unresolved when "
+    "either side's interquartile range divided by its median exceeds the "
+    "metric's bound, unless every change run is better than every parent "
+    "run; a claim is met when the change "
     "is better in at least 9 of 10 pairs and the medians differ by more than "
     "the parent's interquartile range")
 
@@ -105,11 +111,17 @@ def summarize(runs: dict, spec: list) -> dict:
             rel = (cm - pm) / pm if pm else 0.0
             if better == "higher":
                 rel = -rel
+            ps, cs = _spread(p), _spread(c)
+            # spread wider than the bound hides a difference within it,
+            # unless every change run beats every parent run
+            wide = any(side["iqr"] > bound * abs(side["median"]) for side in (ps, cs))
+            clear = all(_better(b, a, better) for a in p for b in c)
             entry["metrics"][name] = {
                 "better": better, "bound": bound,
-                "parent": _spread(p), "change": _spread(c),
+                "parent": ps, "change": cs,
                 "relative_change": round(rel, 4),
                 "within_bound": rel <= bound,
+                "resolved": clear or not wide,
                 "change_better_pairs": sum(_better(b, a, better)
                                            for a, b in zip(p, c)),
             }

@@ -80,10 +80,13 @@ class DensityElement:
 
     @staticmethod
     def _of(dim: Dimension, slices: dict) -> "DensityElement":
-        """Trusted: Fraction weights to slices over dim; drops zero slices."""
+        """Trusted: Fraction weights to slices over dim, in a dict of the
+        caller's own; drops zero slices."""
+        if not all(f.terms for f in slices.values()):
+            slices = {w: f for w, f in slices.items() if f.terms}
         out = object.__new__(DensityElement)
         object.__setattr__(out, "dim", dim)
-        object.__setattr__(out, "slices", {w: f for w, f in slices.items() if f.terms})
+        object.__setattr__(out, "slices", slices)
         return out
 
     def __setattr__(self, *_):

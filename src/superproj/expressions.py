@@ -12,11 +12,14 @@ Names are the coordinate names of the dimension at hand (``x1..xn`` even,
 ``th1..thm`` odd for default dimensions).  Division requires the divisor to
 be a nonzero even scalar free of odd generators; rational constants like
 ``3/4`` are the special case of constant operands.  An exponent literal
-above :data:`MAX_EXPONENT` is refused with a located ``ParseError``.
+above :data:`MAX_EXPONENT` is refused with a located ``ParseError``, and so
+is a product, quotient or power whose term count may exceed
+:data:`MAX_TERMS`, before it is computed.
 """
 
 from __future__ import annotations
 
+import math
 import re
 
 from .errors import ParseError, UnknownCoordinate
@@ -25,6 +28,12 @@ from .graded_algebra import Dimension, SuperFunction, numer_denom
 # Largest |exponent| a power may carry; larger literals are refused before
 # any arithmetic, since the work grows with the exponent.
 MAX_EXPONENT = 16
+
+# Largest term count a product, quotient or power may reach by the bound of
+# `_term_bound`: nested powers such as ((x1+x2+1)^16)^16 keep every literal
+# within MAX_EXPONENT, yet their work explodes.  The largest power of
+# x1+...+x6 within the limit is the 13th, with 8,568 terms.
+MAX_TERMS = 10_000
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*/^]))")
 
@@ -62,6 +71,24 @@ def _tokenize(text: str):
     return tokens
 
 
+def _terms(f: SuperFunction) -> int:
+    """Terms of f: per odd monomial, those of its coefficient's numerator
+    or, if larger, of its denominator."""
+    return sum(max(len(p) for p in numer_denom(c)) for c in f.terms.values())
+
+
+def _term_bound(op: str, a: SuperFunction, b) -> int:
+    """An upper bound on the terms of ``a * b`` or ``a / b`` (b a function):
+    len(a)·len(b); or of ``a ^ b`` (b an int): C(len(a)+|b|-1, |b|), the
+    number of multisets of |b| terms of a.  Exact for polynomial
+    coefficients; for fractions it counts the larger of numerator and
+    denominator."""
+    if op == "^":
+        k = abs(b)
+        return math.comb(_terms(a) + k - 1, k) if k else 1
+    return _terms(a) * _terms(b)
+
+
 class _Parser:
     def __init__(self, dim: Dimension, text: str):
         self.dim = dim
@@ -79,6 +106,13 @@ class _Parser:
     def error(self, message, tok=None):
         tok = tok or self.peek()
         raise ParseError(message, tok[2], tok[3])
+
+    def bounded(self, tok, a, b):
+        """Refuse, at tok, an operation that may exceed MAX_TERMS terms."""
+        bound = _term_bound(tok[1], a, b)
+        if bound > MAX_TERMS:
+            self.error(f"{tok[1]!r} may give up to {bound} terms, over the "
+                       f"limit {MAX_TERMS}", tok)
 
     def parse(self) -> SuperFunction:
         value = self.expr()
@@ -99,14 +133,13 @@ class _Parser:
         while self.peek()[:2] in (("op", "*"), ("op", "/")):
             tok = self.take()
             rhs = self.unary()
-            if tok[1] == "*":
-                value = value * rhs
-            else:
+            if tok[1] == "/":
                 if not rhs.is_even_scalar():
                     self.error("division by an expression with odd generators", tok)
                 if rhs.is_zero():
                     self.error("division by zero", tok)
-                value = value / rhs
+            self.bounded(tok, value, rhs)
+            value = value * rhs if tok[1] == "*" else value / rhs
         return value
 
     def unary(self):
@@ -133,6 +166,7 @@ class _Parser:
                 self.error("negative power of an expression with odd generators", tok)
             if exp < 0 and base.is_zero():
                 self.error("negative power of zero", tok)
+            self.bounded(tok, base, exp)
             return base ** exp
         return base
 
@@ -177,6 +211,7 @@ NAME    : even coordinates x1..xn, odd coordinates th1..thm
           (the Thomas chart adds the even coordinate x0)
 INTEGER : nonnegative decimal literal; rationals are written p/q;
           exponents lie in -{MAX_EXPONENT}..{MAX_EXPONENT}
+A product, quotient or power that may exceed {MAX_TERMS} terms is refused.
 Division and negative powers require an even divisor free of odd
 generators.
 """

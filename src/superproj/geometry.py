@@ -24,9 +24,11 @@ Index conventions used throughout (and by `densities`/`thomas`):
 
 Every tensor a public function returns is validated by its constructor;
 intermediates no caller sees are plain component dicts, so a derived tensor
-is built once.  The trace-free projection ``A - j(div A)/(n - m + 1)``
-behind `projective_class` and `super_schwarzian` adds ``j_inject``'s terms
-straight into A's components.
+is built once.  The transformation laws and the cocycle are contractions
+that walk the stored components and the nonzero Jacobian entries only.  The
+trace-free projection ``A - j(div A)/(n - m + 1)`` behind
+`projective_class` and `super_schwarzian` adds ``j_inject``'s terms straight
+into A's components.
 
 Supermatrix inverses and Berezinians come from one Gauss-Jordan elimination;
 a `CoordinateChange` keeps the Jacobian grid and the inverse it computes
@@ -96,7 +98,8 @@ class _Table:
         for key, val in clean.items() if self.symmetric else ():
             *head, i, j = key
             mirror = clean.get((*head, j, i))
-            if mirror is None or val != mirror.scale(dim.mirror_sign(i, j)):
+            if mirror is None or val != (
+                    mirror if dim.mirror_sign(i, j) > 0 else -mirror):
                 raise ValidationError(
                     f"graded symmetry fails at {str(key).replace(' ', '')}")
         object.__setattr__(self, "dim", dim)
@@ -451,41 +454,43 @@ def _transform_core(a: Sym2Cov, c: CoordinateChange):
     OLD chart):
         new^d_ab = (-1)^{i~(j~+b~)} K^i_a K^j_b A^k_ij J^d_k
     with K = inverse Jacobian, J = Jacobian, all written-order products.
+
+    Walks the stored components of A and the nonzero entries of K and J
+    only; each signed pair product K^i_a K^j_b is formed once per call and
+    reused for every k.  The result is keyed in sorted order.
     """
     dim = a.dim
-    rows = jacobian_rows(c)
-    kinv = inverse_jacobian_rows(c)
     size = dim.size
-    # inner[aa, bb, k] = (-1)^{i~(j~+b~)} K^i_a K^j_b A^k_ij, shared by every d
-    inner = {}
-    for aa in range(size):
-        for bb in range(size):
-            for k in range(size):
-                acc = SuperFunction.zero(dim)
-                for i in range(size):
-                    ki = kinv[aa][i]
-                    if ki.is_zero():
-                        continue
-                    for j in range(size):
-                        comp = a.component(k, i, j)
-                        if comp.is_zero():
-                            continue
-                        sign = (-1) ** (dim.parity(i)
-                                        * (dim.parity(j) + dim.parity(bb)))
-                        acc = acc + (ki * kinv[bb][j] * comp).scale(sign)
-                inner[(aa, bb, k)] = acc
+    kinv = inverse_jacobian_rows(c)
+    kcols = [[(aa, kinv[aa][i]) for aa in range(size) if kinv[aa][i].terms]
+             for i in range(size)]
+    jrows = [[(d, jf) for d, jf in enumerate(row) if jf.terms]
+             for row in jacobian_rows(c)]
+    pairs = {}
+    inner = {}  # (aa, bb, k) -> sum over i, j, shared by every d
+    for (k, i, j), comp in a.comps.items():
+        signed = pairs.get((i, j))
+        if signed is None:
+            signed = pairs[(i, j)] = []
+            for aa, ki in kcols[i]:
+                for bb, kj in kcols[j]:
+                    prod = ki * kj
+                    if dim.parity(i) * (dim.parity(j) + dim.parity(bb)) % 2:
+                        prod = -prod
+                    signed.append((aa, bb, prod))
+        for aa, bb, prod in signed:
+            key = (aa, bb, k)
+            term = prod * comp
+            inner[key] = inner[key] + term if key in inner else term
     out = {}
-    for d in range(size):
-        for aa in range(size):
-            for bb in range(size):
-                acc = SuperFunction.zero(dim)
-                for k in range(size):
-                    jf = rows[k][d]
-                    if not jf.is_zero():
-                        acc = acc + inner[(aa, bb, k)] * jf
-                if not acc.is_zero():
-                    out[(d, aa, bb)] = acc
-    return out
+    for (aa, bb, k), val in inner.items():
+        if not val.terms:
+            continue
+        for d, jf in jrows[k]:
+            key = (d, aa, bb)
+            term = val * jf
+            out[key] = out[key] + term if key in out else term
+    return {key: out[key] for key in sorted(out) if out[key].terms}
 
 
 def _substitute_comps(comps, inverse: Substitution):
@@ -508,36 +513,35 @@ def transform_sym2cov(a: Sym2Cov, c: CoordinateChange) -> Sym2Cov:
 
 def transform_upper2(s: Sym2Upper, c: CoordinateChange) -> Sym2Upper:
     """Transform of S^ij into the new chart via the cotangent lift
-    p_i = (d_i xbar^a) pbar_a; the raw coefficient is graded-symmetrized."""
+    p_i = (d_i xbar^a) pbar_a; the raw coefficient
+        raw^ab = (-1)^{b~(i~+a~)} S^ij J^b_j J^a_i
+    is graded-symmetrized.  Walks the stored components of S and the
+    nonzero Jacobian entries only."""
     dim = s.dim
-    rows = jacobian_rows(c)
     inverse = c.require_inverse()
-    size = dim.size
+    jrows = [[(aa, jf) for aa, jf in enumerate(row) if jf.terms]
+             for row in jacobian_rows(c)]
     raw = {}
-    for aa in range(size):
-        for bb in range(size):
-            acc = SuperFunction.zero(dim)
-            for i in range(size):
-                for j in range(size):
-                    comp = s.component(i, j)
-                    if comp.is_zero():
-                        continue
-                    jb = rows[j][bb]
-                    ja = rows[i][aa]
-                    if jb.is_zero() or ja.is_zero():
-                        continue
-                    sign = (-1) ** (dim.parity(bb)
-                                    * (dim.parity(i) + dim.parity(aa)))
-                    acc = acc + (comp * jb * ja).scale(sign)
-            raw[(aa, bb)] = acc
+    for (i, j), comp in s.comps.items():
+        for bb, jb in jrows[j]:
+            left = comp * jb
+            for aa, ja in jrows[i]:
+                term = left * ja
+                if dim.parity(bb) * (dim.parity(i) + dim.parity(aa)) % 2:
+                    term = -term
+                key = (aa, bb)
+                raw[key] = raw[key] + term if key in raw else term
     half = Fraction(1, 2)
     sym = {}
-    for aa in range(size):
-        for bb in range(size):
-            val = (raw[(aa, bb)]
-                   + raw[(bb, aa)].scale(dim.mirror_sign(aa, bb))).scale(half)
-            if not val.is_zero():
-                sym[(aa, bb)] = val
+    for aa, bb in sorted(raw.keys() | {(bb, aa) for aa, bb in raw}):
+        val = raw.get((aa, bb))
+        mirror = raw.get((bb, aa))
+        if mirror is not None:
+            mirror = mirror if dim.mirror_sign(aa, bb) > 0 else -mirror
+            val = mirror if val is None else val + mirror
+        val = val.scale(half)
+        if val.terms:
+            sym[(aa, bb)] = val
     return Sym2Upper(dim, _substitute_comps(sym, inverse), s.parity)
 
 
@@ -556,17 +560,16 @@ def schwarzian_raw(c: CoordinateChange) -> Sym2Cov:
     size = dim.size
     second = {(i, j, s): rows[j][s].partial(i)
               for i in range(size) for j in range(size) for s in range(size)}
-    comps = {}
-    for k in range(size):
-        for i in range(size):
-            for j in range(size):
-                acc = SuperFunction.zero(dim)
-                for s in range(size):
-                    d2 = second[(i, j, s)]
-                    if not d2.is_zero():
-                        acc = acc + d2 * kinv[s][k]
-                if not acc.is_zero():
-                    comps[(k, i, j)] = acc
+    kcols = [[(k, ks) for k, ks in enumerate(row) if ks.terms] for row in kinv]
+    acc = {}
+    for (i, j, s), d2 in second.items():
+        if not d2.terms:
+            continue
+        for k, ks in kcols[s]:
+            key = (k, i, j)
+            term = d2 * ks
+            acc[key] = acc[key] + term if key in acc else term
+    comps = {key: acc[key] for key in sorted(acc) if acc[key].terms}
     return Sym2Cov(dim, comps, EVEN)
 
 

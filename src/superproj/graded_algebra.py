@@ -830,8 +830,11 @@ class SuperFunction:
         return SuperFunction._of(self.dim, out)
 
     def scale(self, value) -> "SuperFunction":
-        """Multiply by a rational scalar (an int or a Fraction)."""
+        """Multiply by a rational scalar (an int or a Fraction); a sign is
+        the element itself or its negation."""
         p, q = value.numerator, value.denominator
+        if q == 1 and p in (1, -1):
+            return self if p == 1 else -self
         if not p:
             return SuperFunction.zero(self.dim)
         return SuperFunction._of(self.dim, {

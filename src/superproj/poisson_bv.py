@@ -218,24 +218,30 @@ def bv_check(s: Sym2Upper, pi: ProjectiveClass) -> ConditionReport:
         return delta(DensityElement.of(f)).slice(0)
 
     zero = SuperFunction.zero(dim)
-    t = [t_vec.get(i, zero) for i in range(dim.size)]
-    conditions = {f"flow_of_T^{i + 1}": apply(t[i]) for i in range(dim.size)}
-    for i in range(dim.size):
-        ti = t[i]
-        for j in range(dim.size):
-            tj = t[j]
-            acc = apply(s.component(i, j))
-            for k in range(dim.size):
-                s_ik = s.component(i, k)
-                s_jk = s.component(j, k)
-                if not s_ik.is_zero():
-                    sign = (-1) ** dim.parity(j)
-                    acc = acc + (s_ik * tj.partial(k)).scale(sign)
-                if not s_jk.is_zero():
-                    sign = (-1) ** (dim.parity(i) * (dim.parity(j) + 1))
-                    acc = acc + (s_jk * ti.partial(k)).scale(sign)
-            if not acc.is_zero():
-                conditions[f"flow_of_S^{i + 1}{j + 1}"] = acc
+    conditions = {f"flow_of_T^{i + 1}": apply(t_vec.get(i, zero))
+                  for i in range(dim.size)}
+    # d_k T^j, once per call: by k, the (j, d_k T^j) that are nonzero
+    d_t = [[] for _ in range(dim.size)]
+    for j, tj in t_vec.items():
+        for k in range(dim.size):
+            d = tj.partial(k)
+            if d.terms:
+                d_t[k].append((j, d))
+    flows = {key: apply(val) for key, val in s.comps.items()}
+
+    def add(key, term):
+        flows[key] = flows[key] + term if key in flows else term
+
+    for (a, k), s_ak in s.comps.items():
+        for b, d in d_t[k]:
+            term = s_ak * d
+            # S^ik d_k T^j (-1)^{j~} at (i, j) = (a, b)
+            add((a, b), -term if dim.parity(b) else term)
+            # S^jk d_k T^i (-1)^{i~(j~+1)} at (i, j) = (b, a)
+            add((b, a), -term if dim.parity(b) * (dim.parity(a) + 1) % 2 else term)
+    for (i, j) in sorted(flows):
+        if flows[i, j].terms:
+            conditions[f"flow_of_S^{i + 1}{j + 1}"] = flows[i, j]
     if not conditions:
         conditions["flow"] = zero
     # direct route: square the Laplacian

@@ -72,28 +72,32 @@ def _q_sign(dim: Dimension, q: int, i: int, j: int) -> int:
 
 def _ricci_combination(pi: ProjectiveClass, pp_sign: int) -> dict:
     """comps[(k, j)] = (n0+1)/(n0-1) (d_q Pi^q_kj + pp_sign Pi^p_qk Pi^q_pj)
-    (-1)^{q~(1 + k~ + j~)}."""
+    (-1)^{q~(1 + k~ + j~)}, keyed in sorted order.
+
+    Walks the stored components of Pi only: the d_q term once over them,
+    the product term over pairs matched by a per-call index of Pi's
+    components by their first two indices."""
     dim = pi.dim
-    n0 = dim.n0
-    pref = Fraction(n0 + 1, n0 - 1)
-    out = {}
-    for k in range(dim.size):
-        for j in range(dim.size):
-            acc = SuperFunction.zero(dim)
-            for q in range(dim.size):
-                sign = _q_sign(dim, q, k, j)
-                d_term = pi.component(q, k, j).partial(q)
-                if not d_term.is_zero():
-                    acc = acc + d_term.scale(sign)
-                for p in range(dim.size):
-                    left = pi.component(p, q, k)
-                    right = pi.component(q, p, j)
-                    if left.is_zero() or right.is_zero():
-                        continue
-                    acc = acc + (left * right).scale(pp_sign * sign)
-            if not acc.is_zero():
-                out[(k, j)] = acc.scale(pref)
-    return out
+    pref = Fraction(dim.n0 + 1, dim.n0 - 1)
+    by_head: dict = {}
+    for (q, p, j), right in pi.comps.items():
+        by_head.setdefault((q, p), []).append((j, right))
+    acc: dict = {}
+
+    def add(k, j, q, term, sign):
+        if sign * _q_sign(dim, q, k, j) < 0:
+            term = -term
+        key = (k, j)
+        acc[key] = acc[key] + term if key in acc else term
+
+    for (q, k, j), val in pi.comps.items():
+        d_term = val.partial(q)
+        if d_term.terms:
+            add(k, j, q, d_term, 1)
+    for (p, q, k), left in pi.comps.items():
+        for j, right in by_head.get((q, p), ()):
+            add(k, j, q, left * right, pp_sign)
+    return {key: acc[key].scale(pref) for key in sorted(acc) if acc[key].terms}
 
 
 def b_tensor(pi: ProjectiveClass) -> dict:

@@ -161,3 +161,61 @@ def rand_linear_change(rng, dim):
 
 DIMS_FOUR = [Dimension.of(2, 0), Dimension.of(1, 1),
              Dimension.of(2, 1), Dimension.of(2, 2)]
+
+
+def rand_triangular_change(rng, dim):
+    """Random nonlinear triangular change x'_a = u_a x_a + p_a, with u_a a
+    nonzero constant and p_a a polynomial in the coordinates before a (evens
+    first): x1 squared into the later evens, x1 times an earlier odd into
+    the later odds.  Its inverse x_a = (x'_a - p_a(x(x'))) / u_a is exact."""
+    coords = [SuperFunction.coordinate(dim, a) for a in range(dim.size)]
+    x1 = coords[0] if dim.n else SuperFunction.one(dim)
+    fwd, inv = [], []
+    for a in range(dim.size):
+        u = Fraction(rng.choice((1, -1, 2, -3))) / rng.choice((1, 2))
+        p = SuperFunction.zero(dim)
+        for b in range(a):
+            if dim.parity(b) == dim.parity(a) and rng.random() < 0.7:
+                c = rng.choice((1, -1, 2, Fraction(1, 2)))
+                p = p + (x1 * coords[b] if dim.parity(a) else coords[b] * coords[b]).scale(c)
+        fwd.append(coords[a].scale(u) + p)
+        inv.append((coords[a] - p.substitute(inv + coords[a:])).scale(1 / u))
+    return CoordinateChange(dim, tuple(fwd), tuple(inv))
+
+
+def rand_moebius_change(rng, dim):
+    """Random Moebius change in one even coordinate x: x -> x/(1 - c x),
+    with inverse x/(1 + c x), and each odd th_b -> th_b (1 + d_b x), with
+    inverse th_b (1 + c x)/(1 + (c + d_b) x)."""
+    a = rng.randrange(dim.n)
+    x = SuperFunction.coordinate(dim, a)
+    one = SuperFunction.one(dim)
+    c = rng.choice((1, 2, -1))
+
+    def lin(q):
+        return one + x.scale(q)
+
+    fwd = [SuperFunction.coordinate(dim, i) for i in range(dim.size)]
+    inv = list(fwd)
+    fwd[a], inv[a] = x * lin(-c).invert(), x * lin(c).invert()
+    for b in range(dim.n, dim.size):
+        d = rng.choice([v for v in (1, 2, -2, 3) if v != -c])
+        th = SuperFunction.coordinate(dim, b)
+        fwd[b] = th * lin(d)
+        inv[b] = th * lin(c) * lin(c + d).invert()
+    return CoordinateChange(dim, tuple(fwd), tuple(inv))
+
+
+
+def product_of_term_pairs(count):
+    """Expression text over 4|0 whose one product multiplies two sums of
+    distinct monomials in disjoint variables, x1^i*x2^j and x3^k*x4^l
+    (i, j, k, l <= 16), with exactly `count` term pairs, all distinct."""
+    p, q = next((p, count // p) for p in range(1, 290)
+                if count % p == 0 and count // p <= 289)
+
+    def monomial_sum(size, x, y):
+        return " + ".join([f"{x}^{i}*{y}^{j}" for i in range(17)
+                           for j in range(17)][:size])
+
+    return f"({monomial_sum(p, 'x1', 'x2')})*({monomial_sum(q, 'x3', 'x4')})"

@@ -68,6 +68,7 @@ def test_summary_medians_iqr_and_pairs():
     assert rate["change_better_pairs"] == 9  # pair 5 is lost
     assert rate["relative_change"] == round(-(225.5 - 161) / 161, 4)
     assert rate["within_bound"] is True
+    assert rate["resolved"] is True  # IQR/median 0.07 and 0.05, bound 0.25
     p50 = out["metrics"]["report_s.p50"]
     assert p50["relative_change"] == 0.2 and p50["within_bound"] is True
     assert p50["change_better_pairs"] == 0
@@ -79,6 +80,29 @@ def test_summary_flags_a_regression_beyond_its_bound():
                "change": runs_of([r * 0.7 for r in PARENT_RATES], P50)}}, SPEC)
     rate = out["w"]["metrics"]["checks_per_s"]
     assert rate["relative_change"] == 0.3 and rate["within_bound"] is False
+
+
+# inclusive quartiles 95 and 130: IQR/median = 35/112.5 > 0.25
+WIDE_RATES = [80, 90, 95, 100, 110, 115, 130, 140, 150, 160]
+
+
+@pytest.mark.parametrize("parent, change, resolved", [
+    # the parent's runs spread too wide
+    (WIDE_RATES, [r * 1.05 for r in WIDE_RATES], False),
+    # the change's runs spread too wide
+    (PARENT_RATES, WIDE_RATES, False),
+    # both spread too wide, but every change run beats every parent run
+    ([r / 2 for r in WIDE_RATES], [r + 80 for r in WIDE_RATES], True),
+    # both narrow
+    (PARENT_RATES, [r + 1 for r in PARENT_RATES], True),
+], ids=["parent_wide", "change_wide", "clear_win", "both_narrow"])
+def test_summary_marks_a_spread_wider_than_the_bound_unresolved(
+        parent, change, resolved):
+    out = bench_pairs.summarize(
+        {"w": {"parent": runs_of(parent, P50), "change": runs_of(change, P50)}},
+        SPEC)
+    assert out["w"]["metrics"]["checks_per_s"]["resolved"] is resolved
+    assert out["w"]["metrics"]["report_s.p50"]["resolved"] is True
 
 
 def test_claim_needs_nine_of_ten_pairs_and_more_than_the_iqr():

@@ -4,6 +4,7 @@ import decimal
 import json
 import random
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -31,7 +32,7 @@ from superproj.densities import (
     projective_laplacian,
 )
 from superproj.errors import ParseError, ValidationError
-from superproj.expressions import parse_expression
+from superproj.expressions import MAX_TERMS, parse_expression
 from superproj.geometry import (
     CoordinateChange,
     Sym2Upper,
@@ -42,6 +43,7 @@ from superproj.geometry import (
 from superproj.graded_algebra import Dimension, SuperFunction
 
 from helpers import (
+    product_of_term_pairs,
     rand_linear_change,
     rand_projective_class,
     rand_triple,
@@ -347,6 +349,25 @@ class TestMain:
         if code:
             assert ("expressions.f: exponent 17 exceeds the limit 16 "
                     "(line 1, column 5)") in err
+
+    @pytest.mark.parametrize("n, expression, column", [
+        (6, "((x1+x2+x3+x4+x5+x6)^16)^2", 20),  # C(21, 16) = 20,349 terms
+        (2, "(((x1+x2+1)^16)^16)^16", 15),
+        (4, product_of_term_pairs(MAX_TERMS + 1), None),
+    ], ids=["nested_power_6_0", "nested_power_2_0", "product_just_over"])
+    def test_validate_term_limit_fails_fast(self, tmp_path, capsys, n,
+                                            expression, column):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"dimension": {"n": n, "m": 0},
+                                    "expressions": {"f": expression},
+                                    "checks": []}))
+        start = time.perf_counter()
+        assert main(["validate", str(path)]) == 1
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert f"terms, over the limit {MAX_TERMS} (line 1, column" in err
+        if column is not None:
+            assert f"column {column})" in err
 
     @pytest.mark.parametrize("n, code", [(6, 0), (7, 1)])
     def test_validate_dimension_limit(self, tmp_path, capsys, n, code):

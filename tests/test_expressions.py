@@ -8,12 +8,13 @@ from superproj.errors import ParseError
 from superproj.expressions import (
     GRAMMAR_HELP,
     MAX_EXPONENT,
+    MAX_TERMS,
     format_super,
     parse_expression,
 )
 from superproj.graded_algebra import Dimension, SuperFunction
 
-from helpers import rand_super
+from helpers import product_of_term_pairs, rand_super
 
 D = Dimension.of(2, 2)
 
@@ -59,6 +60,31 @@ def test_exponent_limit():
             parse_expression(D, text)
         assert err.value.line == 1
         assert err.value.column == len(text) - len(str(MAX_EXPONENT + 1))
+
+
+@pytest.mark.parametrize("bound", [MAX_TERMS, MAX_TERMS + 1])
+def test_term_limit_of_a_product(bound):
+    four = Dimension.of(4, 0)
+    text = product_of_term_pairs(bound)
+    if bound <= MAX_TERMS:
+        assert len(parse_expression(four, text).terms[()]) == bound
+        return
+    with pytest.raises(ParseError) as err:
+        parse_expression(four, text)
+    assert err.value.column == text.index(")*(") + 1
+    assert f"up to {bound} terms, over the limit {MAX_TERMS}" in str(err.value)
+
+
+def test_term_limit_of_a_power():
+    six = Dimension.of(6, 0)
+    text = "(x1 + x2 + x3 + x4 + x5 + x6)^{}"
+    assert len(parse_expression(six, text.format(13)).terms[()]) == 8568
+    with pytest.raises(ParseError, match="up to 11628 terms"):  # C(19, 14)
+        parse_expression(six, text.format(14))
+    # the bound comes before the work: 10^22 terms, refused at once
+    with pytest.raises(ParseError) as err:
+        parse_expression(Dimension.of(2, 0), "(((x1+x2+1)^16)^16)^16")
+    assert err.value.column == 15
 
 
 def test_power_by_squaring_matches_repeated_products():
