@@ -239,7 +239,7 @@ def bv_check(s: Sym2Upper, pi: ProjectiveClass) -> ConditionReport:
             add((a, b), -term if dim.parity(b) else term)
             # S^jk d_k T^i (-1)^{i~(j~+1)} at (i, j) = (b, a)
             add((b, a), -term if dim.parity(b) * (dim.parity(a) + 1) % 2 else term)
-    for (i, j) in sorted(flows):
+    for i, j in sorted(flows):
         if flows[i, j].terms:
             conditions[f"flow_of_S^{i + 1}{j + 1}"] = flows[i, j]
     if not conditions:

@@ -166,8 +166,8 @@ DIMS_FOUR = [Dimension.of(2, 0), Dimension.of(1, 1),
 def rand_triangular_change(rng, dim):
     """Random nonlinear triangular change x'_a = u_a x_a + p_a, with u_a a
     nonzero constant and p_a a polynomial in the coordinates before a (evens
-    first): x1 squared into the later evens, x1 times an earlier odd into
-    the later odds.  Its inverse x_a = (x'_a - p_a(x(x'))) / u_a is exact."""
+    first): squares of earlier evens for an even x_a, x1 times earlier odds
+    for an odd one.  Its inverse x_a = (x'_a - p_a(x(x'))) / u_a is exact."""
     coords = [SuperFunction.coordinate(dim, a) for a in range(dim.size)]
     x1 = coords[0] if dim.n else SuperFunction.one(dim)
     fwd, inv = [], []
@@ -177,7 +177,8 @@ def rand_triangular_change(rng, dim):
         for b in range(a):
             if dim.parity(b) == dim.parity(a) and rng.random() < 0.7:
                 c = rng.choice((1, -1, 2, Fraction(1, 2)))
-                p = p + (x1 * coords[b] if dim.parity(a) else coords[b] * coords[b]).scale(c)
+                term = x1 * coords[b] if dim.parity(a) else coords[b] * coords[b]
+                p = p + term.scale(c)
         fwd.append(coords[a].scale(u) + p)
         inv.append((coords[a] - p.substitute(inv + coords[a:])).scale(1 / u))
     return CoordinateChange(dim, tuple(fwd), tuple(inv))
@@ -204,7 +205,6 @@ def rand_moebius_change(rng, dim):
         fwd[b] = th * lin(d)
         inv[b] = th * lin(c) * lin(c + d).invert()
     return CoordinateChange(dim, tuple(fwd), tuple(inv))
-
 
 
 def product_of_term_pairs(count):
