@@ -2,16 +2,21 @@
 component triples, canonical generating operators and formal adjoints.
 
 A density element is a finite sum of slices ``f(x, th) |Dx|^w`` with exact
-rational weights.  Operators are kept in normal order
+rational weights.  An operator is kept in normal order, as one flat map from
+keys (alpha, k, mu) to functions f:
 
-    coefficient (a density)  *  d^alpha  *  w^k
+    sum  f |Dx|^mu  d^alpha  w^k
 
-with the derivative multi-index written in ascending coordinate order and the
-weight operator rightmost.  Since the monomials d^alpha w^k act independently
-on the slice family, normal forms are faithful: structural equality of
-operators is extensional equality, and it is the verdict every check uses.
-`operators_equal` evaluates both operators on a spanning family of test
-densities; it is kept as a cross-check for the tests.
+with the derivative multi-index alpha in ascending coordinate order and the
+weight operator rightmost.  One private assembler, `_assemble`, sums pieces
+written as f |Dx|^mu d_{i1} .. d_{il} w^k, putting the derivatives in normal
+order with their signs; the constructors, the generating operators and the
+projective Laplacian are all built by it.  Since the monomials d^alpha w^k
+act independently on the slice family, normal forms are faithful:
+structural equality of operators is extensional equality, and it is the
+verdict every check uses.  `operators_equal` evaluates both operators on a
+spanning family of test densities; it is kept as a cross-check for the
+tests.
 
 Normalization notes (constraints, not derivable from the code):
 
@@ -142,33 +147,21 @@ class DensityElement:
     def partial(self, i: int) -> "DensityElement":
         return DensityElement._of(self.dim, {w: f.partial(i) for w, f in self.slices.items()})
 
+    def _parities(self) -> list:
+        """The set of term parities of each slice."""
+        return [{len(k) % 2 for k in f.terms} for f in self.slices.values()]
+
     def is_homogeneous(self) -> bool:
-        parities = set()
-        for f in self.slices.values():
-            if not f.is_homogeneous():
-                return False
-            parities.add(int(f.parity()))
-        return len(parities) <= 1
+        return len(set().union(*self._parities())) <= 1
 
     def parity(self) -> Parity:
-        parities = set()
-        for f in self.slices.values():
-            if not f.is_homogeneous():
-                raise NonHomogeneous("density slice of mixed parity")
-            parities.add(int(f.parity()))
+        per_slice = self._parities()
+        if any(len(p) > 1 for p in per_slice):
+            raise NonHomogeneous("density slice of mixed parity")
+        parities = set().union(*per_slice)
         if len(parities) > 1:
             raise NonHomogeneous("density of mixed parity")
         return Parity(parities.pop()) if parities else Parity(EVEN)
-
-    def parity_split(self):
-        ev, od = {}, {}
-        for w, f in self.slices.items():
-            fe, fo = f.parity_split()
-            if not fe.is_zero():
-                ev[w] = fe
-            if not fo.is_zero():
-                od[w] = fo
-        return DensityElement._of(self.dim, ev), DensityElement._of(self.dim, od)
 
     def __eq__(self, other):
         return (
@@ -194,6 +187,10 @@ class DensityElement:
 # ---------------------------------------------------------------------------
 
 
+def _add_into(out: dict, key, f) -> None:
+    out[key] = out[key] + f if key in out else f
+
+
 def _insert_deriv(dim: Dimension, alpha: tuple, i: int):
     """Prepend d_i to the written product d^alpha.  Returns (alpha', sign)
     or None when it annihilates (odd derivative squared)."""
@@ -209,34 +206,34 @@ def _insert_deriv(dim: Dimension, alpha: tuple, i: int):
     return tuple(new), sign
 
 
+def _assemble(dim: Dimension, pieces) -> "DensityOperator":
+    """The sum of f |Dx|^mu d_{i1} .. d_{il} w^k over pieces
+    (mu, f, [i1 .. il], k), derivatives in written order."""
+    out: dict = {}
+    for mu, f, derivs, wpow in pieces:
+        alpha, sign = (0,) * dim.size, 1
+        for i in reversed(derivs):
+            ins = _insert_deriv(dim, alpha, i)
+            if ins is None:
+                break
+            alpha, s = ins
+            sign *= s
+        else:
+            _add_into(out, (alpha, wpow, mu), f if sign == 1 else -f)
+    return DensityOperator(dim, out)
+
+
 class DensityOperator:
-    """Normal-ordered differential operator on the density algebra."""
+    """Normal-ordered differential operator on the density algebra: each
+    term (alpha, k, mu) -> f stands for f |Dx|^mu d^alpha w^k."""
 
     __slots__ = ("dim", "terms")
 
-    def __init__(self, dim: Dimension, terms: Mapping):
-        clean = {}
-        for (alpha, wpow), coeff in terms.items():
-            if coeff.dim != dim:
-                raise DimensionMismatch("operator coefficient over wrong dimension")
-            if len(alpha) != dim.size:
-                raise ValidationError("derivative multi-index has wrong length")
-            if any(alpha[i] > 1 for i in range(dim.size) if dim.parity(i) == ODD):
-                raise ValidationError("odd derivative repeated in multi-index")
-            if not coeff.is_zero():
-                key = (tuple(alpha), int(wpow))
-                clean[key] = clean.get(key, DensityElement.zero(dim)) + coeff
-        clean = {k: v for k, v in clean.items() if not v.is_zero()}
+    def __init__(self, dim: Dimension, terms: dict):
+        """Normal-ordered keys, as the builders below form them, to
+        coefficients over dim; drops zero terms."""
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "terms", clean)
-
-    @staticmethod
-    def _of(dim: Dimension, terms: dict) -> "DensityOperator":
-        """Trusted: normal-ordered keys to coefficients; drops zero ones."""
-        out = object.__new__(DensityOperator)
-        object.__setattr__(out, "dim", dim)
-        object.__setattr__(out, "terms", {k: v for k, v in terms.items() if v.slices})
-        return out
+        object.__setattr__(self, "terms", {k: f for k, f in terms.items() if f.terms})
 
     def __setattr__(self, *_):
         raise AttributeError("immutable")
@@ -245,44 +242,30 @@ class DensityOperator:
 
     @staticmethod
     def zero(dim: Dimension) -> "DensityOperator":
-        return DensityOperator._of(dim, {})
+        return DensityOperator(dim, {})
 
     @staticmethod
     def identity(dim: Dimension) -> "DensityOperator":
-        key = ((0,) * dim.size, 0)
-        return DensityOperator(dim, {key: DensityElement.of(SuperFunction.one(dim))})
+        return _assemble(dim, [(Fraction(0), SuperFunction.one(dim), (), 0)])
 
     @staticmethod
     def mult(coeff: DensityElement) -> "DensityOperator":
-        key = ((0,) * coeff.dim.size, 0)
-        return DensityOperator(coeff.dim, {key: coeff})
+        return DensityOperator.from_written(coeff, ())
 
     @staticmethod
     def deriv(dim: Dimension, i: int) -> "DensityOperator":
-        alpha = [0] * dim.size
-        alpha[i] = 1
-        key = (tuple(alpha), 0)
-        return DensityOperator(dim, {key: DensityElement.of(SuperFunction.one(dim))})
+        return _assemble(dim, [(Fraction(0), SuperFunction.one(dim), (i,), 0)])
 
     @staticmethod
     def weight(dim: Dimension) -> "DensityOperator":
-        key = ((0,) * dim.size, 1)
-        return DensityOperator(dim, {key: DensityElement.of(SuperFunction.one(dim))})
+        return _assemble(dim, [(Fraction(0), SuperFunction.one(dim), (), 1)])
 
     @staticmethod
     def from_written(coeff: DensityElement, deriv_indices: Sequence[int],
                      wpow: int = 0) -> "DensityOperator":
         """coeff * d_{i1} d_{i2} ... * w^k with derivatives in written order."""
-        dim = coeff.dim
-        alpha = (0,) * dim.size
-        sign = 1
-        for i in reversed(list(deriv_indices)):
-            ins = _insert_deriv(dim, alpha, i)
-            if ins is None:
-                return DensityOperator.zero(dim)
-            alpha, s = ins
-            sign *= s
-        return DensityOperator(dim, {(alpha, wpow): coeff.scale(sign)})
+        return _assemble(coeff.dim, [(mu, f, deriv_indices, wpow)
+                                     for mu, f in coeff.slices.items()])
 
     # -- linear structure -------------------------------------------------
 
@@ -290,16 +273,16 @@ class DensityOperator:
         if self.dim != other.dim:
             raise DimensionMismatch("operator dimensions differ")
         out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            out[key] = out[key] + coeff if key in out else coeff
-        return DensityOperator._of(self.dim, out)
+        for key, f in other.terms.items():
+            _add_into(out, key, f)
+        return DensityOperator(self.dim, out)
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, q) -> "DensityOperator":
-        return DensityOperator._of(
-            self.dim, {key: coeff.scale(q) for key, coeff in self.terms.items()})
+        return DensityOperator(
+            self.dim, {key: f.scale(q) for key, f in self.terms.items()})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -319,52 +302,38 @@ class DensityOperator:
     def __call__(self, phi: DensityElement) -> DensityElement:
         if phi.dim != self.dim:
             raise DimensionMismatch("argument over wrong dimension")
-        out = DensityElement.zero(self.dim)
-        for (alpha, wpow), coeff in self.terms.items():
-            for lam, f in phi.slices.items():
-                g = f.scale(lam ** wpow) if wpow else f
+        out: dict = {}
+        for (alpha, wpow, mu), f in self.terms.items():
+            for lam, g in phi.slices.items():
+                if wpow:
+                    g = g.scale(lam ** wpow)
                 for i in reversed(range(self.dim.size)):
                     for _ in range(alpha[i]):
                         g = g.partial(i)
-                if g.is_zero():
-                    continue
-                out = out + coeff * DensityElement(self.dim, {lam: g})
-        return out
+                if g.terms:
+                    _add_into(out, mu + lam, f * g)
+        return DensityElement._of(self.dim, out)
 
     # -- serialization ------------------------------------------------
 
     def serialize(self) -> list:
-        """Term list [{weight_shift, coefficient, derivatives, w_power}] with
-        the coefficient printed in the expression grammar."""
+        """Term list [{weight_shift, coefficient, derivatives, w_power}] in
+        (derivatives, w_power, weight_shift) order, with the coefficient
+        printed in the expression grammar."""
         from .expressions import format_super
 
-        out = []
-        for (alpha, wpow), coeff in sorted(self.terms.items()):
-            for w, f in sorted(coeff.slices.items()):
-                out.append({
-                    "weight_shift": str(w),
-                    "coefficient": format_super(f),
-                    "derivatives": list(alpha),
-                    "w_power": wpow,
-                })
-        return out
+        return [{"weight_shift": str(mu),
+                 "coefficient": format_super(self.terms[alpha, wpow, mu]),
+                 "derivatives": list(alpha),
+                 "w_power": wpow}
+                for alpha, wpow, mu in sorted(self.terms)]
 
     # -- parity -----------------------------------------------------------
 
     def term_parities(self):
-        parities = set()
-        for (alpha, _), coeff in self.terms.items():
-            odd_derivs = sum(alpha[i] for i in range(self.dim.size)
-                             if self.dim.parity(i) == ODD)
-            ev, od = coeff.parity_split()
-            if not ev.is_zero():
-                parities.add(odd_derivs % 2)
-            if not od.is_zero():
-                parities.add((odd_derivs + 1) % 2)
-        return parities
-
-    def is_homogeneous(self) -> bool:
-        return len(self.term_parities()) <= 1
+        n = self.dim.n
+        return {(sum(alpha[n:]) + len(key)) % 2
+                for (alpha, _, _), f in self.terms.items() for key in f.terms}
 
     def parity(self) -> Parity:
         parities = self.term_parities()
@@ -377,57 +346,44 @@ class DensityOperator:
     def _compose_weight(self) -> "DensityOperator":
         """w o self, normal-ordered."""
         out: dict = {}
-
-        def add(key, coeff):
-            out[key] = out[key] + coeff if key in out else coeff
-
-        for (alpha, wpow), coeff in self.terms.items():
-            for mu, f in coeff.slices.items():
-                piece = DensityElement._of(self.dim, {mu: f})
-                add((alpha, wpow + 1), piece)
-                if mu:
-                    add((alpha, wpow), piece.scale(mu))
-        return DensityOperator._of(self.dim, out)
+        for (alpha, wpow, mu), f in self.terms.items():
+            _add_into(out, (alpha, wpow + 1, mu), f)
+            if mu:
+                _add_into(out, (alpha, wpow, mu), f.scale(mu))
+        return DensityOperator(self.dim, out)
 
     def _compose_deriv(self, i: int) -> "DensityOperator":
-        """d_i o self, normal-ordered via the graded Leibniz rule."""
+        """d_i o self, normal-ordered via the graded Leibniz rule: an odd d_i
+        passes an odd coefficient with a sign."""
         dim = self.dim
         out: dict = {}
-
-        def add(key, coeff):
-            out[key] = out[key] + coeff if key in out else coeff
-
-        for (alpha, wpow), coeff in self.terms.items():
-            add((alpha, wpow), coeff.partial(i))
-            ev, od = coeff.parity_split()
-            for piece, par in ((ev, EVEN), (od, ODD)):
-                if piece.is_zero():
-                    continue
-                ins = _insert_deriv(dim, alpha, i)
-                if ins is None:
-                    continue
-                alpha2, sign = ins
-                if dim.parity(i) == ODD and par == ODD:
-                    sign = -sign
-                add((alpha2, wpow), piece.scale(sign))
-        return DensityOperator._of(dim, out)
+        for (alpha, wpow, mu), f in self.terms.items():
+            _add_into(out, (alpha, wpow, mu), f.partial(i))
+            ins = _insert_deriv(dim, alpha, i)
+            if ins is None:
+                continue
+            alpha2, sign = ins
+            if dim.parity(i) == ODD:
+                ev, od = f.parity_split()
+                f = ev - od
+            _add_into(out, (alpha2, wpow, mu), f if sign == 1 else -f)
+        return DensityOperator(dim, out)
 
     def compose(self, other: "DensityOperator") -> "DensityOperator":
         """self o other (apply other first)."""
         if self.dim != other.dim:
             raise DimensionMismatch("operator dimensions differ")
-        total = DensityOperator.zero(self.dim)
-        for (alpha, wpow), coeff in self.terms.items():
+        out: dict = {}
+        for (alpha, wpow, mu), f in self.terms.items():
             acc = other
             for _ in range(wpow):
                 acc = acc._compose_weight()
             for i in reversed(range(self.dim.size)):
                 for _ in range(alpha[i]):
                     acc = acc._compose_deriv(i)
-            acc = DensityOperator._of(
-                self.dim, {key: coeff * c2 for key, c2 in acc.terms.items()})
-            total = total + acc
-        return total
+            for (beta, k, nu), g in acc.terms.items():
+                _add_into(out, (beta, k, mu + nu), f * g)
+        return DensityOperator(self.dim, out)
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +438,7 @@ def op_order(d: DensityOperator) -> int:
     lowers the power of w, so for a normal-ordered operator the order is
     its maximal total degree in (derivatives, w); 0 for the zero operator.
     """
-    return max((sum(alpha) + wpow for alpha, wpow in d.terms), default=0)
+    return max((sum(alpha) + wpow for alpha, wpow, _ in d.terms), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -494,27 +450,29 @@ def formal_adjoint(d: DensityOperator) -> DensityOperator:
     """Adjoint for the pairing of complementary weights; antihomomorphism
     with the Koszul sign, (mult f)+ = mult f, (d_i)+ = -d_i, w+ = 1 - w.
 
-    A homogeneous piece f of the term f d_{i_1} .. d_{i_l} w^k
+    A homogeneous piece f of the term f |Dx|^mu d_{i_1} .. d_{i_l} w^k
     (i_1 <= .. <= i_l) with q odd factors among f and the d's has the adjoint
 
-        (-1)^{q(q-1)/2 + l} (1 - w)^k d_{i_l} .. d_{i_1} f.
+        (-1)^{q(q-1)/2 + l} (1 - w)^k d_{i_l} .. d_{i_1} f |Dx|^mu.
     """
     dim = d.dim
-    total = DensityOperator.zero(dim)
-    for (alpha, wpow), coeff in d.terms.items():
-        odd_derivs = sum(alpha[i] for i in range(dim.size) if dim.parity(i) == ODD)
-        for par, piece in enumerate(coeff.parity_split()):
-            if piece.is_zero():
+    out: dict = {}
+    for (alpha, wpow, mu), f in d.terms.items():
+        odd_derivs = sum(alpha[dim.n:])
+        for par, piece in enumerate(f.parity_split()):
+            if not piece.terms:
                 continue
-            op = DensityOperator.mult(piece)
+            op = DensityOperator(dim, {((0,) * dim.size, 0, mu): piece})
             for i in range(dim.size):
                 for _ in range(alpha[i]):
                     op = op._compose_deriv(i)
             for _ in range(wpow):
                 op = op - op._compose_weight()
             q = par + odd_derivs
-            total = total + op.scale((-1) ** (q * (q - 1) // 2 + sum(alpha)))
-    return total
+            sign = (-1) ** (q * (q - 1) // 2 + sum(alpha))
+            for key, g in op.terms.items():
+                _add_into(out, key, g if sign == 1 else -g)
+    return DensityOperator(dim, out)
 
 
 # ---------------------------------------------------------------------------
@@ -706,17 +664,13 @@ def _generating_operator(triple: BracketTriple, a: Mapping[int, SuperFunction],
         (1/2) |Dx|^lam ( S^ij d_j d_i + 2 gamma^i w d_i + theta w^2
             + a^i d_i + b w ).
     """
-    dim = triple.dim
-    pieces = [(s_ij, [j, i], 0) for (i, j), s_ij in triple.s.comps.items()]
-    pieces += [(g.scale(2), [i], 1) for i, g in triple.gamma.items()]
-    pieces += [(triple.theta, [], 2)]
-    pieces += [(a_i, [i], 0) for i, a_i in a.items()]
-    pieces += [(b, [], 1)]
-    total = DensityOperator.zero(dim)
-    for f, derivs, wpow in pieces:
-        coeff = DensityElement(dim, {triple.weight: f.scale(Fraction(1, 2))})
-        total = total + DensityOperator.from_written(coeff, derivs, wpow)
-    return total
+    lam, half = triple.weight, Fraction(1, 2)
+    pieces = [(lam, s_ij.scale(half), (j, i), 0)
+              for (i, j), s_ij in triple.s.comps.items()]
+    pieces += [(lam, g, (i,), 1) for i, g in triple.gamma.items()]
+    pieces += [(lam, a_i.scale(half), (i,), 0) for i, a_i in a.items()]
+    pieces += [(lam, triple.theta.scale(half), (), 2), (lam, b.scale(half), (), 1)]
+    return _assemble(triple.dim, pieces)
 
 
 def canonical_operator(triple: BracketTriple) -> DensityOperator:
@@ -754,13 +708,10 @@ def laplacian_vector(s: Sym2Upper, pi: ProjectiveClass) -> dict:
 def projective_laplacian(s: Sym2Upper, pi: ProjectiveClass) -> DensityOperator:
     """S^ij d_j d_i + T^i d_i with T = `laplacian_vector`, acting on weight-0
     densities."""
-    first = laplacian_vector(s, pi)
-    total = DensityOperator.zero(s.dim)
-    for (i, j), s_ij in s.comps.items():
-        total = total + DensityOperator.from_written(DensityElement.of(s_ij), [j, i])
-    for i, t_i in first.items():
-        total = total + DensityOperator.from_written(DensityElement.of(t_i), [i])
-    return total
+    zero = Fraction(0)
+    pieces = [(zero, s_ij, (j, i), 0) for (i, j), s_ij in s.comps.items()]
+    pieces += [(zero, t_i, (i,), 0) for i, t_i in laplacian_vector(s, pi).items()]
+    return _assemble(s.dim, pieces)
 
 
 def upper_gamma(s: Sym2Upper, pi: ProjectiveClass) -> dict:

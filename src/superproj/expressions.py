@@ -14,7 +14,8 @@ be a nonzero even scalar free of odd generators; rational constants like
 ``3/4`` are the special case of constant operands.  An exponent literal
 above :data:`MAX_EXPONENT` is refused with a located ``ParseError``, and so
 is a product, quotient or power whose term count may exceed
-:data:`MAX_TERMS`, before it is computed.
+:data:`MAX_TERMS` or whose integers may exceed :data:`MAX_BITS` bits, before
+it is computed.
 """
 
 from __future__ import annotations
@@ -30,10 +31,17 @@ from .graded_algebra import Dimension, SuperFunction, numer_denom
 MAX_EXPONENT = 16
 
 # Largest term count a product, quotient or power may reach by the bound of
-# `_term_bound`: nested powers such as ((x1+x2+1)^16)^16 keep every literal
+# `_bounds`: nested powers such as ((x1+x2+1)^16)^16 keep every literal
 # within MAX_EXPONENT, yet their work explodes.  The largest power of
 # x1+...+x6 within the limit is the 13th, with 8,568 terms.
 MAX_TERMS = 10_000
+
+# Largest bit size an integer of a product, quotient or power may reach by
+# the bound of `_bounds`: nested powers of a constant keep every literal
+# and term count small, yet ((((((2)^16)^16)^16)^16)^16)^16 has 16.8 million
+# bits.  Four nested ^16 on 2 (65,537 bits) are within the limit, five
+# (1,048,577 bits) are not.
+MAX_BITS = 2 ** 20
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*/^]))")
 
@@ -77,16 +85,33 @@ def _terms(f: SuperFunction) -> int:
     return sum(max(len(p) for p in numer_denom(c)) for c in f.terms.values())
 
 
-def _term_bound(op: str, a: SuperFunction, b) -> int:
-    """An upper bound on the terms of ``a * b`` or ``a / b`` (b a function):
-    len(a)·len(b); or of ``a ^ b`` (b an int): C(len(a)+|b|-1, |b|), the
-    number of multisets of |b| terms of a.  Exact for polynomial
-    coefficients; for fractions it counts the larger of numerator and
-    denominator."""
+def _bits(f: SuperFunction) -> int:
+    """Bit size of the largest integer in f's numerators and denominators."""
+    return max((abs(c).bit_length() for coeff in f.terms.values()
+                for p in numer_denom(coeff) for c in p.num.values()), default=0)
+
+
+def _log2(t: int) -> int:
+    """ceil(log2 t) for t >= 1, and 0 for t = 0."""
+    return (max(t, 1) - 1).bit_length()
+
+
+def _bounds(op: str, a: SuperFunction, b) -> tuple[int, int]:
+    """Upper bounds on the terms and on the integer bit size of ``a * b`` or
+    ``a / b`` (b a function), or of ``a ^ b`` (b an int).
+
+    Terms: len(a)·len(b), or C(len(a)+|b|-1, |b|), the number of multisets
+    of |b| terms of a.  Bits: bits(a) + bits(b) + ceil(log2 min(len(a),
+    len(b))), since a coefficient of a product sums at most that many
+    products of coefficients; or |b|·(bits(a) + ceil(log2 len(a))).  Exact
+    for integer polynomial coefficients; for fractions they count the larger
+    of numerator and denominator."""
+    ta = _terms(a)
     if op == "^":
         k = abs(b)
-        return math.comb(_terms(a) + k - 1, k) if k else 1
-    return _terms(a) * _terms(b)
+        return (math.comb(ta + k - 1, k) if k else 1), k * (_bits(a) + _log2(ta))
+    tb = _terms(b)
+    return ta * tb, _bits(a) + _bits(b) + _log2(min(ta, tb))
 
 
 class _Parser:
@@ -108,11 +133,15 @@ class _Parser:
         raise ParseError(message, tok[2], tok[3])
 
     def bounded(self, tok, a, b):
-        """Refuse, at tok, an operation that may exceed MAX_TERMS terms."""
-        bound = _term_bound(tok[1], a, b)
-        if bound > MAX_TERMS:
-            self.error(f"{tok[1]!r} may give up to {bound} terms, over the "
+        """Refuse, at tok, an operation that may exceed MAX_TERMS terms or
+        MAX_BITS-bit integers."""
+        terms, bits = _bounds(tok[1], a, b)
+        if terms > MAX_TERMS:
+            self.error(f"{tok[1]!r} may give up to {terms} terms, over the "
                        f"limit {MAX_TERMS}", tok)
+        if bits > MAX_BITS:
+            self.error(f"{tok[1]!r} may give integers of up to {bits} bits, "
+                       f"over the limit {MAX_BITS}", tok)
 
     def parse(self) -> SuperFunction:
         value = self.expr()
@@ -211,7 +240,8 @@ NAME    : even coordinates x1..xn, odd coordinates th1..thm
           (the Thomas chart adds the even coordinate x0)
 INTEGER : nonnegative decimal literal; rationals are written p/q;
           exponents lie in -{MAX_EXPONENT}..{MAX_EXPONENT}
-A product, quotient or power that may exceed {MAX_TERMS} terms is refused.
+A product, quotient or power that may exceed {MAX_TERMS} terms, or
+integers of {MAX_BITS} bits, is refused.
 Division and negative powers require an even divisor free of odd
 generators.
 """

@@ -772,19 +772,22 @@ class SuperFunction:
         ring, _ = scalar_ring(self.dim)
         return self.terms.get((), ring.zero)
 
+    def _parities(self) -> set:
+        """The parities of the terms."""
+        return {len(k) % 2 for k in self.terms}
+
     def is_homogeneous(self) -> bool:
-        sizes = {len(k) % 2 for k in self.terms}
-        return len(sizes) <= 1
+        return len(self._parities()) <= 1
 
     def parity(self) -> Parity:
-        sizes = {len(k) % 2 for k in self.terms}
+        sizes = self._parities()
         if len(sizes) > 1:
             raise NonHomogeneous(f"mixed parity in {self}")
         return Parity(sizes.pop()) if sizes else Parity(EVEN)
 
     def has_parity(self, p) -> bool:
         """True if homogeneous of parity p (zero matches any parity)."""
-        return self.is_homogeneous() and (self.is_zero() or self.parity() == Parity(p))
+        return self._parities() <= {int(p) % 2}
 
     def parity_split(self) -> tuple["SuperFunction", "SuperFunction"]:
         ev = {k: c for k, c in self.terms.items() if len(k) % 2 == 0}

@@ -112,6 +112,30 @@ class TestOperators:
         for phi in density_test_family(D11, max_degree=2):
             assert both(phi) == d1(d2(phi))
 
+    def test_weight_shifts_sharing_a_derivative(self):
+        # three weight shifts on (d_x1 w, 1), one more on (1, 0)
+        half = Fraction(1, 2)
+        coeff = DensityElement(D21, {Fraction(1): expr(D21, "x2"),
+                                     -half: expr(D21, "th1*x1"),
+                                     Fraction(0): expr(D21, "x1 + 1")})
+        op = (DensityOperator.from_written(coeff, [0], 1)
+              + DensityOperator.mult(fn(D21, "3", half)))
+        d1 = (1, 0, 0)
+        assert set(op.terms) == {(d1, 1, -half), (d1, 1, 0), (d1, 1, 1),
+                                 ((0, 0, 0), 0, half)}
+        listed = [(tuple(t["derivatives"]), t["w_power"], Fraction(t["weight_shift"]))
+                  for t in op.serialize()]
+        assert listed == [((0, 0, 0), 0, half), (d1, 1, -half), (d1, 1, 0),
+                          (d1, 1, 1)]
+        phi = DensityElement(D21, {Fraction(0): expr(D21, "x1^2"),
+                                   Fraction(1, 3): expr(D21, "x1*x2 + th1"),
+                                   Fraction(2): expr(D21, "x1^3*th1")})
+        pieces = DensityElement.zero(D21)
+        for lam, f in phi.slices.items():
+            pieces = pieces + op(DensityElement(D21, {lam: f}))
+        assert op(phi) == pieces
+        assert len(op(phi).slices) > len(phi.slices)
+
     def test_odd_derivative_squares_to_zero(self):
         dth = DensityOperator.deriv(D11, 1)
         assert dth.compose(dth).is_zero()
@@ -402,8 +426,8 @@ class TestProjectiveLaplacian:
             want = div_term.scale(Fraction(1, 2)) - pi_term.scale(Fraction(1, 2))
             alpha = [0] * D21.size
             alpha[i] = 1
-            got = delta.terms.get((tuple(alpha), 0), DensityElement.zero(D21))
-            assert got == DensityElement.of(want)
+            got = delta.terms.get((tuple(alpha), 0, 0), SuperFunction.zero(D21))
+            assert got == want
 
     def test_classical_reduction(self):
         # m = 0: equals S d d + (2/(n+3) dS - (n+1)/(n+3) S Pi) d

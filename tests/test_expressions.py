@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from superproj.errors import ParseError
 from superproj.expressions import (
     GRAMMAR_HELP,
+    MAX_BITS,
     MAX_EXPONENT,
     MAX_TERMS,
     format_super,
@@ -87,6 +88,43 @@ def test_term_limit_of_a_power():
     assert err.value.column == 15
 
 
+# 2^65536 (65,537 bits), and 2^65535 (65,536 bits)
+TWO_65536 = "(((2^16)^16)^16)^16"
+TWO_65535 = f"({TWO_65536}/2)"
+
+
+def test_bit_limit_of_a_power():
+    one = Dimension.of(1, 0)
+    assert MAX_BITS == 2 ** 20
+    assert parse_expression(one, TWO_65536) == SuperFunction.constant(one, 2 ** 65536)
+    # bound 16 * 65,536 = MAX_BITS: computed
+    assert parse_expression(one, TWO_65535 + "^16") == SuperFunction.constant(
+        one, 2 ** (16 * 65535))
+    # bound 16 * 65,537 = MAX_BITS + 16: refused at the fifth '^'
+    text = f"({TWO_65536})^16"
+    with pytest.raises(ParseError) as err:
+        parse_expression(one, text)
+    assert err.value.column == len(text) - 3
+    assert f"up to {MAX_BITS + 16} bits, over the limit {MAX_BITS}" in str(err.value)
+
+
+@pytest.mark.parametrize("factor, bound", [
+    (2 ** 12, MAX_BITS - 2),  # 1,048,561 + 13 bits
+    (2 ** 16, MAX_BITS + 2),  # 1,048,561 + 17 bits
+])
+def test_bit_limit_of_a_product(factor, bound):
+    one = Dimension.of(1, 0)
+    text = f"{TWO_65535}^16*{factor}"
+    if bound <= MAX_BITS:
+        assert parse_expression(one, text) == SuperFunction.constant(
+            one, 2 ** (16 * 65535) * factor)
+        return
+    with pytest.raises(ParseError) as err:
+        parse_expression(one, text)
+    assert err.value.column == text.index("*")
+    assert f"up to {bound} bits, over the limit {MAX_BITS}" in str(err.value)
+
+
 def test_power_by_squaring_matches_repeated_products():
     f = parse_expression(D, "x1 + 2*x2*th1 - th1*th2/3 + 1")
     acc = SuperFunction.one(D)
@@ -133,3 +171,4 @@ def test_roundtrip_with_denominators(seed):
 
 def test_grammar_help_mentions_names():
     assert "x1..xn" in GRAMMAR_HELP and "th1..thm" in GRAMMAR_HELP
+    assert f"{MAX_BITS} bits" in GRAMMAR_HELP

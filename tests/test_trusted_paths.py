@@ -1,5 +1,5 @@
 """Results of operations are built without validation (``SuperFunction._of``,
-``DensityElement._of``, ``DensityOperator._of``); these tests check that each
+``DensityElement._of``); these tests check that each
 such result is exactly what the validating constructors would build, and
 that a coordinate change's substitution plans give fresh substitutions'
 results.
