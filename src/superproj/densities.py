@@ -188,6 +188,7 @@ class DensityElement:
 
 
 def _add_into(out: dict, key, f) -> None:
+    """Add f into out[key], which may be absent."""
     out[key] = out[key] + f if key in out else f
 
 

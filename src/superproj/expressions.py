@@ -103,8 +103,8 @@ def _bounds(op: str, a: SuperFunction, b) -> tuple[int, int]:
     Terms: len(a)·len(b), or C(len(a)+|b|-1, |b|), the number of multisets
     of |b| terms of a.  Bits: bits(a) + bits(b) + ceil(log2 min(len(a),
     len(b))), since a coefficient of a product sums at most that many
-    products of coefficients; or |b|·(bits(a) + ceil(log2 len(a))).  Exact
-    for integer polynomial coefficients; for fractions they count the larger
+    products of coefficients; or |b|·(bits(a) + ceil(log2 len(a))).  Both
+    hold for polynomial coefficients; for fractions they count the larger
     of numerator and denominator."""
     ta = _terms(a)
     if op == "^":
