@@ -22,16 +22,18 @@ import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from typing import Callable, Mapping, Optional
 
 from . import poisson_bv, thomas
 from .densities import (
     BracketTriple,
     DensityElement,
+    _four_term,
     canonical_operator,
     density_test_family,
     formal_adjoint,
-    generated_bracket,
+    generators,
     projective_laplacian,
 )
 from .errors import KernelError, ParseError, ValidationError
@@ -296,7 +298,13 @@ def parse_scenario(text: str) -> Scenario:
         for arg in handler.requires:
             if arg not in chk:
                 raise ValidationError(f"checks[{pos}] ({kind}): missing {arg!r}")
-        for arg, pool in {**handler.requires, **handler.optional}.items():
+        known = {**handler.requires, **handler.optional}
+        for arg in chk:
+            if arg != "check" and arg not in known:
+                raise ValidationError(
+                    f"checks[{pos}] ({kind}): unknown argument {arg!r}; known: "
+                    + ", ".join(sorted(known)))
+        for arg, pool in known.items():
             if arg not in chk:
                 continue
             if pool is None:  # a rational value, not a name
@@ -319,9 +327,9 @@ def emit_scenario(s: Scenario) -> str:
     doc = {
         "dimension": {"n": s.dim.n, "m": s.dim.m},
         "expressions": {k: format_super(v) for k, v in sorted(s.expressions.items())},
-        "connections": {k: _table3_residuals(v)
+        "connections": {k: _residual_map(_table3(v).items())
                         for k, v in sorted(s.connections.items())},
-        "projective_classes": {k: _table3_residuals(v)
+        "projective_classes": {k: _residual_map(_table3(v).items())
                                for k, v in sorted(s.projective_classes.items())},
         "tensors": {
             k: {
@@ -367,54 +375,51 @@ def emit_scenario(s: Scenario) -> str:
 
 @dataclass(frozen=True)
 class CheckHandler:
+    """`run(scenario, check)` returns (conditions, info) for `run_checks`;
+    `requires` and `optional` map each argument to its scenario section, or
+    to None for a rational value."""
+
     run: Callable
     requires: Mapping[str, Optional[str]] = field(default_factory=dict)
     optional: Mapping[str, Optional[str]] = field(default_factory=dict)
 
 
 def _residual_map(pairs) -> dict:
+    """key -> printed value for the nonzero values, each a SuperFunction or
+    a DensityElement."""
     out = {}
     for key, val in pairs:
+        if val.is_zero():
+            continue
         if isinstance(val, DensityElement):
-            parts = [f"({format_super(f)})*Vol^{w}" for w, f in sorted(val.slices.items())]
-            if parts:
-                out[key] = " + ".join(parts)
-        elif isinstance(val, SuperFunction):
-            if not val.is_zero():
-                out[key] = format_super(val)
+            out[key] = " + ".join(f"({format_super(f)})*Vol^{w}"
+                                  for w, f in sorted(val.slices.items()))
+        else:
+            out[key] = format_super(val)
     return out
 
 
-def _table3_residuals(t: Sym2Cov) -> dict:
-    """The nonzero components of a connection-type tensor, keyed "k,i,j"."""
-    return _residual_map((f"{k + 1},{i + 1},{j + 1}", v)
-                         for (k, i, j), v in sorted(t.comps.items()))
+def _table3(t: Sym2Cov) -> dict:
+    """The components of a connection-type tensor, keyed "k,i,j"."""
+    return {f"{k + 1},{i + 1},{j + 1}": v for (k, i, j), v in sorted(t.comps.items())}
 
 
-def _check_projective_class(s: Scenario, chk: dict) -> dict:
-    gamma = s.connections[chk["connection"]]
-    return {"verdict": "pass",
-            "info": {"components": _table3_residuals(projective_class(gamma))}}
+def _check_projective_class(s: Scenario, chk: dict) -> tuple:
+    pc = projective_class(s.connections[chk["connection"]])
+    return {}, {"components": _residual_map(_table3(pc).items())}
 
 
-def _vanishing_report(t: Sym2Cov) -> dict:
-    """Pass iff the connection-type tensor t vanishes; else its table."""
-    if t.is_zero():
-        return {"verdict": "pass"}
-    return {"verdict": "fail", "residuals": _table3_residuals(t)}
-
-
-def _check_projectively_equivalent(s: Scenario, chk: dict) -> dict:
+def _check_projectively_equivalent(s: Scenario, chk: dict) -> tuple:
     diff = (projective_class(s.connections[chk["left"]])
             - projective_class(s.connections[chk["right"]]))
-    return {**_vanishing_report(diff), "info": {"equivalent": diff.is_zero()}}
+    return _table3(diff), {"equivalent": diff.is_zero()}
 
 
-def _check_schwarzian_vanishes(s: Scenario, chk: dict) -> dict:
-    return _vanishing_report(super_schwarzian(s.changes[chk["change"]]))
+def _check_schwarzian_vanishes(s: Scenario, chk: dict) -> tuple:
+    return _table3(super_schwarzian(s.changes[chk["change"]])), {}
 
 
-def _check_schwarzian_defect(s: Scenario, chk: dict) -> dict:
+def _check_schwarzian_defect(s: Scenario, chk: dict) -> tuple:
     change = s.changes[chk["change"]]
     dim = s.dim
     gamma = (s.connections[chk["connection"]]
@@ -422,10 +427,10 @@ def _check_schwarzian_defect(s: Scenario, chk: dict) -> dict:
     lhs = projective_class(transform_connection(gamma, change))
     rhs = (transform_sym2cov(projective_class(gamma), change)
            + super_schwarzian(change.inverted()))
-    return _vanishing_report(lhs - rhs)
+    return _table3(lhs - rhs), {}
 
 
-def _check_laplacian_invariance(s: Scenario, chk: dict) -> dict:
+def _check_laplacian_invariance(s: Scenario, chk: dict) -> tuple:
     tensor = s.tensors[chk["tensor"]]
     pc = s.projective_classes[chk["projective_class"]]
     change = s.changes[chk["change"]]
@@ -433,13 +438,13 @@ def _check_laplacian_invariance(s: Scenario, chk: dict) -> dict:
     pc_new = projective_class(transform_connection(pc, change))
     tensor_new = transform_upper2(tensor, change)
     op_tgt = projective_laplacian(tensor_new, pc_new)
-    return _intertwining_report(change, op_src, op_tgt)
+    return _intertwining_conditions(change, op_src, op_tgt), {}
 
 
-def _intertwining_report(change: CoordinateChange, op_src, op_tgt) -> dict:
-    """Pass iff op_src(c* phi) = c*(op_tgt phi) for every weight-0 phi,
-    for operators of order <= 2.  A failure lists the residual on each
-    failing element of the test family."""
+def _intertwining_conditions(change: CoordinateChange, op_src, op_tgt) -> dict:
+    """Conditions that hold iff op_src(c* phi) = c*(op_tgt phi) for every
+    weight-0 phi, for operators of order <= 2: none when they agree, else
+    the defect on each element of the test family."""
     dim = change.dim
 
     def defect(phi: SuperFunction) -> DensityElement:
@@ -449,14 +454,10 @@ def _intertwining_report(change: CoordinateChange, op_src, op_tgt) -> dict:
     # Both sides are c* composed with an operator of order <= 2, and c* is
     # injective, so they agree iff they agree on 1, x^a and x^a x^b.
     if all(defect(phi).is_zero() for phi in _order2_basis(dim)):
-        return {"verdict": "pass"}
+        return {}
     family = density_test_family(dim, weights=(Fraction(0),), max_degree=3)
-    bad = {}
-    for idx, phi in enumerate(family):
-        diff = defect(phi.slice(0))
-        if not diff.is_zero():
-            bad[f"family[{idx}]"] = diff
-    return {"verdict": "fail", "residuals": _residual_map(bad.items())}
+    return {f"family[{idx}]": defect(phi.slice(0))
+            for idx, phi in enumerate(family)}
 
 
 def _order2_basis(dim: Dimension) -> list:
@@ -468,124 +469,102 @@ def _order2_basis(dim: Dimension) -> list:
               for b in range(a, dim.size) if a != b or not dim.parity(a))]
 
 
-def _check_canonical_operator(s: Scenario, chk: dict) -> dict:
+def _check_canonical_operator(s: Scenario, chk: dict) -> tuple:
     triple = s.triples[chk["triple"]]
     dim = s.dim
     delta = canonical_operator(triple)
-    one = DensityElement.of(SuperFunction.one(dim))
-    residuals = {}
-    constant_free = delta(one)
-    if not constant_free.is_zero():
-        residuals["Delta(1)"] = constant_free
+    d_1 = delta(DensityElement.of(SuperFunction.one(dim)))
+    conditions = {"Delta(1)": d_1}
     if formal_adjoint(delta) != delta:
-        residuals["self_adjoint"] = SuperFunction.one(dim)
-    gens = [DensityElement.of(SuperFunction.coordinate(dim, i))
-            for i in range(dim.size)]
-    vol = DensityElement.volume(dim)
+        conditions["self_adjoint"] = SuperFunction.one(dim)
+    # One four-term bracket per sorted pair p <= q of the generators
+    # g = x^1 .. x^{n+m}, |Dx|, from the values of delta on 1, on each
+    # generator and on each product.
+    gens = generators(dim)
+    d_gens = [delta(g) for g in gens]
+    dp = int(delta.parity())
+    size = dim.size
+    defects = {}
+    for p, q in combinations_with_replacement(range(size + 1), 2):
+        ab = gens[p] * gens[q]
+        got = _four_term(dp, gens[p], gens[q], ab,
+                         (d_gens[p], d_gens[q], delta(ab), d_1))
+        # the triple's value S^pq, gamma^p or theta, by the |Dx| in the pair
+        vols = (p == size) + (q == size)
+        want = (triple.s.component(p, q) if vols == 0
+                else triple.gamma_component(p) if vols == 1 else triple.theta)
+        defects[p, q] = got - DensityElement(dim, {triple.weight + vols: want})
     # The four-term bracket of any operator is graded-symmetric, and so is
     # S, so the (i, j) defect is (-1)^{i~j~} times the (j, i) one.
-    defects = {}
-    for i in range(dim.size):
-        for j in range(dim.size):
-            if i <= j:
-                got = generated_bracket(delta, gens[i], gens[j])
-                want = DensityElement(dim, {triple.weight: triple.s.component(i, j)})
-                defects[i, j] = got - want
-            else:
-                defects[i, j] = defects[j, i].scale(dim.mirror_sign(i, j))
-            if not defects[i, j].is_zero():
-                residuals[f"generates_S^{i + 1}{j + 1}"] = defects[i, j]
-    for i in range(dim.size):
-        got = generated_bracket(delta, gens[i], vol)
-        want = DensityElement(dim, {triple.weight + 1: triple.gamma_component(i)})
-        if not (got - want).is_zero():
-            residuals[f"generates_gamma^{i + 1}"] = got - want
-    got = generated_bracket(delta, vol, vol)
-    want = DensityElement(dim, {triple.weight + 2: triple.theta})
-    if not (got - want).is_zero():
-        residuals["generates_theta"] = got - want
-    residuals = _residual_map(residuals.items())
-    return {"verdict": "pass" if not residuals else "fail",
-            "residuals": residuals}
+    for i in range(size):
+        for j in range(size):
+            conditions[f"generates_S^{i + 1}{j + 1}"] = (
+                defects[i, j] if i <= j
+                else defects[j, i].scale(dim.mirror_sign(i, j)))
+    for i in range(size):
+        conditions[f"generates_gamma^{i + 1}"] = defects[i, size]
+    conditions["generates_theta"] = defects[size, size]
+    return conditions, {}
 
 
-def _check_thomas_lift(s: Scenario, chk: dict) -> dict:
+def _check_thomas_lift(s: Scenario, chk: dict) -> tuple:
     pc = s.projective_classes[chk["projective_class"]]
     chart = thomas.TildeChart(s.dim)
     tilde = thomas.lift_projective_class(pc)
-    residuals = {}
     trace = div_trace(tilde)
-    for i in range(chart.ext.size):
-        if not trace.component(i).is_zero():
-            residuals[f"trace^{i}"] = trace.component(i)
+    conditions = {f"trace^{i}": trace.component(i) for i in range(chart.ext.size)}
     for (k, i, j), val in pc.comps.items():
-        diff = tilde.component(k + 1, i + 1, j + 1) - chart.embed(val)
-        if not diff.is_zero():
-            residuals[f"restriction {k + 1},{i + 1},{j + 1}"] = diff
+        conditions[f"restriction {k + 1},{i + 1},{j + 1}"] = (
+            tilde.component(k + 1, i + 1, j + 1) - chart.embed(val))
     comps = {f"{k},{i},{j}": format_super(v)
              for (k, i, j), v in sorted(tilde.comps.items())}
-    residuals = _residual_map(residuals.items())
-    return {"verdict": "pass" if not residuals else "fail",
-            "residuals": residuals, "info": {"lifted_components": comps}}
+    return conditions, {"lifted_components": comps}
 
 
-def _check_extension_consistency(s: Scenario, chk: dict) -> dict:
+def _check_extension_consistency(s: Scenario, chk: dict) -> tuple:
     tensor = s.tensors[chk["tensor"]]
     pc = s.projective_classes[chk["projective_class"]]
     weight = _parse_fraction(chk.get("weight", "0"), "extension_consistency.weight")
     # one tilde_ricci for both sides; at n - m = +-1 extend_bracket raises first
     ricci = None if s.dim.n0 in (1, -1) else thomas.tilde_ricci(pc)
     triple = thomas.extend_bracket(tensor, pc, weight, ricci)
-    lhs = canonical_operator(triple)
-    rhs = thomas.extension_operator(triple, pc, ricci)
-    if lhs == rhs:
-        return {"verdict": "pass",
-                "info": {"gamma": {f"{i + 1}": format_super(v)
-                                   for i, v in sorted(triple.gamma.items())},
-                         "theta": format_super(triple.theta)}}
-    diff = lhs - rhs
-    residuals = {}
-    for term in diff.serialize():
-        key = f"d^{term['derivatives']} w^{term['w_power']}"
-        residuals[key] = (f"({term['coefficient']})"
-                          f"*Vol^{term['weight_shift']}")
-    return {"verdict": "fail", "residuals": residuals}
+    diff = canonical_operator(triple) - thomas.extension_operator(triple, pc, ricci)
+    # both operators have the one weight shift |Dx|^weight, so d^alpha w^k
+    # names a term of the difference
+    conditions = {f"d^{list(alpha)} w^{k}": DensityElement(s.dim, {mu: f})
+                  for (alpha, k, mu), f in sorted(diff.terms.items())}
+    if conditions:  # the extension's components are shown on agreement only
+        return conditions, {}
+    return {}, {"gamma": {f"{i + 1}": format_super(v)
+                          for i, v in sorted(triple.gamma.items())},
+                "theta": format_super(triple.theta)}
 
 
-def _report_from_conditions(rep) -> dict:
-    residuals = _residual_map(rep.conditions.items())
-    info = {}
-    for key, val in rep.info.items():
-        if isinstance(val, (bool, int, str)):
-            info[key] = val
-    return {"verdict": "pass" if rep.satisfied else "fail",
-            "residuals": residuals, "info": info}
-
-
-def _check_bv(s: Scenario, chk: dict) -> dict:
+def _check_bv(s: Scenario, chk: dict) -> tuple:
     tensor = s.tensors[chk["tensor"]]
     pc = s.projective_classes[chk["projective_class"]]
-    return _report_from_conditions(poisson_bv.bv_check(tensor, pc))
+    rep = poisson_bv.bv_check(tensor, pc)
+    return rep.conditions, rep.info
 
 
-def _check_density_jacobi(s: Scenario, chk: dict) -> dict:
-    triple = s.triples[chk["triple"]]
-    return _report_from_conditions(poisson_bv.density_jacobi_check(triple))
+def _check_density_jacobi(s: Scenario, chk: dict) -> tuple:
+    rep = poisson_bv.density_jacobi_check(s.triples[chk["triple"]])
+    return rep.conditions, rep.info
 
 
-def _check_symplectic_canonical(s: Scenario, chk: dict) -> dict:
+def _check_symplectic_canonical(s: Scenario, chk: dict) -> tuple:
     triple = s.triples[chk["triple"]]
     rho = s.volume_forms[chk["volume"]]
-    return _report_from_conditions(
-        poisson_bv.symplectic_canonical_check(triple, rho))
+    rep = poisson_bv.symplectic_canonical_check(triple, rho)
+    return rep.conditions, rep.info
 
 
-def _check_projective_poisson(s: Scenario, chk: dict) -> dict:
+def _check_projective_poisson(s: Scenario, chk: dict) -> tuple:
     tensor = s.tensors[chk["tensor"]]
     pc = s.projective_classes[chk["projective_class"]]
     rho = s.volume_forms[chk["volume"]]
-    return _report_from_conditions(
-        poisson_bv.projective_poisson_check(tensor, pc, rho))
+    rep = poisson_bv.projective_poisson_check(tensor, pc, rho)
+    return rep.conditions, rep.info
 
 
 CHECK_HANDLERS = {
@@ -637,7 +616,10 @@ class Report:
 
 
 def run_checks(s: Scenario, only: Optional[set] = None) -> Report:
-    """Run every requested check; failures and errors never abort siblings."""
+    """Run every requested check; failures and errors never abort siblings.
+    A check passes iff every condition its handler returns is zero; its
+    residuals are the nonzero ones, and its info keeps the bool, int, str
+    and dict values, never kernel objects such as witnesses."""
     results = []
     for items in s.checks:
         chk = dict(items)
@@ -648,12 +630,15 @@ def run_checks(s: Scenario, only: Optional[set] = None) -> Report:
         entry.update({k: v for k, v in chk.items() if k != "check"})
         start = time.perf_counter()
         try:
-            outcome = CHECK_HANDLERS[kind].run(s, chk)
-            entry["verdict"] = outcome.get("verdict", "error")
-            if outcome.get("residuals"):
-                entry["residuals"] = outcome["residuals"]
-            if outcome.get("info"):
-                entry["info"] = outcome["info"]
+            conditions, info = CHECK_HANDLERS[kind].run(s, chk)
+            residuals = _residual_map(conditions.items())
+            entry["verdict"] = "fail" if residuals else "pass"
+            if residuals:
+                entry["residuals"] = residuals
+            info = {key: val for key, val in info.items()
+                    if isinstance(val, (bool, int, str, dict))}
+            if info:
+                entry["info"] = info
         except Exception as exc:  # one check's error never aborts its siblings
             entry["verdict"] = "error"
             entry["error"] = f"{type(exc).__name__}: {exc}"
@@ -715,6 +700,11 @@ def main(argv=None) -> int:
     if args.command == "grammar":
         sys.stdout.write(GRAMMAR_HELP)
         return 0
+    unknown = sorted(set(getattr(args, "only", None) or ()) - set(CHECK_HANDLERS))
+    if unknown:
+        sys.stderr.write(f"--only: unknown check {unknown[0]!r}; known: "
+                         + ", ".join(sorted(CHECK_HANDLERS)) + "\n")
+        return 1
     try:
         with open(args.scenario, "r", encoding="utf-8") as fh:
             text = fh.read()

@@ -16,15 +16,19 @@ act independently on the slice family, normal forms are faithful:
 structural equality of operators is extensional equality, and it is the
 verdict every check uses.  `operators_equal` evaluates both operators on a
 spanning family of test densities; it is kept as a cross-check for the
-tests.
+tests.  `generators` lists the generators x^1 .. x^{n+m}, |Dx| of the
+algebra, in that order: the density Jacobi and canonical-operator checks
+run over its sorted pairs and triples.
 
 Normalization notes (constraints, not derivable from the code):
 
-* `generated_bracket` is the literal four-term combination; applied to the
-  second-order operator ``S^{ij} d_j d_i`` it produces the bracket with
-  coordinate values ``2 S^{ij}``.  The canonical generating operator of a
-  triple therefore carries a global factor 1/2 so that it generates exactly
-  the bracket whose coordinate components are the triple entries.
+* the four-term combination lives in `_four_term`, which takes the values
+  of the operator, so `generated_bracket` and the canonical-operator check
+  share it; applied to the second-order operator ``S^{ij} d_j d_i`` it
+  produces the bracket with coordinate values ``2 S^{ij}``.  The canonical
+  generating operator of a triple therefore carries a global factor 1/2 so
+  that it generates exactly the bracket whose coordinate components are the
+  triple entries.
 * the adjoint is taken with respect to the pairing of weights summing to 1,
   with the graded convention <D a, b> = (-1)^{D~a~} <a, D+ b>; primitive
   adjoints are (mult f)+ = mult f, (d_i)+ = -d_i, w+ = 1 - w, and products
@@ -582,20 +586,33 @@ def _partials(f: SuperFunction):
     return d
 
 
+def generators(dim: Dimension) -> list:
+    """The generators of the density algebra, x^1 .. x^{n+m} and then |Dx|."""
+    return [*(DensityElement.of(SuperFunction.coordinate(dim, i))
+              for i in range(dim.size)), DensityElement.volume(dim)]
+
+
+def _four_term(dp: int, a: DensityElement, b: DensityElement,
+               ab: DensityElement, values) -> DensityElement:
+    """{a,b} = D(ab) - a D(b) (-1)^{a~D~} - D(a) b + a b D(1) (-1)^{(a~+b~)D~}
+    for an operator D of parity dp, from the product ab = a b and
+    values = (D(a), D(b), D(ab), D(1))."""
+    pa, pb = int(a.parity()), int(b.parity())
+    d_a, d_b, d_ab, d_1 = values
+    out = d_ab - (a * d_b).scale((-1) ** (pa * dp)) - d_a * b
+    return out + (ab * d_1).scale((-1) ** ((pa + pb) * dp))
+
+
 def generated_bracket(delta: DensityOperator, a: DensityElement,
                       b: DensityElement) -> DensityElement:
-    """{a,b} = D(ab) - a D(b) (-1)^{a~D~} - D(a) b + a b D(1) (-1)^{(a~+b~)D~}."""
+    """The four-term bracket `_four_term` of delta on a and b."""
     for arg in (a, b):
         if not arg.is_homogeneous():
             raise NonHomogeneous("bracket arguments must be parity homogeneous")
-    dp = int(delta.parity())
-    pa, pb = int(a.parity()), int(b.parity())
+    ab = a * b
     one = DensityElement.of(SuperFunction.one(delta.dim))
-    out = delta(a * b)
-    out = out - (a * delta(b)).scale((-1) ** (pa * dp))
-    out = out - delta(a) * b
-    out = out + (a * b * delta(one)).scale((-1) ** ((pa + pb) * dp))
-    return out
+    return _four_term(int(delta.parity()), a, b, ab,
+                      (delta(a), delta(b), delta(ab), delta(one)))
 
 
 # ---------------------------------------------------------------------------

@@ -177,7 +177,6 @@ class ConditionReport:
     that do not enter ``satisfied``.
     """
 
-    title: str
     conditions: Mapping[str, object]
     info: Mapping[str, object] = field(default_factory=dict)
 
@@ -254,7 +253,7 @@ def bv_check(s: Sym2Upper, pi: ProjectiveClass) -> ConditionReport:
     }
     report_info["verdicts_agree"] = (
         report_info["formula_square_zero"] == square_zero)
-    return ConditionReport("batalin-vilkovisky", conditions, report_info)
+    return ConditionReport(conditions, report_info)
 
 
 # ---------------------------------------------------------------------------
@@ -270,14 +269,6 @@ def _triple_hamiltonians(triple: BracketTriple):
         gamma_ph = gamma_ph + to_phase(g, dim) * momentum(dim, i)
     theta_ph = to_phase(triple.theta, dim)
     return s_ph, gamma_ph, theta_ph
-
-
-def _default_jacobi_family(dim: Dimension):
-    """The generators of the density algebra: the coordinates and |Dx|."""
-    out = [DensityElement.of(SuperFunction.coordinate(dim, i))
-           for i in range(dim.size)]
-    out.append(DensityElement.volume(dim))
-    return out
 
 
 def _odd_bracket(triple: BracketTriple, u: DensityElement, pu: int,
@@ -347,7 +338,7 @@ def density_jacobi_check(triple: BracketTriple) -> ConditionReport:
             + canonical_pb(gamma_ph, gamma_ph, dim).scale(2)),
         "(gamma,theta)": canonical_pb(gamma_ph, theta_ph, dim),
     }
-    generators = _default_jacobi_family(dim)
+    generators = densities.generators(dim)
     parity = [dim.parity(i) for i in range(dim.size)] + [EVEN]
     table = {(p, q): _odd_bracket(triple, generators[p], parity[p], generators[q])
              for p, q in combinations_with_replacement(range(len(generators)), 2)}
@@ -377,7 +368,7 @@ def density_jacobi_check(triple: BracketTriple) -> ConditionReport:
     }
     if witness is not None:
         info["jacobi_witness"] = witness
-    return ConditionReport("density-jacobi", conditions, info)
+    return ConditionReport(conditions, info)
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +430,7 @@ def symplectic_canonical_check(triple: BracketTriple,
     for k in range(dim.size):
         theta_want = theta_want + triple.gamma_component(k) * lower[k]
     conditions["theta-gamma^k*gamma_k"] = triple.theta - theta_want
-    return ConditionReport("odd-symplectic-canonical", conditions)
+    return ConditionReport(conditions)
 
 
 def projective_poisson_check(s: Sym2Upper, pi: ProjectiveClass,
@@ -480,4 +471,4 @@ def projective_poisson_check(s: Sym2Upper, pi: ProjectiveClass,
         "extension_jacobi_satisfied": dual.satisfied,
         "extension_report": dual,
     }
-    return ConditionReport("projective-odd-poisson", conditions, info)
+    return ConditionReport(conditions, info)

@@ -3,6 +3,7 @@ import dataclasses
 import decimal
 import json
 import random
+import re
 import sys
 import time
 from fractions import Fraction
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from superproj import cli, thomas
 from superproj.cli import (
     CHECK_HANDLERS,
-    _intertwining_report,
+    _intertwining_conditions,
     _residual_map,
     emit_report,
     emit_scenario,
@@ -25,6 +26,7 @@ from superproj.cli import (
 )
 from superproj.densities import (
     DensityElement,
+    DensityOperator,
     canonical_operator,
     density_test_family,
     formal_adjoint,
@@ -126,6 +128,23 @@ class TestParseScenario:
         }"""
         with pytest.raises(ValidationError):
             parse_scenario(doc)
+
+    def test_unknown_argument(self, tmp_path, capsys):
+        doc = json.dumps({
+            "dimension": {"n": 1, "m": 0},
+            "connections": {"G": {"1,1,1": "x1"}},
+            "changes": {"c": {"forward": ["2*x1"], "inverse": ["x1/2"]}},
+            "checks": [{"check": "schwarzian_defect", "change": "c",
+                        "conection": "G"}]})
+        message = ("checks[0] (schwarzian_defect): unknown argument "
+                   "'conection'; known: change, connection")
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            parse_scenario(doc)
+        path = tmp_path / "typo.json"
+        path.write_text(doc)
+        for command in ("validate", "run"):
+            assert main([command, str(path)]) == 1
+            assert message in capsys.readouterr().err
 
     def test_bad_expression_names_location(self):
         doc = """{
@@ -266,6 +285,24 @@ class TestRunChecks:
                             ("canonical_operator", "pass")]
         assert report.checks[1]["error"] == "ZeroDivisionError: planted"
 
+    def test_kernel_objects_stay_out_of_info(self, monkeypatch):
+        s = parse_scenario(DARBOUX)
+        one = SuperFunction.one(s.dim)
+
+        def planted(scenario, chk):
+            return {"zero": SuperFunction.zero(s.dim)}, {
+                "witness": (DensityElement.of(one),), "flag": True,
+                "order": 2, "name": "x", "table": {"1": "x1"},
+                "function": one}
+
+        monkeypatch.setitem(CHECK_HANDLERS, "density_jacobi", dataclasses.replace(
+            CHECK_HANDLERS["density_jacobi"], run=planted))
+        entry = run_checks(s, only={"density_jacobi"}).checks[0]
+        assert entry["verdict"] == "pass" and "residuals" not in entry
+        assert entry["info"] == {"flag": True, "order": 2, "name": "x",
+                                 "table": {"1": "x1"}}
+        json.dumps(entry)
+
     def test_extension_consistency_computes_tilde_ricci_once(self, monkeypatch):
         s = parse_scenario((SCENARIOS / "thomas_2_2.json").read_text())
         calls = []
@@ -338,6 +375,16 @@ class TestMain:
         assert main(["run", str(tmp_path / "missing.json")]) == 1
         capsys.readouterr()
         assert main(["grammar"]) == 0
+
+    def test_unknown_only_kind(self, tmp_path, capsys):
+        path = tmp_path / "darboux.json"
+        path.write_text(DARBOUX)
+        assert main(["run", str(path), "--only", "bv_check",
+                     "--only", "bv_chek"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("--only: unknown check 'bv_chek'; known: "
+                                + ", ".join(sorted(CHECK_HANDLERS)) + "\n")
 
     @pytest.mark.parametrize("exponent, code", [(16, 0), (17, 1)])
     def test_validate_exponent_limit(self, tmp_path, capsys, exponent, code):
@@ -517,15 +564,17 @@ class TestLaplacianInvarianceBasis:
            st.sampled_from(["transformed", "untransformed", "perturbed"]))
     def test_basis_verdict_equals_family_verdict(self, seed, dims, target):
         change, op_src, op_tgt = laplacian_pair(seed, dims, target)
-        report = _intertwining_report(change, op_src, op_tgt)
-        assert report["verdict"] == family_verdict(change, op_src, op_tgt)
+        residuals = _residual_map(
+            _intertwining_conditions(change, op_src, op_tgt).items())
+        verdict = "fail" if residuals else "pass"
+        assert verdict == family_verdict(change, op_src, op_tgt)
 
     def test_failure_keeps_family_residuals(self):
         change, op_src, op_tgt = laplacian_pair(7, (2, 1), "untransformed")
-        report = _intertwining_report(change, op_src, op_tgt)
-        assert report["verdict"] == "fail" == family_verdict(change, op_src, op_tgt)
-        assert report["residuals"]
-        assert all(key.startswith("family[") for key in report["residuals"])
+        residuals = _residual_map(
+            _intertwining_conditions(change, op_src, op_tgt).items())
+        assert residuals and "fail" == family_verdict(change, op_src, op_tgt)
+        assert all(key.startswith("family[") for key in residuals)
 
 
 def triple_scenario(n, m):
@@ -569,17 +618,20 @@ def all_pairs_residuals(triple, delta):
 class TestCanonicalOperatorCheck:
     @pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (2, 2)])
     def test_symmetric_pairs_evaluated_once(self, monkeypatch, n, m):
+        # delta is applied once to 1, once to each generator x^1 .. x^{n+m},
+        # |Dx| and once to each product of a sorted pair of them
         calls = []
+        real = DensityOperator.__call__
 
-        def counting(*args):
-            calls.append(args)
-            return generated_bracket(*args)
+        def counting(op, phi):
+            calls.append(phi)
+            return real(op, phi)
 
-        monkeypatch.setattr(cli, "generated_bracket", counting)
+        monkeypatch.setattr(DensityOperator, "__call__", counting)
         report = run_checks(triple_scenario(n, m))
         assert report.checks[0]["verdict"] == "pass"
-        size = n + m
-        assert len(calls) == size * (size + 1) // 2 + size + 1
+        gens = n + m + 1
+        assert len(calls) == 1 + gens + gens * (gens + 1) // 2
 
     def test_fail_report_equals_all_pairs_reference(self, monkeypatch):
         scenario = triple_scenario(2, 2)
