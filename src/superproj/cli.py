@@ -37,7 +37,7 @@ from .densities import (
     projective_laplacian,
 )
 from .errors import KernelError, ParseError, ValidationError
-from .expressions import GRAMMAR_HELP, format_super, parse_expression
+from .expressions import GRAMMAR_HELP, MAX_BITS, format_super, parse_expression
 from .geometry import (
     Connection,
     CoordinateChange,
@@ -75,12 +75,24 @@ class Scenario:
     changes: Mapping[str, CoordinateChange]
     triples: Mapping[str, BracketTriple]
     volume_forms: Mapping[str, SuperFunction]
-    checks: tuple
+    checks: tuple  # of (sorted check items, parsed rational arguments)
 
 
 def _parse_fraction(text, where) -> Fraction:
+    """A rational literal such as "1/2", "0.5", "1e3" or a JSON number; its
+    integers are below 10^(digits + |exponent|), and one that may exceed
+    MAX_BITS bits is refused before Fraction's superlinear parse."""
+    text = str(text)
+    mantissa, _, exponent = text.lower().partition("e")
+    exponent = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+    if exponent.isdecimal() or not exponent:
+        size = sum(map(str.isdecimal, mantissa)) + (
+            int(exponent or 0) if len(exponent) < 8 else MAX_BITS)
+        if size * 3322 // 1000 + 1 > MAX_BITS:  # log2(10) < 3.322
+            raise ValidationError(f"{where}: rational literal may give "
+                                  f"integers of over {MAX_BITS} bits")
     try:
-        return Fraction(str(text))
+        return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ValidationError(f"{where}: invalid rational {text!r}") from None
 
@@ -299,6 +311,7 @@ def parse_scenario(text: str) -> Scenario:
             if arg not in chk:
                 raise ValidationError(f"checks[{pos}] ({kind}): missing {arg!r}")
         known = {**handler.requires, **handler.optional}
+        rationals = {}
         for arg in chk:
             if arg != "check" and arg not in known:
                 raise ValidationError(
@@ -308,7 +321,8 @@ def parse_scenario(text: str) -> Scenario:
             if arg not in chk:
                 continue
             if pool is None:  # a rational value, not a name
-                _parse_fraction(chk[arg], f"checks[{pos}] ({kind}): {arg}")
+                rationals[arg] = _parse_fraction(
+                    chk[arg], f"checks[{pos}] ({kind}): {arg}")
                 continue
             if not isinstance(chk[arg], str):
                 raise ValidationError(
@@ -316,7 +330,7 @@ def parse_scenario(text: str) -> Scenario:
             if chk[arg] not in scenario_names[pool]:
                 raise ValidationError(
                     f"checks[{pos}] ({kind}): unresolved {arg} {chk[arg]!r}")
-        normalized.append(tuple(sorted(chk.items())))
+        normalized.append((tuple(sorted(chk.items())), rationals))
     return Scenario(dim, expressions, connections, pclasses, tensors, changes,
                     triples, volume_forms, tuple(normalized))
 
@@ -350,7 +364,7 @@ def emit_scenario(s: Scenario) -> str:
         "triples": {},
         "volume_forms": {k: format_super(v)
                          for k, v in sorted(s.volume_forms.items())},
-        "checks": [dict(items) for items in s.checks],
+        "checks": [dict(items) for items, _ in s.checks],
     }
     for name, t in sorted(s.triples.items()):
         s_name = None
@@ -377,7 +391,7 @@ def emit_scenario(s: Scenario) -> str:
 class CheckHandler:
     """`run(scenario, check)` returns (conditions, info) for `run_checks`;
     `requires` and `optional` map each argument to its scenario section, or
-    to None for a rational value."""
+    to None for a rational value, which `check` holds as a parsed Fraction."""
 
     run: Callable
     requires: Mapping[str, Optional[str]] = field(default_factory=dict)
@@ -524,7 +538,7 @@ def _check_thomas_lift(s: Scenario, chk: dict) -> tuple:
 def _check_extension_consistency(s: Scenario, chk: dict) -> tuple:
     tensor = s.tensors[chk["tensor"]]
     pc = s.projective_classes[chk["projective_class"]]
-    weight = _parse_fraction(chk.get("weight", "0"), "extension_consistency.weight")
+    weight = chk.get("weight", Fraction(0))
     # one tilde_ricci for both sides; at n - m = +-1 extend_bracket raises first
     ricci = None if s.dim.n0 in (1, -1) else thomas.tilde_ricci(pc)
     triple = thomas.extend_bracket(tensor, pc, weight, ricci)
@@ -621,7 +635,7 @@ def run_checks(s: Scenario, only: Optional[set] = None) -> Report:
     residuals are the nonzero ones, and its info keeps the bool, int, str
     and dict values, never kernel objects such as witnesses."""
     results = []
-    for items in s.checks:
+    for items, rationals in s.checks:
         chk = dict(items)
         kind = chk["check"]
         if only and kind not in only:
@@ -630,7 +644,7 @@ def run_checks(s: Scenario, only: Optional[set] = None) -> Report:
         entry.update({k: v for k, v in chk.items() if k != "check"})
         start = time.perf_counter()
         try:
-            conditions, info = CHECK_HANDLERS[kind].run(s, chk)
+            conditions, info = CHECK_HANDLERS[kind].run(s, {**chk, **rationals})
             residuals = _residual_map(conditions.items())
             entry["verdict"] = "fail" if residuals else "pass"
             if residuals:

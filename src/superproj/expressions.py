@@ -24,7 +24,7 @@ import math
 import re
 
 from .errors import ParseError, UnknownCoordinate
-from .graded_algebra import Dimension, SuperFunction, numer_denom
+from .graded_algebra import Dimension, Poly, SuperFunction, numer_denom
 
 # Largest |exponent| a power may carry; larger literals are refused before
 # any arithmetic, since the work grows with the exponent.
@@ -81,14 +81,18 @@ def _tokenize(text: str):
 
 def _terms(f: SuperFunction) -> int:
     """Terms of f: per odd monomial, those of its coefficient's numerator
-    or, if larger, of its denominator."""
-    return sum(max(len(p) for p in numer_denom(c)) for c in f.terms.values())
+    or, if larger, of its denominator (a polynomial's is one integer)."""
+    return sum(len(c) if type(c) is Poly else max(len(c.numer), len(c.denom))
+               for c in f.terms.values())
 
 
 def _bits(f: SuperFunction) -> int:
-    """Bit size of the largest integer in f's numerators and denominators."""
-    return max((abs(c).bit_length() for coeff in f.terms.values()
-                for p in numer_denom(coeff) for c in p.num.values()), default=0)
+    """Bit size of the largest integer in f's numerators and denominators
+    (a polynomial's common denominator, or a fraction's two polynomials)."""
+    polys = [p for c in f.terms.values()
+             for p in ((c,) if type(c) is Poly else (c.numer, c.denom))]
+    return max((max(p.den.bit_length(), *map(int.bit_length, p.num.values()))
+                for p in polys), default=0)
 
 
 def _log2(t: int) -> int:

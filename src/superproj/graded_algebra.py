@@ -416,12 +416,12 @@ def _gcd(f: Poly, g: Poly) -> tuple[Poly, Poly, Poly]:
 def _zgcd(f: dict, g: dict) -> dict:
     """A gcd of nonzero integer polynomials f, g without integer content
     (its sign is arbitrary); a constant gcd is returned as 1."""
+    if len(f) == 1 or len(g) == 1:  # a monomial: prod x_v^(least exponent)
+        return {tuple(map(min, *f, *g)): 1}
     df = [max(e) for e in zip(*f)]
     dg = [max(e) for e in zip(*g)]
     zero = (0,) * len(df)
     one = {zero: 1}
-    if not (any(df) and any(dg)):
-        return one
     for v, (a, b) in enumerate(zip(df, dg)):
         if bool(a) != bool(b):
             # x_v occurs in f alone (after a swap): gcd(f, g) is the gcd of
@@ -945,9 +945,18 @@ class Substitution:
     coordinate, planned once for many functions: the values are validated
     here, and the monomials of the even values are kept across calls.  A
     fraction P/Q gives P(values)/Q(values); Q(values) needs invertible body.
+
+    With polynomial even values, P(values) is summed term by term.  Else
+    each is written once as A_i/b_i, A_i polynomial and b_i the lcm of its
+    fraction denominators (none for a polynomial), P of degrees D gives
+    (sum_m c_m prod A_i^m_i b_i^(D_i - m_i)) / (den prod b_i^D_i), one
+    division per coefficient, and the powers of the b_i are kept.  For P/Q
+    the b-powers cancel; Q(values), evaluated once per plan, is inverted
+    unless it is an even scalar, which leaves one division.
     """
 
-    __slots__ = ("dim", "target", "_even", "_odd", "_monomials")
+    __slots__ = ("dim", "target", "_even", "_odd", "_monomials", "_denoms",
+                 "_powers", "_quotients")
 
     def __init__(self, dim: Dimension, values: Sequence[SuperFunction]):
         if len(values) != dim.size:
@@ -960,13 +969,19 @@ class Substitution:
                 raise NonHomogeneous(
                     f"value for coordinate {dim.names[i]} has wrong parity")
         self._even, self._odd = tuple(values[:dim.n]), tuple(values[dim.n:])
+        split = [_over_common_denominator(v) for v in self._even]
+        self._denoms, self._powers, self._quotients = None, {}, {}
+        if any(b for _, b in split):
+            self._even, self._denoms = zip(*split)
 
     def __call__(self, f: SuperFunction) -> SuperFunction:
         if f.dim != self.dim:
             raise DimensionMismatch(f"{f.dim} vs {self.dim}")
         result = SuperFunction.zero(self.target)
         for key, coeff in f.terms.items():
-            if type(coeff) is Poly:
+            if self._denoms is not None:
+                piece = self._fraction(coeff)
+            elif type(coeff) is Poly:
                 piece = self._poly(coeff)
             else:
                 piece = self._poly(coeff.numer) * self._poly(coeff.denom).invert()
@@ -975,15 +990,74 @@ class Substitution:
             result = result + piece
         return result
 
+    def _monomial(self, monom: tuple) -> SuperFunction:
+        term = self._monomials.get(monom)
+        if term is None:
+            term = self._monomials[monom] = math.prod(
+                (v ** e for v, e in zip(self._even, monom) if e),
+                start=SuperFunction.one(self.target))
+        return term
+
     def _poly(self, poly: Poly) -> SuperFunction:
-        acc = SuperFunction.zero(self.target)
-        for monom, coeff in poly.num.items():
-            term = self._monomials.get(monom)
-            if term is None:
-                term = SuperFunction.one(self.target)
-                for v, e in zip(self._even, monom):
-                    if e:
-                        term = term * v ** e
-                self._monomials[monom] = term
-            acc = acc + (term if coeff == 1 else term.scale(coeff))
+        acc = sum((self._monomial(m).scale(c) for m, c in poly.num.items()),
+                  SuperFunction.zero(self.target))
         return acc.scale(Fraction(1, poly.den)) if poly.den != 1 else acc
+
+    def _power(self, e: tuple) -> Poly:
+        if e not in self._powers:  # prod b_i^e_i
+            self._powers[e] = math.prod(
+                (b ** k for b, k in zip(self._denoms, e) if k),
+                start=_ring_of(self.target.even_names).one)
+        return self._powers[e]
+
+    def _numerator(self, poly: Poly) -> tuple[dict, tuple]:
+        """(N, D) with poly(values) = N / (den prod b_i^D_i), D the degrees."""
+        degrees = tuple(max(e) if b else 0
+                        for e, b in zip(zip(*poly.num), self._denoms))
+        acc: dict = {}
+        for monom, c in poly.num.items():
+            scalar = _scaled(self._power(tuple(
+                d - e if d else 0 for d, e in zip(degrees, monom))), c, 1)
+            for key, t in self._monomial(monom).terms.items():
+                t = _pmul(t, scalar)
+                acc[key] = _padd(acc[key], t) if key in acc else t
+        return {k: c for k, c in acc.items() if c}, degrees
+
+    def _divide(self, num: dict, den: Poly) -> SuperFunction:
+        inv = reciprocal(den)
+        return SuperFunction._of(self.target, {k: _mul(c, inv) for k, c in num.items()})
+
+    def _fraction(self, coeff) -> SuperFunction:
+        numer, denom = numer_denom(coeff)
+        num, degrees = self._numerator(numer)
+        quotient = self._quotients.get(denom)
+        if quotient is None:
+            quotient = self._quotients[denom] = self._denominator(denom)
+        if type(quotient) is SuperFunction:  # 1/Q(values), which has odd terms
+            return self._divide(num, self._power(degrees)) * quotient
+        body, q_degrees = quotient
+        up = self._power(tuple(max(q - d, 0) for d, q in zip(degrees, q_degrees)))
+        down = self._power(tuple(max(d - q, 0) for d, q in zip(degrees, q_degrees)))
+        return self._divide({k: _pmul(c, up) for k, c in num.items()}, _pmul(body, down))
+
+    def _denominator(self, q: Poly):
+        """(B, D) with q(values) = B / prod b_i^D_i, B even, or 1/q(values)."""
+        num, degrees = self._numerator(q)
+        if set(num) == {()}:
+            return num[()], degrees
+        return self._divide(num, self._power(degrees)).invert()
+
+
+def _over_common_denominator(v: SuperFunction) -> tuple:
+    """(A, b) with v = A/b, A of polynomial coefficients and b the lcm of
+    v's fraction denominators, or (v, None) for a polynomial v."""
+    b = None
+    for c in v.terms.values():
+        if type(c) is Frac and b != c.denom:
+            b = c.denom if b is None else _pmul(b, _gcd(c.denom, b)[1])
+    if b is None:
+        return v, None
+    return SuperFunction._of(v.dim, {
+        k: _pmul(c, b) if type(c) is Poly
+        else _pmul(c.numer, Poly(b.ring, _zdiv(b.num, c.denom.num), 1))
+        for k, c in v.terms.items()}), b

@@ -317,6 +317,23 @@ class TestRunChecks:
         assert [e["verdict"] for e in report.checks] == ["pass"]
         assert len(calls) == len(report.checks)
 
+    def test_check_weight_is_parsed_once(self, monkeypatch):
+        calls = []
+        real = cli._parse_fraction
+
+        def counting(text, where):
+            calls.append(where)
+            return real(text, where)
+
+        monkeypatch.setattr(cli, "_parse_fraction", counting)
+        s = parse_scenario((SCENARIOS / "thomas_2_2.json").read_text())
+        before = len(calls)
+        entry = run_checks(s, only={"extension_consistency"}).checks[0]
+        assert entry["verdict"] == "pass" and entry["weight"] == "1/2"
+        assert len(calls) == before
+        assert [w for w in calls if "extension_consistency" in w] == [
+            "checks[3] (extension_consistency): weight"]
+
 
 class TestEmitReport:
     def _strip_durations(self, text):
@@ -492,6 +509,49 @@ class TestMalformedInput:
         assert main([command, str(path)]) == 1
         err = capsys.readouterr().err
         assert "Traceback" not in err and message in err
+
+    # 10^315644 has 1,048,547 bits; the bound (digits + |exponent|) * 3.322
+    # + 1 on a literal's integers first exceeds MAX_BITS = 2^20 at 315645
+    @pytest.mark.parametrize("literal, refused", [
+        ("1e315644", False), ("1e315645", True), ("-1E-315645", True),
+        ("1e10000000", True), ("1e+0000000000000000000001", False),
+        ("1" * 315646, True)], ids=["under", "over", "negative", "huge",
+                                    "zeros", "digits"])
+    @pytest.mark.parametrize("where", ["triples.T.weight",
+                                       "checks[0] (extension_consistency): weight"])
+    def test_weight_literal_bound(self, tmp_path, capsys, where, literal, refused):
+        doc = copy.deepcopy(SECTIONED)
+        if where.startswith("triples"):
+            doc["triples"]["T"]["weight"] = literal
+        else:
+            doc["projective_classes"] = {"Pi": {}}
+            doc["checks"] = [{"check": "extension_consistency", "tensor": "S",
+                              "projective_class": "Pi", "weight": literal}]
+        start = time.perf_counter()
+        code, err = self.run(tmp_path, capsys, json.dumps(doc))
+        assert time.perf_counter() - start < 5
+        if refused:
+            assert code == 1
+            assert (f"{where}: rational literal may give integers of over "
+                    "1048576 bits") in err
+        else:
+            assert "rational" not in err
+
+    @pytest.mark.parametrize("literal, value", [
+        ("1/2", Fraction(1, 2)), ("0.5", Fraction(1, 2)), ("1e3", 1000),
+        (" -2.5E-1 ", Fraction(-1, 4)), ("1_000", 1000), (0.5, Fraction(1, 2)),
+        (3, 3), (1e-07, Fraction(1, 10**7))])
+    def test_weight_literals_accepted(self, literal, value):
+        doc = copy.deepcopy(SECTIONED)
+        doc["triples"]["T"]["weight"] = literal
+        doc["projective_classes"] = {"Pi": {}}
+        doc["checks"] = [{"check": "extension_consistency", "tensor": "S",
+                          "projective_class": "Pi", "weight": literal}]
+        s = parse_scenario(json.dumps(doc))
+        assert s.triples["T"].weight == value
+        assert s.checks[0][1] == {"weight": value}
+        assert json.loads(emit_scenario(s))["checks"][0]["weight"] == literal
+
 
 def test_oversized_result_coefficient_is_printed():
     # every literal is under the interpreter's 4,300-digit conversion limit,

@@ -49,3 +49,30 @@ def test_import_and_polynomial_runs_leave_sympy_unloaded():
 def test_fraction_runs_leave_sympy_unloaded():
     assert not sympy_loaded(scenarios=("rational_1_1",),
                             workloads=("rational_coeffs",))
+
+
+# What `import superproj.cli` adds to a fresh CPython 3.11 interpreter,
+# besides superproj itself.  Dropping a module from this set passes; a new
+# import fails, since each spawn pays for what it loads.
+CLI_IMPORTS = set("""
+__future__ _ast _decimal _json _opcode argparse ast copy dataclasses decimal
+dis fractions gettext importlib.machinery inspect json json.decoder
+json.encoder json.scanner linecache numbers opcode token tokenize
+""".split())
+
+NEW_MODULES = """
+import sys
+before = set(sys.modules)
+sys.path.insert(0, {src!r})
+import superproj.cli
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_cli_import_adds_no_module_outside_todays_set():
+    code = NEW_MODULES.format(src=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=60, check=True).stdout
+    added = {name for name in out.split()
+             if name != "superproj" and not name.startswith("superproj.")}
+    assert added <= CLI_IMPORTS, sorted(added - CLI_IMPORTS)

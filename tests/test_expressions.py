@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -10,10 +11,12 @@ from superproj.expressions import (
     MAX_BITS,
     MAX_EXPONENT,
     MAX_TERMS,
+    _bits,
+    _terms,
     format_super,
     parse_expression,
 )
-from superproj.graded_algebra import Dimension, SuperFunction
+from superproj.graded_algebra import Dimension, SuperFunction, numer_denom
 
 from helpers import product_of_term_pairs, rand_super
 
@@ -167,6 +170,23 @@ def test_roundtrip_with_denominators(seed):
     if den.is_even_scalar() and not den.is_zero():
         g = f * den.invert()
         assert parse_expression(D, format_super(g)) == g
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_bounds_read_from_coefficients_match_numer_denom(seed):
+    # the bounds read len and bit_length straight from Poly and Frac; they
+    # equal the formula over the numer_denom pairs
+    rng = random.Random(seed)
+    f = rand_super(rng, D, deg=2).scale(Fraction(rng.randint(1, 10**9),
+                                                 rng.randint(1, 10**12)))
+    den = rand_super(rng, D, 0, deg=1)
+    if den.is_even_scalar() and not den.is_zero() and rng.random() < 0.7:
+        f = f * den.invert()
+    pairs = [numer_denom(c) for c in f.terms.values()]
+    assert _terms(f) == sum(max(len(p) for p in pair) for pair in pairs)
+    assert _bits(f) == max((abs(c).bit_length() for pair in pairs
+                            for p in pair for c in p.num.values()), default=0)
 
 
 def test_grammar_help_mentions_names():

@@ -602,3 +602,166 @@ class TestGcd:
         monkeypatch.setattr(graded_algebra, "_zprem", recording)
         graded_algebra._gcd(*case_232("1", "x1 + 1"))
         assert main_variables == {0}
+
+    @pytest.mark.parametrize("n, monomial, other", [
+        (1, {(3,): 4}, {(5,): 2, (2,): -6}),            # x1^2 in common
+        (1, {(2,): -3}, {(1,): 1, (0,): 7}),            # coprime: zero order
+        (2, {(2, 1): 6}, {(3, 0): 2, (1, 2): -4}),      # x1 in common
+        (2, {(1, 1): 1}, {(2, 0): 1, (0, 2): 1}),       # coprime
+        (2, {(0, 3): -5}, {(1, 4): 3, (0, 2): 9, (2, 5): 1}),  # x2^2
+        (3, {(1, 0, 2): 7}, {(1, 1, 2): 3, (2, 0, 3): -1}),    # x1 x3^2
+        (3, {(0, 1, 0): 2}, {(1, 1, 1): 1, (0, 1, 0): 1}),     # x2
+        (2, {(2, 0): 1, (1, 1): 1}, {(1, 1): 8}),       # monomial second
+    ])
+    def test_monomial_operand(self, n, monomial, other):
+        ring = graded_algebra._ring_of(GCD_NAMES[:n])
+        f, g = graded_algebra._poly(ring, monomial, 3), graded_algebra._poly(ring, other, 2)
+        assert_exact_gcd(f, g)
+        assert_exact_gcd(g, f)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+        st.just(n), int_polys(n, set()).map(lambda p: dict([next(iter(p.items()))])),
+        int_polys(n, set()))))
+    def test_monomial_shortcut_matches_sympy(self, case):
+        n, monomial, other = case
+        ring = graded_algebra._ring_of(GCD_NAMES[:n])
+        f, g = Poly(ring, monomial, 1), Poly(ring, other, 1)
+        assume(not (f.is_ground or g.is_ground))
+        assert_exact_gcd(f, g)
+        h = graded_algebra._zgcd(f.num, g.num)
+        assert len(h) == 1 and set(h.values()) == {1}
+
+
+# ---------------------------------------------------------------------------
+# substitution plans: common denominators on the fraction path
+# ---------------------------------------------------------------------------
+
+def reference_substitute(f, values):
+    """f at values term by term, as plans evaluated before they kept common
+    denominators: each monomial of a polynomial is a product of powers of
+    the values, scaled and summed; a fraction is P(values) / Q(values)."""
+    dim, target = f.dim, values[0].dim
+
+    def poly(p):
+        acc = SuperFunction.zero(target)
+        for monom, c in p.num.items():
+            term = SuperFunction.one(target)
+            for v, e in zip(values[:dim.n], monom):
+                term = term * v ** e
+            acc = acc + term.scale(Fraction(c, p.den))
+        return acc
+
+    out = SuperFunction.zero(target)
+    for key, coeff in f.terms.items():
+        if type(coeff) is Poly:
+            piece = poly(coeff)
+        else:
+            piece = poly(coeff.numer) * poly(coeff.denom).invert()
+        for slot in key:
+            piece = piece * values[dim.n + slot]
+        out = out + piece
+    return out
+
+
+def plan_values(rng, dim, kind):
+    """Values for the coordinates of dim.  The even values are of one kind:
+    Moebius maps x -> x/(1 - c x), general rational functions, rational
+    functions with a nilpotent soul over a denominator, or rational
+    constants; each may instead stay polynomial.  The odd values carry
+    fractions too."""
+    one = SuperFunction.one(dim)
+    coords = [coord(dim, i) for i in range(dim.size)]
+    ths = coords[dim.n:]
+
+    def scalar(deg=1):
+        return SuperFunction(dim, {(): rand_scalar(rng, dim, deg)})
+
+    def over_denominator(f):
+        den = scalar() + one.scale(rng.choice((3, -5)))
+        return f if den.is_zero() else f * den.invert()
+
+    evens = []
+    for a in range(dim.n):
+        if rng.random() < 0.25:
+            evens.append(coords[a] + scalar())
+        elif kind == "moebius":
+            c = rng.choice((1, 2, -1, Fraction(1, 3)))
+            evens.append(coords[a] * (one - coords[a].scale(c)).invert())
+        elif kind == "rational":
+            evens.append(over_denominator(scalar(2)))
+        elif kind == "soul":
+            soul = (ths[0] * ths[-1]).scale(rng.choice((1, -3)))  # 0 at m = 1
+            evens.append(over_denominator(coords[a] + soul))
+        else:
+            evens.append(one.scale(Fraction(rng.randint(-5, 5), rng.randint(1, 4))))
+    odds = [th + over_denominator(th * coords[0]) if dim.n else th for th in ths]
+    return evens + odds
+
+
+def rational_function(rng, dim):
+    """A function whose coefficients are mostly true fractions, some with
+    one shared denominator."""
+    f = rand_super(rng, dim, deg=2)
+    shared = SuperFunction(dim, {(): rand_scalar(rng, dim, 1)})
+    if shared.body():
+        f = f + rand_super(rng, dim, deg=1) * shared.invert()
+    return f
+
+
+PLAN_DIMS = [Dimension.of(1, 2), Dimension.of(2, 1), D22]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(PLAN_DIMS),
+       st.sampled_from(["moebius", "rational", "soul", "constant"]),
+       st.integers(min_value=0, max_value=10**6))
+def test_plan_equals_term_by_term_reference(dim, kind, seed):
+    rng = random.Random(seed)
+    values = plan_values(rng, dim, kind)
+    plan = graded_algebra.Substitution(dim, values)
+    functions = [rational_function(rng, dim) for _ in range(3)]
+    # every function twice, so later calls run on the kept plan state
+    for f in functions + functions:
+        try:
+            want = reference_substitute(f, values)
+        except NotInvertible:
+            with pytest.raises(NotInvertible):
+                plan(f)
+            continue
+        assert same_value(plan(f), want)
+
+
+def test_polynomial_plan_runs_no_gcd(monkeypatch):
+    values = [expr(D22, e) for e in
+              ("x1 + 2*x2^2", "x2/3 - 1 + th1*th2", "th1*(x1 + 1)", "th2 - x2*th1")]
+    plan = graded_algebra.Substitution(D22, values)
+    calls = []
+    gcd = graded_algebra._gcd
+
+    def counting(f, g):
+        calls.append(1)
+        return gcd(f, g)
+
+    monkeypatch.setattr(graded_algebra, "_gcd", counting)
+    for seed in range(10):
+        plan(rand_super(random.Random(seed), D22, deg=2))
+    assert calls == []
+
+
+def test_shared_denominator_is_evaluated_once_per_plan(monkeypatch):
+    values = [expr(D22, e) for e in ("x1/(1 - 2*x1)", "x2", "th1", "th2*(1 + x1)")]
+    f = expr(D22, "x1/(x1 + x2 + 1) + x2^2/(x1 + x2 + 1)*th1 "
+                  "+ th1*th2/(x1 + x2 + 1) + th2/x2")
+    calls = []
+    evaluate = graded_algebra.Substitution._denominator
+
+    def counting(plan, q):
+        calls.append(q)
+        return evaluate(plan, q)
+
+    monkeypatch.setattr(graded_algebra.Substitution, "_denominator", counting)
+    plan = graded_algebra.Substitution(D22, values)
+    want = reference_substitute(f, values)
+    assert same_value(plan(f), want) and same_value(plan(f), want)
+    assert sorted(map(str, calls)) == ["x1 + x2 + 1", "x2"]
