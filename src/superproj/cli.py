@@ -75,7 +75,7 @@ class Scenario:
     changes: Mapping[str, CoordinateChange]
     triples: Mapping[str, BracketTriple]
     volume_forms: Mapping[str, SuperFunction]
-    checks: tuple  # of (sorted check items, parsed rational arguments)
+    checks: tuple  # of (sorted check items, resolved arguments)
 
 
 def _parse_fraction(text, where) -> Fraction:
@@ -218,23 +218,17 @@ def parse_scenario(text: str) -> Scenario:
     expressions = {name: _expr(dim, text, f"expressions.{name}")
                    for name, text in section("expressions")}
 
-    connections = {}
-    for name, table in section("connections"):
-        comps = _table(dim, table, 3, f"connections.{name}")
-        comps = _complete_symmetric(dim, comps)
-        try:
-            connections[name] = Connection(dim, comps)
-        except (ValidationError, KernelError) as exc:
-            raise ValidationError(f"connections.{name}: {exc}") from None
-
-    pclasses = {}
-    for name, table in section("projective_classes"):
-        comps = _table(dim, table, 3, f"projective_classes.{name}")
-        comps = _complete_symmetric(dim, comps)
-        try:
-            pclasses[name] = ProjectiveClass(dim, comps)
-        except (ValidationError, KernelError) as exc:
-            raise ValidationError(f"projective_classes.{name}: {exc}") from None
+    named = {"expressions": expressions}
+    for key, cls in (("connections", Connection),
+                     ("projective_classes", ProjectiveClass)):
+        named[key] = {}
+        for name, table in section(key):
+            comps = _table(dim, table, 3, f"{key}.{name}")
+            comps = _complete_symmetric(dim, comps)
+            try:
+                named[key][name] = cls(dim, comps)
+            except (ValidationError, KernelError) as exc:
+                raise ValidationError(f"{key}.{name}: {exc}") from None
 
     tensors = {}
     for name, spec in section("tensors"):
@@ -286,18 +280,14 @@ def parse_scenario(text: str) -> Scenario:
         except (ValidationError, KernelError) as exc:
             raise ValidationError(f"triples.{name}: {exc}") from None
 
-    volume_forms = {name: _expr(dim, text, f"volume_forms.{name}")
-                    for name, text in section("volume_forms")}
+    named.update(tensors=tensors, changes=changes, triples=triples,
+                 volume_forms={name: _expr(dim, text, f"volume_forms.{name}")
+                               for name, text in section("volume_forms")})
 
     checks = doc.get("checks", [])
     if not isinstance(checks, list):
         raise ValidationError("checks must be a list")
     normalized = []
-    scenario_names = {
-        "expressions": expressions, "connections": connections,
-        "projective_classes": pclasses, "tensors": tensors,
-        "changes": changes, "triples": triples, "volume_forms": volume_forms,
-    }
     for pos, chk in enumerate(checks):
         if not isinstance(chk, dict) or "check" not in chk:
             raise ValidationError(f"checks[{pos}]: missing 'check' field")
@@ -311,7 +301,7 @@ def parse_scenario(text: str) -> Scenario:
             if arg not in chk:
                 raise ValidationError(f"checks[{pos}] ({kind}): missing {arg!r}")
         known = {**handler.requires, **handler.optional}
-        rationals = {}
+        arguments = []
         for arg in chk:
             if arg != "check" and arg not in known:
                 raise ValidationError(
@@ -321,18 +311,18 @@ def parse_scenario(text: str) -> Scenario:
             if arg not in chk:
                 continue
             if pool is None:  # a rational value, not a name
-                rationals[arg] = _parse_fraction(
-                    chk[arg], f"checks[{pos}] ({kind}): {arg}")
+                arguments.append(_parse_fraction(
+                    chk[arg], f"checks[{pos}] ({kind}): {arg}"))
                 continue
             if not isinstance(chk[arg], str):
                 raise ValidationError(
                     f"checks[{pos}] ({kind}): {arg} must be a name string")
-            if chk[arg] not in scenario_names[pool]:
+            if chk[arg] not in named[pool]:
                 raise ValidationError(
                     f"checks[{pos}] ({kind}): unresolved {arg} {chk[arg]!r}")
-        normalized.append((tuple(sorted(chk.items())), rationals))
-    return Scenario(dim, expressions, connections, pclasses, tensors, changes,
-                    triples, volume_forms, tuple(normalized))
+            arguments.append(named[pool][chk[arg]])
+        normalized.append((tuple(sorted(chk.items())), tuple(arguments)))
+    return Scenario(dim, **named, checks=tuple(normalized))
 
 
 def emit_scenario(s: Scenario) -> str:
@@ -389,9 +379,12 @@ def emit_scenario(s: Scenario) -> str:
 
 @dataclass(frozen=True)
 class CheckHandler:
-    """`run(scenario, check)` returns (conditions, info) for `run_checks`;
-    `requires` and `optional` map each argument to its scenario section, or
-    to None for a rational value, which `check` holds as a parsed Fraction."""
+    """`requires` and `optional` map each argument of a check, in the order
+    of `run`'s parameters, to its scenario section, or to None for a
+    rational value.  `parse_scenario` resolves the given ones once, to the
+    named objects and to Fractions, and `run(*arguments)` returns
+    (conditions, info) for `run_checks`; a kind has at most one optional
+    argument, the last, and `run`'s default stands in when it is left out."""
 
     run: Callable
     requires: Mapping[str, Optional[str]] = field(default_factory=dict)
@@ -418,36 +411,31 @@ def _table3(t: Sym2Cov) -> dict:
     return {f"{k + 1},{i + 1},{j + 1}": v for (k, i, j), v in sorted(t.comps.items())}
 
 
-def _check_projective_class(s: Scenario, chk: dict) -> tuple:
-    pc = projective_class(s.connections[chk["connection"]])
+def _check_projective_class(connection: Connection) -> tuple:
+    pc = projective_class(connection)
     return {}, {"components": _residual_map(_table3(pc).items())}
 
 
-def _check_projectively_equivalent(s: Scenario, chk: dict) -> tuple:
-    diff = (projective_class(s.connections[chk["left"]])
-            - projective_class(s.connections[chk["right"]]))
+def _check_projectively_equivalent(left: Connection, right: Connection) -> tuple:
+    diff = projective_class(left) - projective_class(right)
     return _table3(diff), {"equivalent": diff.is_zero()}
 
 
-def _check_schwarzian_vanishes(s: Scenario, chk: dict) -> tuple:
-    return _table3(super_schwarzian(s.changes[chk["change"]])), {}
+def _check_schwarzian_vanishes(change: CoordinateChange) -> tuple:
+    return _table3(super_schwarzian(change)), {}
 
 
-def _check_schwarzian_defect(s: Scenario, chk: dict) -> tuple:
-    change = s.changes[chk["change"]]
-    dim = s.dim
-    gamma = (s.connections[chk["connection"]]
-             if "connection" in chk else Connection(dim, {}))
+def _check_schwarzian_defect(change: CoordinateChange, gamma=None) -> tuple:
+    if gamma is None:
+        gamma = Connection(change.dim, {})
     lhs = projective_class(transform_connection(gamma, change))
     rhs = (transform_sym2cov(projective_class(gamma), change)
            + super_schwarzian(change.inverted()))
     return _table3(lhs - rhs), {}
 
 
-def _check_laplacian_invariance(s: Scenario, chk: dict) -> tuple:
-    tensor = s.tensors[chk["tensor"]]
-    pc = s.projective_classes[chk["projective_class"]]
-    change = s.changes[chk["change"]]
+def _check_laplacian_invariance(tensor: Sym2Upper, pc: ProjectiveClass,
+                                change: CoordinateChange) -> tuple:
     op_src = projective_laplacian(tensor, pc)
     pc_new = projective_class(transform_connection(pc, change))
     tensor_new = transform_upper2(tensor, change)
@@ -483,9 +471,8 @@ def _order2_basis(dim: Dimension) -> list:
               for b in range(a, dim.size) if a != b or not dim.parity(a))]
 
 
-def _check_canonical_operator(s: Scenario, chk: dict) -> tuple:
-    triple = s.triples[chk["triple"]]
-    dim = s.dim
+def _check_canonical_operator(triple: BracketTriple) -> tuple:
+    dim = triple.dim
     delta = canonical_operator(triple)
     d_1 = delta(DensityElement.of(SuperFunction.one(dim)))
     conditions = {"Delta(1)": d_1}
@@ -521,9 +508,8 @@ def _check_canonical_operator(s: Scenario, chk: dict) -> tuple:
     return conditions, {}
 
 
-def _check_thomas_lift(s: Scenario, chk: dict) -> tuple:
-    pc = s.projective_classes[chk["projective_class"]]
-    chart = thomas.TildeChart(s.dim)
+def _check_thomas_lift(pc: ProjectiveClass) -> tuple:
+    chart = thomas.TildeChart(pc.dim)
     tilde = thomas.lift_projective_class(pc)
     trace = div_trace(tilde)
     conditions = {f"trace^{i}": trace.component(i) for i in range(chart.ext.size)}
@@ -535,50 +521,22 @@ def _check_thomas_lift(s: Scenario, chk: dict) -> tuple:
     return conditions, {"lifted_components": comps}
 
 
-def _check_extension_consistency(s: Scenario, chk: dict) -> tuple:
-    tensor = s.tensors[chk["tensor"]]
-    pc = s.projective_classes[chk["projective_class"]]
-    weight = chk.get("weight", Fraction(0))
+def _check_extension_consistency(tensor: Sym2Upper, pc: ProjectiveClass,
+                                  weight=Fraction(0)) -> tuple:
+    dim = tensor.dim
     # one tilde_ricci for both sides; at n - m = +-1 extend_bracket raises first
-    ricci = None if s.dim.n0 in (1, -1) else thomas.tilde_ricci(pc)
+    ricci = None if dim.n0 in (1, -1) else thomas.tilde_ricci(pc)
     triple = thomas.extend_bracket(tensor, pc, weight, ricci)
     diff = canonical_operator(triple) - thomas.extension_operator(triple, pc, ricci)
     # both operators have the one weight shift |Dx|^weight, so d^alpha w^k
     # names a term of the difference
-    conditions = {f"d^{list(alpha)} w^{k}": DensityElement(s.dim, {mu: f})
+    conditions = {f"d^{list(alpha)} w^{k}": DensityElement(dim, {mu: f})
                   for (alpha, k, mu), f in sorted(diff.terms.items())}
     if conditions:  # the extension's components are shown on agreement only
         return conditions, {}
     return {}, {"gamma": {f"{i + 1}": format_super(v)
                           for i, v in sorted(triple.gamma.items())},
                 "theta": format_super(triple.theta)}
-
-
-def _check_bv(s: Scenario, chk: dict) -> tuple:
-    tensor = s.tensors[chk["tensor"]]
-    pc = s.projective_classes[chk["projective_class"]]
-    rep = poisson_bv.bv_check(tensor, pc)
-    return rep.conditions, rep.info
-
-
-def _check_density_jacobi(s: Scenario, chk: dict) -> tuple:
-    rep = poisson_bv.density_jacobi_check(s.triples[chk["triple"]])
-    return rep.conditions, rep.info
-
-
-def _check_symplectic_canonical(s: Scenario, chk: dict) -> tuple:
-    triple = s.triples[chk["triple"]]
-    rho = s.volume_forms[chk["volume"]]
-    rep = poisson_bv.symplectic_canonical_check(triple, rho)
-    return rep.conditions, rep.info
-
-
-def _check_projective_poisson(s: Scenario, chk: dict) -> tuple:
-    tensor = s.tensors[chk["tensor"]]
-    pc = s.projective_classes[chk["projective_class"]]
-    rho = s.volume_forms[chk["volume"]]
-    rep = poisson_bv.projective_poisson_check(tensor, pc, rho)
-    return rep.conditions, rep.info
 
 
 CHECK_HANDLERS = {
@@ -604,15 +562,20 @@ CHECK_HANDLERS = {
         _check_extension_consistency,
         {"tensor": "tensors", "projective_class": "projective_classes"},
         {"weight": None}),
+    # the poisson_bv checks are looked up at each call, so that a patched
+    # module attribute is the one that runs
     "bv_check": CheckHandler(
-        _check_bv, {"tensor": "tensors", "projective_class": "projective_classes"}),
+        lambda tensor, pc: poisson_bv.bv_check(tensor, pc),
+        {"tensor": "tensors", "projective_class": "projective_classes"}),
     "density_jacobi": CheckHandler(
-        _check_density_jacobi, {"triple": "triples"}),
+        lambda triple: poisson_bv.density_jacobi_check(triple),
+        {"triple": "triples"}),
     "symplectic_canonical": CheckHandler(
-        _check_symplectic_canonical,
+        lambda triple, rho: poisson_bv.symplectic_canonical_check(triple, rho),
         {"triple": "triples", "volume": "volume_forms"}),
     "projective_poisson": CheckHandler(
-        _check_projective_poisson,
+        lambda tensor, pc, rho: poisson_bv.projective_poisson_check(
+            tensor, pc, rho),
         {"tensor": "tensors", "projective_class": "projective_classes",
          "volume": "volume_forms"}),
 }
@@ -635,7 +598,7 @@ def run_checks(s: Scenario, only: Optional[set] = None) -> Report:
     residuals are the nonzero ones, and its info keeps the bool, int, str
     and dict values, never kernel objects such as witnesses."""
     results = []
-    for items, rationals in s.checks:
+    for items, arguments in s.checks:
         chk = dict(items)
         kind = chk["check"]
         if only and kind not in only:
@@ -644,7 +607,7 @@ def run_checks(s: Scenario, only: Optional[set] = None) -> Report:
         entry.update({k: v for k, v in chk.items() if k != "check"})
         start = time.perf_counter()
         try:
-            conditions, info = CHECK_HANDLERS[kind].run(s, {**chk, **rationals})
+            conditions, info = CHECK_HANDLERS[kind].run(*arguments)
             residuals = _residual_map(conditions.items())
             entry["verdict"] = "fail" if residuals else "pass"
             if residuals:

@@ -15,7 +15,6 @@ antisymmetry, Leibniz and Jacobi; with left derivatives it reads
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
@@ -165,27 +164,14 @@ def jacobi_obstruction(s_phase: SuperFunction, dim: Dimension) -> SuperFunction:
 
 
 # ---------------------------------------------------------------------------
-# condition reports
+# conditions
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConditionReport:
-    """Named obstruction expressions; satisfied iff all normalize to zero.
-
-    ``info`` carries secondary cross-check verdicts (boolean or numeric)
-    that do not enter ``satisfied``.
-    """
-
-    conditions: Mapping[str, object]
-    info: Mapping[str, object] = field(default_factory=dict)
-
-    @property
-    def satisfied(self) -> bool:
-        return all(v.is_zero() for v in self.conditions.values())
-
-    def residuals(self) -> dict:
-        return {k: v for k, v in self.conditions.items() if not v.is_zero()}
+def satisfied(conditions: Mapping[str, object]) -> bool:
+    """Whether every condition of a check, each a SuperFunction or a
+    DensityElement that is zero iff it holds, is zero."""
+    return all(v.is_zero() for v in conditions.values())
 
 
 # ---------------------------------------------------------------------------
@@ -193,9 +179,9 @@ class ConditionReport:
 # ---------------------------------------------------------------------------
 
 
-def bv_check(s: Sym2Upper, pi: ProjectiveClass) -> ConditionReport:
-    """Conditions for the projective Laplacian of an odd bracket to square
-    to zero, evaluated both by the displayed formulas and directly.
+def bv_check(s: Sym2Upper, pi: ProjectiveClass) -> tuple:
+    """(conditions, info) for the projective Laplacian of an odd bracket to
+    square to zero, evaluated both by the displayed formulas and directly.
 
     T^i is the first-order coefficient of the Laplacian.  Both flow
     conditions apply the Laplacian itself, S^kl d_l d_k + T^k d_k, to a
@@ -246,29 +232,16 @@ def bv_check(s: Sym2Upper, pi: ProjectiveClass) -> ConditionReport:
     # direct route: square the Laplacian
     delta2 = delta.compose(delta)
     square_zero = delta2.is_zero()
-    report_info = {
-        "laplacian_square_zero": square_zero,
-        "formula_square_zero": all(v.is_zero() for v in conditions.values()),
-        "order_of_square": op_order(delta2),
-    }
-    report_info["verdicts_agree"] = (
-        report_info["formula_square_zero"] == square_zero)
-    return ConditionReport(conditions, report_info)
+    formula = satisfied(conditions)
+    return conditions, {"laplacian_square_zero": square_zero,
+                        "formula_square_zero": formula,
+                        "order_of_square": op_order(delta2),
+                        "verdicts_agree": formula == square_zero}
 
 
 # ---------------------------------------------------------------------------
 # density bracket Jacobi conditions
 # ---------------------------------------------------------------------------
-
-
-def _triple_hamiltonians(triple: BracketTriple):
-    dim = triple.dim
-    s_ph = master_hamiltonian(triple.s)
-    gamma_ph = SuperFunction.zero(phase_dimension(dim))
-    for i, g in triple.gamma.items():
-        gamma_ph = gamma_ph + to_phase(g, dim) * momentum(dim, i)
-    theta_ph = to_phase(triple.theta, dim)
-    return s_ph, gamma_ph, theta_ph
 
 
 def _odd_bracket(triple: BracketTriple, u: DensityElement, pu: int,
@@ -299,9 +272,10 @@ def jacobiator(triple: BracketTriple, a: DensityElement, b: DensityElement,
         _odd_bracket(triple, b, pb, _odd_bracket(triple, a, pa, c)))
 
 
-def density_jacobi_check(triple: BracketTriple) -> ConditionReport:
-    """The four master-Hamiltonian obstructions for a weight-0 odd bracket
-    on densities, cross-checked by direct Jacobi evaluation.
+def density_jacobi_check(triple: BracketTriple) -> tuple:
+    """(conditions, info): the four master-Hamiltonian obstructions for a
+    weight-0 odd bracket on densities, cross-checked by direct Jacobi
+    evaluation.
 
     The direct route is exact on sorted generator triples.
     `bracket_from_triple` is a closed form: each term is a product of a
@@ -326,7 +300,11 @@ def density_jacobi_check(triple: BracketTriple) -> ConditionReport:
     if triple.eps != ODD:
         raise WrongParity("density Jacobi conditions require an odd bracket")
     dim = triple.dim
-    s_ph, gamma_ph, theta_ph = _triple_hamiltonians(triple)
+    s_ph = master_hamiltonian(triple.s)
+    gamma_ph = SuperFunction.zero(phase_dimension(dim))
+    for i, g in triple.gamma.items():
+        gamma_ph = gamma_ph + to_phase(g, dim) * momentum(dim, i)
+    theta_ph = to_phase(triple.theta, dim)
     # The relative weight 2 on (gamma,gamma) is forced by expanding the
     # master Hamiltonian of the extended chart, S + 2 gamma p0 + theta p0^2,
     # in powers of p0; direct Jacobi testing confirms it.
@@ -364,11 +342,11 @@ def density_jacobi_check(triple: BracketTriple) -> ConditionReport:
     direct = witness is None
     info = {
         "direct_jacobi_holds": direct,
-        "verdicts_agree": direct == all(v.is_zero() for v in conditions.values()),
+        "verdicts_agree": direct == satisfied(conditions),
     }
     if witness is not None:
         info["jacobi_witness"] = witness
-    return ConditionReport(conditions, info)
+    return conditions, info
 
 
 # ---------------------------------------------------------------------------
@@ -395,63 +373,59 @@ def _body_matrix_invertible(s: Sym2Upper) -> bool:
     return True
 
 
-def _dlog(rho: SuperFunction, i: int) -> SuperFunction:
-    """d_i log rho computed as (d_i rho) rho^{-1}."""
-    return rho.partial(i) * rho.invert()
+def _log_volume(s: Sym2Upper, rho: SuperFunction) -> tuple:
+    """(d_j log rho by j, S^ij d_j log rho by i) for an even invertible
+    volume form rho and a tensor S with an invertible body matrix; the
+    second omits the rows of S that are zero."""
+    if not rho.has_parity(EVEN) or not rho.body():
+        raise Degenerate("volume form must be even and invertible")
+    if not _body_matrix_invertible(s):
+        raise Degenerate("bracket tensor has singular body matrix")
+    inverse = rho.invert()
+    dlog = [rho.partial(j) * inverse for j in range(s.dim.size)]
+    s_dlog = {}
+    for (i, j), s_ij in s.comps.items():
+        term = s_ij * dlog[j]
+        s_dlog[i] = s_dlog[i] + term if i in s_dlog else term
+    return dlog, s_dlog
 
 
 def symplectic_canonical_check(triple: BracketTriple,
-                               rho: SuperFunction) -> ConditionReport:
-    """For nondegenerate odd S: Jacobi holds iff (S,S) = 0,
-    gamma^i = -S^{ij} d_j log rho and theta = gamma^k gamma_k with
-    gamma_k = -d_k log rho."""
+                               rho: SuperFunction) -> tuple:
+    """(conditions, info) for nondegenerate odd S: Jacobi holds iff
+    (S,S) = 0, gamma^i = -S^{ij} d_j log rho and theta = gamma^k gamma_k
+    with gamma_k = -d_k log rho."""
     if triple.eps != ODD:
         raise WrongParity("check requires an odd bracket")
     if triple.weight != 0:
         raise WrongWeight("check requires weight 0")
     dim = triple.dim
-    if not rho.has_parity(EVEN) or not rho.body():
-        raise Degenerate("volume form must be even and invertible")
-    if not _body_matrix_invertible(triple.s):
-        raise Degenerate("bracket tensor has singular body matrix")
-    s_ph, _, _ = _triple_hamiltonians(triple)
+    dlog, s_dlog = _log_volume(triple.s, rho)
+    s_ph = master_hamiltonian(triple.s)
     conditions = {"(S,S)": canonical_pb(s_ph, s_ph, dim)}
-    dlog = {j: _dlog(rho, j) for j in range(dim.size)}
     for i in range(dim.size):
-        acc = triple.gamma_component(i)
-        for j in range(dim.size):
-            val = triple.s.component(i, j)
-            if val.is_zero():
-                continue
-            acc = acc + val * dlog[j]
-        conditions[f"gamma^{i + 1}+S^{i + 1}j*dlog_j"] = acc
-    lower = {k: dlog[k].scale(-1) for k in range(dim.size)}
+        gamma = triple.gamma_component(i)
+        conditions[f"gamma^{i + 1}+S^{i + 1}j*dlog_j"] = (
+            gamma + s_dlog[i] if i in s_dlog else gamma)
     theta_want = SuperFunction.zero(dim)
     for k in range(dim.size):
-        theta_want = theta_want + triple.gamma_component(k) * lower[k]
+        theta_want = theta_want + triple.gamma_component(k) * dlog[k].scale(-1)
     conditions["theta-gamma^k*gamma_k"] = triple.theta - theta_want
-    return ConditionReport(conditions)
+    return conditions, {}
 
 
 def projective_poisson_check(s: Sym2Upper, pi: ProjectiveClass,
-                             rho: SuperFunction) -> ConditionReport:
-    """Conditions for the canonical density-bracket extension of a
+                             rho: SuperFunction) -> tuple:
+    """(conditions, info) for the canonical density-bracket extension of a
     nondegenerate odd bracket to satisfy Jacobi, for the volume form rho;
     cross-validated by extending the bracket and running the density Jacobi
     check."""
     dim = s.dim
     if s.parity != ODD:
         raise WrongParity("check requires an odd bracket tensor")
-    if not rho.has_parity(EVEN) or not rho.body():
-        raise Degenerate("volume form must be even and invertible")
-    if not _body_matrix_invertible(s):
-        raise Degenerate("bracket tensor has singular body matrix")
+    dlog, s_dlog = _log_volume(s, rho)
     n0 = dim.n0
     b = b_tensor(pi)
-    dlog = {j: _dlog(rho, j) for j in range(dim.size)}
-    s_dlog = {i: SuperFunction.zero(dim) for i in range(dim.size)}
-    for (i, j), s_ij in s.comps.items():
-        s_dlog[i] = s_dlog[i] + s_ij * dlog[j]
     # S is odd, so the signed divergences below carry no signs
     flatness = linear_combination((1, contract_class(s, pi)), (1, div_upper(s)),
                                   (Fraction(n0 + 3, n0 + 1), s_dlog))
@@ -465,10 +439,5 @@ def projective_poisson_check(s: Sym2Upper, pi: ProjectiveClass,
         acc = acc + (s_ij * dlog[i] * dlog[j]).scale(c2 * sign)
     conditions["scalar_curvature"] = acc
     # dual path: extend and test the density Jacobi conditions
-    extended = extend_bracket(s, pi, Fraction(0))
-    dual = density_jacobi_check(extended)
-    info = {
-        "extension_jacobi_satisfied": dual.satisfied,
-        "extension_report": dual,
-    }
-    return ConditionReport(conditions, info)
+    dual, _ = density_jacobi_check(extend_bracket(s, pi, Fraction(0)))
+    return conditions, {"extension_jacobi_satisfied": satisfied(dual)}

@@ -51,6 +51,7 @@ from superproj.poisson_bv import (
     bv_check,
     density_jacobi_check,
     jacobiator,
+    satisfied,
 )
 from superproj.thomas import (
     TildeChart,
@@ -317,10 +318,10 @@ def test_criterion_8_bv_equivalence():
         for dim in (D11, D22):
             s = darboux_odd(dim)
             pc = ProjectiveClass(dim, {})
-            rep = bv_check(s, pc)
-            assert rep.satisfied
-            assert rep.info["laplacian_square_zero"]
-            assert rep.info["verdicts_agree"]
+            conditions, info = bv_check(s, pc)
+            assert satisfied(conditions)
+            assert info["laplacian_square_zero"]
+            assert info["verdicts_agree"]
             delta = projective_laplacian(s, pc)
             delta2 = delta.compose(delta)
             for phi in density_test_family(dim, weights=(Fraction(0),),
@@ -331,10 +332,10 @@ def test_criterion_8_bv_equivalence():
             (0, 0): expr(D11, "2*x1*th1"),
             (0, 1): SuperFunction.one(D11),
             (1, 0): SuperFunction.one(D11)}, 1)
-        rep = bv_check(s_bad, ProjectiveClass(D11, {}))
-        assert not rep.satisfied
-        assert not rep.info["laplacian_square_zero"]
-        assert rep.info["verdicts_agree"]
+        conditions, info = bv_check(s_bad, ProjectiveClass(D11, {}))
+        assert not satisfied(conditions)
+        assert not info["laplacian_square_zero"]
+        assert info["verdicts_agree"]
         triple = BracketTriple(s_bad, {}, SuperFunction.zero(D11), 1, 0)
         family = [DensityElement.of(expr(D11, t))
                   for t in ("x1", "th1", "x1^2", "x1*th1")]
@@ -357,8 +358,8 @@ def test_criterion_9_density_jacobi():
         rng = random.Random(109)
         for _ in range(10):
             triple = rand_triple(rng, D11, 1, 0)
-            rep = density_jacobi_check(triple)
-            assert rep.info["verdicts_agree"], (
+            _, info = density_jacobi_check(triple)
+            assert info["verdicts_agree"], (
                 "four-condition verdict must match direct Jacobi testing")
 
 

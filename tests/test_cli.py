@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import decimal
+import inspect
 import json
 import random
 import re
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superproj import cli, thomas
+from superproj import cli, poisson_bv, thomas
 from superproj.cli import (
     CHECK_HANDLERS,
     _intertwining_conditions,
@@ -273,7 +274,7 @@ class TestRunChecks:
     def test_any_exception_is_isolated(self, monkeypatch):
         s = parse_scenario((SCENARIOS / "error_isolation.json").read_text())
 
-        def boom(scenario, chk):
+        def boom(*arguments):
             raise ZeroDivisionError("planted")
 
         monkeypatch.setitem(CHECK_HANDLERS, "density_jacobi", dataclasses.replace(
@@ -289,7 +290,7 @@ class TestRunChecks:
         s = parse_scenario(DARBOUX)
         one = SuperFunction.one(s.dim)
 
-        def planted(scenario, chk):
+        def planted(*arguments):
             return {"zero": SuperFunction.zero(s.dim)}, {
                 "witness": (DensityElement.of(one),), "flag": True,
                 "order": 2, "name": "x", "table": {"1": "x1"},
@@ -333,6 +334,56 @@ class TestRunChecks:
         assert len(calls) == before
         assert [w for w in calls if "extension_consistency" in w] == [
             "checks[3] (extension_consistency): weight"]
+        assert_resolved(s)
+        assert s.checks[3][1][2] == Fraction(1, 2)
+
+    def test_handler_parameters_match_arguments(self):
+        # run(*arguments) takes the requires, then the optional arguments,
+        # and has defaults on exactly the optional ones, of which a kind has
+        # at most one
+        for kind, handler in CHECK_HANDLERS.items():
+            params = inspect.signature(handler.run).parameters.values()
+            assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params), kind
+            assert [p.default is not p.empty for p in params] == (
+                [False] * len(handler.requires)
+                + [True] * len(handler.optional)), kind
+            assert len(handler.optional) <= 1, kind
+
+    @pytest.mark.parametrize("kind, name", [
+        ("bv_check", "bv_check"), ("density_jacobi", "density_jacobi_check"),
+        ("symplectic_canonical", "symplectic_canonical_check"),
+        ("projective_poisson", "projective_poisson_check")])
+    def test_poisson_bv_checks_are_looked_up_per_call(self, monkeypatch,
+                                                       kind, name):
+        s = parse_scenario((SCENARIOS / "bv_darboux_1_1.json").read_text())
+        calls = []
+
+        def planted(*arguments):
+            calls.append(arguments)
+            return {}, {"planted": True}
+
+        monkeypatch.setattr(poisson_bv, name, planted)
+        entry = run_checks(s, only={kind}).checks[0]
+        assert entry["verdict"] == "pass" and entry["info"] == {"planted": True}
+        assert calls == [next(arguments for items, arguments in s.checks
+                              if dict(items)["check"] == kind)]
+
+
+def assert_resolved(s):
+    """Each check's resolved arguments are the scenario's own objects for
+    its named arguments and Fractions for its rational ones, in the order
+    of the handler's requires and optional arguments."""
+    for items, arguments in s.checks:
+        chk = dict(items)
+        handler = CHECK_HANDLERS[chk["check"]]
+        given = [(arg, pool) for arg, pool in
+                 {**handler.requires, **handler.optional}.items() if arg in chk]
+        assert len(arguments) == len(given)
+        for (arg, pool), value in zip(given, arguments):
+            if pool is None:
+                assert type(value) is Fraction
+            else:
+                assert value is getattr(s, pool)[chk[arg]]
 
 
 class TestEmitReport:
@@ -549,7 +600,8 @@ class TestMalformedInput:
                           "projective_class": "Pi", "weight": literal}]
         s = parse_scenario(json.dumps(doc))
         assert s.triples["T"].weight == value
-        assert s.checks[0][1] == {"weight": value}
+        assert s.checks[0][1][2] == value
+        assert_resolved(s)
         assert json.loads(emit_scenario(s))["checks"][0]["weight"] == literal
 
 

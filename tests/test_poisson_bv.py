@@ -28,6 +28,7 @@ from superproj.poisson_bv import (
     momentum,
     phase_dimension,
     projective_poisson_check,
+    satisfied,
     symplectic_canonical_check,
 )
 
@@ -256,28 +257,29 @@ class TestJacobiObstruction:
 class TestBVCheck:
     def test_darboux_flat_both_dims(self):
         for dim in (D11, D22):
-            rep = bv_check(darboux_odd(dim), ProjectiveClass(dim, {}))
-            assert rep.satisfied
-            assert rep.info["laplacian_square_zero"]
-            assert rep.info["verdicts_agree"]
-            assert rep.info["order_of_square"] == 0
+            conditions, info = bv_check(darboux_odd(dim),
+                                        ProjectiveClass(dim, {}))
+            assert satisfied(conditions)
+            assert info["laplacian_square_zero"]
+            assert info["verdicts_agree"]
+            assert info["order_of_square"] == 0
 
     def test_zero_tensor(self):
-        rep = bv_check(Sym2Upper(D11, {}, 1), ProjectiveClass(D11, {}))
-        assert rep.satisfied
+        conditions, _ = bv_check(Sym2Upper(D11, {}, 1), ProjectiveClass(D11, {}))
+        assert satisfied(conditions)
 
     def test_counterexample_fails_both_ways(self):
-        rep = bv_check(nonflat_odd_tensor(), ProjectiveClass(D11, {}))
-        assert not rep.satisfied
-        assert not rep.info["laplacian_square_zero"]
-        assert rep.info["verdicts_agree"]
+        conditions, info = bv_check(nonflat_odd_tensor(), ProjectiveClass(D11, {}))
+        assert not satisfied(conditions)
+        assert not info["laplacian_square_zero"]
+        assert info["verdicts_agree"]
 
     def test_order_bounds(self):
         # odd constant-free Delta of order <= 2: ord(Delta^2) <= 3 always,
         # equal to 0 here since Jacobi holds and the data is flat
-        rep = bv_check(nonflat_odd_tensor(), ProjectiveClass(D11, {}))
-        assert rep.info["order_of_square"] <= 3
-        assert rep.info["order_of_square"] > 2  # Jacobi fails here
+        _, info = bv_check(nonflat_odd_tensor(), ProjectiveClass(D11, {}))
+        assert info["order_of_square"] <= 3
+        assert info["order_of_square"] > 2  # Jacobi fails here
 
     def test_even_tensor_rejected(self):
         with pytest.raises(WrongParity):
@@ -293,8 +295,8 @@ class TestBVCheck:
         rng = random.Random(90)
         for _ in range(2):
             pc = rand_projective_class(rng, D11)
-            rep = bv_check(darboux_odd(D11), pc)
-            assert rep.info["order_of_square"] <= 2
+            _, info = bv_check(darboux_odd(D11), pc)
+            assert info["order_of_square"] <= 2
 
 
 # ---------------------------------------------------------------------------
@@ -323,42 +325,42 @@ def canonical_flat_triple(dim, rho):
 class TestDensityJacobi:
     def test_s_only_triple(self):
         t = BracketTriple(darboux_odd(D11), {}, SuperFunction.zero(D11), 1, 0)
-        rep = density_jacobi_check(t)
-        assert rep.satisfied
-        assert rep.info["direct_jacobi_holds"]
-        assert rep.info["verdicts_agree"]
+        conditions, info = density_jacobi_check(t)
+        assert satisfied(conditions)
+        assert info["direct_jacobi_holds"]
+        assert info["verdicts_agree"]
 
     def test_constant_theta_only(self):
         t = BracketTriple(Sym2Upper(D11, {}, 1), {},
                           SuperFunction.coordinate(D11, 1), 1, 0)
-        rep = density_jacobi_check(t)
-        assert rep.satisfied
+        conditions, _ = density_jacobi_check(t)
+        assert satisfied(conditions)
 
     def test_canonical_construction_satisfies(self):
         rho = expr(D22, "1 + x1^2 + x2 + x1*th1*th2")
         t = canonical_flat_triple(D22, rho)
-        rep = density_jacobi_check(t)
-        assert rep.satisfied
-        assert rep.info["direct_jacobi_holds"]
-        assert rep.info["verdicts_agree"]
+        conditions, info = density_jacobi_check(t)
+        assert satisfied(conditions)
+        assert info["direct_jacobi_holds"]
+        assert info["verdicts_agree"]
 
     def test_bad_gamma_detected(self):
         # gamma not of volume-gradient form: (S, gamma) != 0
         s = darboux_odd(D11)
         gamma = {0: expr(D11, "x1*th1"), 1: expr(D11, "x1^2")}
         t = BracketTriple(s, gamma, SuperFunction.zero(D11), 1, 0)
-        rep = density_jacobi_check(t)
-        assert not rep.conditions["(S,gamma)"].is_zero()
-        assert not rep.satisfied
-        assert rep.info["verdicts_agree"]
+        conditions, info = density_jacobi_check(t)
+        assert not conditions["(S,gamma)"].is_zero()
+        assert not satisfied(conditions)
+        assert info["verdicts_agree"]
 
     def test_verdict_agreement_random(self):
         rng = random.Random(58)
         agree = 0
         for _ in range(6):
             t = rand_triple(rng, D11, 1, 0)
-            rep = density_jacobi_check(t)
-            assert rep.info["verdicts_agree"]
+            _, info = density_jacobi_check(t)
+            assert info["verdicts_agree"]
             agree += 1
         assert agree == 6
 
@@ -436,11 +438,11 @@ class TestGeneratorTriples:
            st.sampled_from(["darboux", "planted", "gamma", "theta"]))
     def test_verdict_equals_sampled_family_verdict(self, seed, dims, kind):
         triple = near_darboux_triple(seed, dims, kind)
-        rep = density_jacobi_check(triple)
-        assert rep.info["direct_jacobi_holds"] == sampled_family_verdict(triple)
-        assert rep.info["verdicts_agree"]
+        conditions, info = density_jacobi_check(triple)
+        assert info["direct_jacobi_holds"] == sampled_family_verdict(triple)
+        assert info["verdicts_agree"]
         if kind == "darboux":
-            assert rep.satisfied
+            assert satisfied(conditions)
 
     @pytest.mark.parametrize("dim, calls, reference_calls",
                              [(D11, 11, 60), (D22, 29, 210)])
@@ -457,7 +459,7 @@ class TestGeneratorTriples:
 
         monkeypatch.setattr(densities, "bracket_from_triple", counting)
         triple = BracketTriple(darboux_odd(dim), {}, SuperFunction.zero(dim), 1, 0)
-        assert density_jacobi_check(triple).info["direct_jacobi_holds"]
+        assert density_jacobi_check(triple)[1]["direct_jacobi_holds"]
         assert len(counted) == calls
         counted.clear()
         assert reference_witness(triple) is None
@@ -478,8 +480,8 @@ class TestGeneratorTriples:
             gamma[0] = gamma.get(0, SuperFunction.zero(D22)) + expr(D22, perturbation)
         elif slot == "theta":
             theta = theta + expr(D22, perturbation)
-        rep = assert_reference_verdict(BracketTriple(t.s, gamma, theta, 1, 0))
-        assert rep.info["direct_jacobi_holds"] == (slot is None)
+        _, info = assert_reference_verdict(BracketTriple(t.s, gamma, theta, 1, 0))
+        assert info["direct_jacobi_holds"] == (slot is None)
 
 
 def reference_witness(triple):
@@ -495,12 +497,12 @@ def reference_witness(triple):
 def assert_reference_verdict(triple):
     """The check's direct verdict and witness equal the reference loop's,
     and the direct verdict equals the master-Hamiltonian one."""
-    rep = density_jacobi_check(triple)
+    conditions, info = density_jacobi_check(triple)
     witness = reference_witness(triple)
-    assert rep.info["direct_jacobi_holds"] == (witness is None)
-    assert rep.info.get("jacobi_witness") == witness
-    assert rep.info["verdicts_agree"]
-    return rep
+    assert info["direct_jacobi_holds"] == (witness is None)
+    assert info.get("jacobi_witness") == witness
+    assert info["verdicts_agree"]
+    return conditions, info
 
 
 # ---------------------------------------------------------------------------
@@ -510,31 +512,32 @@ def assert_reference_verdict(triple):
 class TestSymplecticCanonical:
     def test_trivial_volume(self):
         t = BracketTriple(darboux_odd(D11), {}, SuperFunction.zero(D11), 1, 0)
-        rep = symplectic_canonical_check(t, SuperFunction.one(D11))
-        assert rep.satisfied
+        conditions, _ = symplectic_canonical_check(t, SuperFunction.one(D11))
+        assert satisfied(conditions)
 
     def test_trivial_volume_reduces_to_gamma_theta_zero(self):
         # with rho = 1 the conditions collapse to gamma = 0 and theta = 0
         gamma = {1: expr(D11, "x1")}
         t = BracketTriple(darboux_odd(D11), gamma, SuperFunction.zero(D11), 1, 0)
-        rep = symplectic_canonical_check(t, SuperFunction.one(D11))
-        assert not rep.satisfied
-        assert any(k.startswith("gamma^2") for k in rep.residuals())
+        conditions, _ = symplectic_canonical_check(t, SuperFunction.one(D11))
+        assert not satisfied(conditions)
+        assert any(k.startswith("gamma^2") and not v.is_zero()
+                   for k, v in conditions.items())
 
     def test_build_then_check(self):
         rho = expr(D11, "1 + x1^2")
         t = canonical_flat_triple(D11, rho)
-        rep = symplectic_canonical_check(t, rho)
-        assert rep.satisfied
+        conditions, _ = symplectic_canonical_check(t, rho)
+        assert satisfied(conditions)
 
     def test_perturbed_theta_fails(self):
         rho = expr(D11, "1 + x1^2")
         t = canonical_flat_triple(D11, rho)
         bad = BracketTriple(t.s, t.gamma,
                             t.theta + expr(D11, "th1"), 1, 0)
-        rep = symplectic_canonical_check(bad, rho)
-        assert not rep.satisfied
-        assert "theta-gamma^k*gamma_k" in rep.residuals()
+        conditions, _ = symplectic_canonical_check(bad, rho)
+        assert not satisfied(conditions)
+        assert not conditions["theta-gamma^k*gamma_k"].is_zero()
 
     def test_degenerate_rejected(self):
         t = BracketTriple(Sym2Upper(D11, {}, 1), {}, SuperFunction.zero(D11), 1, 0)
@@ -545,26 +548,27 @@ class TestSymplecticCanonical:
 class TestProjectivePoisson:
     def test_flat_case(self):
         for dim in (D11, D22):
-            rep = projective_poisson_check(
+            conditions, info = projective_poisson_check(
                 darboux_odd(dim), ProjectiveClass(dim, {}),
                 SuperFunction.one(dim))
-            assert rep.satisfied
-            assert rep.info["extension_jacobi_satisfied"]
+            assert satisfied(conditions)
+            assert info["extension_jacobi_satisfied"]
 
     def test_nonconstant_volume_breaks_first_display(self):
         rho = expr(D11, "1 + x1^2")
-        rep = projective_poisson_check(
+        conditions, info = projective_poisson_check(
             darboux_odd(D11), ProjectiveClass(D11, {}), rho)
-        assert not rep.satisfied
-        assert any(k.startswith("volume_flatness") for k in rep.residuals())
+        assert not satisfied(conditions)
+        assert any(k.startswith("volume_flatness") and not v.is_zero()
+                   for k, v in conditions.items())
         # sufficiency direction: a satisfied report implies the extension
         # satisfies Jacobi; nothing is implied when the report fails
-        assert rep.info["extension_jacobi_satisfied"]
+        assert info["extension_jacobi_satisfied"]
 
     def test_dual_path_agreement_flat(self):
-        rep = projective_poisson_check(
+        conditions, info = projective_poisson_check(
             darboux_odd(D22), ProjectiveClass(D22, {}), SuperFunction.one(D22))
-        assert rep.satisfied == rep.info["extension_jacobi_satisfied"]
+        assert satisfied(conditions) == info["extension_jacobi_satisfied"]
 
     def test_degenerate_rejected(self):
         with pytest.raises(Degenerate):
