@@ -439,5 +439,6 @@ def projective_poisson_check(s: Sym2Upper, pi: ProjectiveClass,
         acc = acc + (s_ij * dlog[i] * dlog[j]).scale(c2 * sign)
     conditions["scalar_curvature"] = acc
     # dual path: extend and test the density Jacobi conditions
-    dual, _ = density_jacobi_check(extend_bracket(s, pi, Fraction(0)))
-    return conditions, {"extension_jacobi_satisfied": satisfied(dual)}
+    dual = density_jacobi_check(extend_bracket(s, pi, Fraction(0)))
+    return conditions, {"extension_jacobi_satisfied": satisfied(dual[0]),
+                        "extension_report": dual}
