@@ -20,8 +20,11 @@ in how many pairs the change was better, and whether the comparison is
 resolved: it is not when either side's interquartile range exceeds the
 bound relative to its median, unless every run of the change beats every
 run of the parent; also each side's report
-digests and failed checks, and the machine, including
-``PYTHONDONTWRITEBYTECODE``.  A claim ``WORKLOAD:METRIC`` is met when the
+digests and failed checks, ``same_reports`` (each side has one digest and
+the two are equal), and the machine, including
+``PYTHONDONTWRITEBYTECODE``.  The workloads whose reports differ are
+printed; that alone does not fail the script, since a change may alter
+reports on purpose.  A claim ``WORKLOAD:METRIC`` is met when the
 change is better in at least 9 of 10 pairs (the same share of any other
 count; at least 2 pairs, for quartiles) and the medians differ by more than
 the parent's interquartile range.
@@ -96,9 +99,12 @@ def summarize(runs: dict, spec: list) -> dict:
     out = {}
     for workload, sides in runs.items():
         parent, change = sides["parent"], sides["change"]
+        digests = {side: sorted({r["digest"] for r in sides[side]})
+                   for side in ("parent", "change")}
         entry = {
-            "digest": {side: sorted({r["digest"] for r in sides[side]})
-                       for side in ("parent", "change")},
+            "digest": digests,
+            "same_reports": len(digests["parent"]) == 1
+            and digests["parent"] == digests["change"],
             "failed": {side: sum(r["failed"] for r in sides[side])
                        for side in ("parent", "change")},
             "metrics": {},
@@ -242,6 +248,10 @@ def main(argv=None) -> int:
             return 1
         ok &= seed_ok
         workloads = summarize(runs, spec)
+        for workload, entry in workloads.items():
+            if not entry["same_reports"]:
+                print(f"{workload} seed {seed}: reports differ, digests "
+                      f"{entry['digest']['parent']} vs {entry['digest']['change']}")
         label = f"seed {seed}, {seconds:g} s"
         claims += [claim_verdict(workloads, *c.partition(":")[::2], label)
                    for c in args.claim]

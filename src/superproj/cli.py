@@ -685,7 +685,7 @@ def main(argv=None) -> int:
     try:
         with open(args.scenario, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"cannot read scenario: {exc}\n")
         return 1
     try:

@@ -43,7 +43,7 @@ MAX_TERMS = 10_000
 # (1,048,577 bits) are not.
 MAX_BITS = 2 ** 20
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*/^]))")
+_TOKEN = re.compile(r"(\s+)|([0-9]+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*/^])")
 
 
 def _tokenize(text: str):
@@ -52,18 +52,18 @@ def _tokenize(text: str):
     line = 1
     line_start = 0
     while pos < len(text):
-        if text[pos] == "\n":
-            line += 1
-            line_start = pos + 1
-            pos += 1
-            continue
         match = _TOKEN.match(text, pos)
-        if not match or match.end() == pos:
+        if not match:
             raise ParseError(
                 f"unexpected character {text[pos]!r}", line, pos - line_start)
-        number, name, op = match.groups()
-        col = match.start(1 if number else 2 if name else 3) - line_start
-        if number is not None:
+        space, number, name, op = match.groups()
+        col = pos - line_start
+        pos = match.end()
+        if space is not None:
+            if "\n" in space:
+                line += space.count("\n")
+                line_start = text.rindex("\n", 0, pos) + 1
+        elif number is not None:
             try:
                 value = int(number)
             except ValueError:  # beyond the interpreter's digit limit
@@ -74,7 +74,6 @@ def _tokenize(text: str):
             tokens.append(("name", name, line, col))
         else:
             tokens.append(("op", op, line, col))
-        pos = match.end()
     tokens.append(("end", "", line, len(text) - line_start))
     return tokens
 
@@ -242,7 +241,7 @@ atom    := INTEGER | NAME | '(' expr ')'
 
 NAME    : even coordinates x1..xn, odd coordinates th1..thm
           (the Thomas chart adds the even coordinate x0)
-INTEGER : nonnegative decimal literal; rationals are written p/q;
+INTEGER : nonnegative literal of the digits 0-9; rationals are written p/q;
           exponents lie in -{MAX_EXPONENT}..{MAX_EXPONENT}
 A product, quotient or power that may exceed {MAX_TERMS} terms, or
 integers of {MAX_BITS} bits, is refused.

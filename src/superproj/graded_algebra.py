@@ -28,8 +28,9 @@ integer content cancelled (:func:`_reduced`).
 Only the public constructors validate: ``SuperFunction._of`` builds the
 result of an operation, whose coefficients are canonical and nonzero
 already, and :class:`Dimension` computes its counts once.  A
-:class:`Substitution` validates its values once and keeps its monomials; a
-`geometry.CoordinateChange` keeps one for each of its maps.
+:class:`Substitution` validates its values once and keeps their monomials;
+a coefficient's kind, not the plan, picks its formula.  A
+`geometry.CoordinateChange` keeps one plan for each of its maps.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -943,16 +944,16 @@ class SuperFunction:
 class Substitution:
     """Evaluation of functions over ``dim`` at values, one SuperFunction per
     coordinate, planned once for many functions: the values are validated
-    here, and the monomials of the even values are kept across calls.  A
-    fraction P/Q gives P(values)/Q(values); Q(values) needs invertible body.
+    here, and the monomials of the even values are kept across calls.
 
-    With polynomial even values, P(values) is summed term by term.  Else
-    each is written once as A_i/b_i, A_i polynomial and b_i the lcm of its
-    fraction denominators (none for a polynomial), P of degrees D gives
-    (sum_m c_m prod A_i^m_i b_i^(D_i - m_i)) / (den prod b_i^D_i), one
-    division per coefficient, and the powers of the b_i are kept.  For P/Q
-    the b-powers cancel; Q(values), evaluated once per plan, is inverted
-    unless it is an even scalar, which leaves one division.
+    Each even value is written once as A_i/b_i, A_i polynomial and b_i the
+    lcm of its fraction denominators, kept only where there is one.  A
+    polynomial P of degrees D_i in the values that keep a b_i gives
+    (sum_m (c_m/den) prod A_i^m_i b_i^(D_i - m_i)) / prod b_i^D_i, one
+    division per coefficient, skipped when the divisor is 1.  For P/Q the
+    b-powers cancel; Q(values), evaluated once per plan and needing
+    invertible body, is inverted unless it is an even scalar, which leaves
+    one division.
     """
 
     __slots__ = ("dim", "target", "_even", "_odd", "_monomials", "_denoms",
@@ -968,23 +969,22 @@ class Substitution:
             if not v.has_parity(dim.parity(i)):
                 raise NonHomogeneous(
                     f"value for coordinate {dim.names[i]} has wrong parity")
-        self._even, self._odd = tuple(values[:dim.n]), tuple(values[dim.n:])
-        split = [_over_common_denominator(v) for v in self._even]
-        self._denoms, self._powers, self._quotients = None, {}, {}
-        if any(b for _, b in split):
-            self._even, self._denoms = zip(*split)
+        split = [_over_common_denominator(v) for v in values[:dim.n]]
+        self._even, self._odd = tuple(a for a, _ in split), tuple(values[dim.n:])
+        self._denoms = tuple((i, b) for i, (_, b) in enumerate(split) if b)
+        self._powers, self._quotients = {}, {}
 
     def __call__(self, f: SuperFunction) -> SuperFunction:
         if f.dim != self.dim:
             raise DimensionMismatch(f"{f.dim} vs {self.dim}")
         result = SuperFunction.zero(self.target)
         for key, coeff in f.terms.items():
-            if self._denoms is not None:
-                piece = self._fraction(coeff)
-            elif type(coeff) is Poly:
-                piece = self._poly(coeff)
+            if type(coeff) is Poly:
+                num, degrees = self._numerator(coeff)
+                piece = (self._divide(num, self._power(degrees)) if any(degrees)
+                         else SuperFunction._of(self.target, num))
             else:
-                piece = self._poly(coeff.numer) * self._poly(coeff.denom).invert()
+                piece = self._fraction(coeff)
             for slot in key:
                 piece = piece * self._odd[slot]
             result = result + piece
@@ -998,28 +998,26 @@ class Substitution:
                 start=SuperFunction.one(self.target))
         return term
 
-    def _poly(self, poly: Poly) -> SuperFunction:
-        acc = sum((self._monomial(m).scale(c) for m, c in poly.num.items()),
-                  SuperFunction.zero(self.target))
-        return acc.scale(Fraction(1, poly.den)) if poly.den != 1 else acc
-
     def _power(self, e: tuple) -> Poly:
-        if e not in self._powers:  # prod b_i^e_i
+        if e not in self._powers:  # prod b_i^e_i over the kept b_i
             self._powers[e] = math.prod(
-                (b ** k for b, k in zip(self._denoms, e) if k),
+                (b ** k for (_, b), k in zip(self._denoms, e) if k),
                 start=_ring_of(self.target.even_names).one)
         return self._powers[e]
 
     def _numerator(self, poly: Poly) -> tuple[dict, tuple]:
-        """(N, D) with poly(values) = N / (den prod b_i^D_i), D the degrees."""
-        degrees = tuple(max(e) if b else 0
-                        for e, b in zip(zip(*poly.num), self._denoms))
+        """(N, D) with poly(values) = N / prod b_i^D_i, D the degrees in the
+        values that keep a b_i."""
+        denoms, den = self._denoms, poly.den
+        degrees = tuple(max(m[i] for m in poly.num) for i, _ in denoms)
         acc: dict = {}
         for monom, c in poly.num.items():
-            scalar = _scaled(self._power(tuple(
-                d - e if d else 0 for d, e in zip(degrees, monom))), c, 1)
-            for key, t in self._monomial(monom).terms.items():
-                t = _pmul(t, scalar)
+            terms = self._monomial(monom).terms
+            if any(degrees) and any(e := tuple(  # times prod b_i^e_i
+                    d - monom[i] for (i, _), d in zip(denoms, degrees))):
+                terms = {key: _pmul(t, self._power(e)) for key, t in terms.items()}
+            for key, t in terms.items():
+                t = _scaled(t, c, den) if c != 1 or den != 1 else t
                 acc[key] = _padd(acc[key], t) if key in acc else t
         return {k: c for k, c in acc.items() if c}, degrees
 
@@ -1027,12 +1025,11 @@ class Substitution:
         inv = reciprocal(den)
         return SuperFunction._of(self.target, {k: _mul(c, inv) for k, c in num.items()})
 
-    def _fraction(self, coeff) -> SuperFunction:
-        numer, denom = numer_denom(coeff)
-        num, degrees = self._numerator(numer)
-        quotient = self._quotients.get(denom)
+    def _fraction(self, coeff: Frac) -> SuperFunction:
+        num, degrees = self._numerator(coeff.numer)
+        quotient = self._quotients.get(coeff.denom)
         if quotient is None:
-            quotient = self._quotients[denom] = self._denominator(denom)
+            quotient = self._quotients[coeff.denom] = self._denominator(coeff.denom)
         if type(quotient) is SuperFunction:  # 1/Q(values), which has odd terms
             return self._divide(num, self._power(degrees)) * quotient
         body, q_degrees = quotient

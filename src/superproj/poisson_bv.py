@@ -227,8 +227,6 @@ def bv_check(s: Sym2Upper, pi: ProjectiveClass) -> tuple:
     for i, j in sorted(flows):
         if flows[i, j].terms:
             conditions[f"flow_of_S^{i + 1}{j + 1}"] = flows[i, j]
-    if not conditions:
-        conditions["flow"] = zero
     # direct route: square the Laplacian
     delta2 = delta.compose(delta)
     square_zero = delta2.is_zero()

@@ -59,6 +59,7 @@ def test_summary_medians_iqr_and_pairs():
                               "change": runs_of(CHANGE_RATES, [0.012] * 10)}},
         SPEC)["geometry_changes"]
     assert out["digest"] == {"parent": ["f762f45d"], "change": ["f762f45d"]}
+    assert out["same_reports"] is True
     assert out["failed"] == {"parent": 0, "change": 0}
     rate = out["metrics"]["checks_per_s"]
     assert rate["parent"]["median"] == 161.0 and rate["change"]["median"] == 225.5
@@ -72,6 +73,24 @@ def test_summary_medians_iqr_and_pairs():
     p50 = out["metrics"]["report_s.p50"]
     assert p50["relative_change"] == 0.2 and p50["within_bound"] is True
     assert p50["change_better_pairs"] == 0
+
+
+def runs_with_digests(digests):
+    return [bench_pairs.parse_run(output(150, 0.01, digest=d + "0" * 56))
+            for d in digests]
+
+
+@pytest.mark.parametrize("parent, change, same", [
+    (["f762f45d"] * 2, ["f762f45d"] * 2, True),
+    (["f762f45d"] * 2, ["0a733411"] * 2, False),
+    (["f762f45d"] * 2, ["f762f45d", "0a733411"], False),
+    (["f762f45d", "0a733411"], ["f762f45d", "0a733411"], False),
+], ids=["equal", "different", "change_split", "both_split"])
+def test_summary_says_whether_the_reports_agree(parent, change, same):
+    out = bench_pairs.summarize(
+        {"w": {"parent": runs_with_digests(parent),
+               "change": runs_with_digests(change)}}, SPEC)
+    assert out["w"]["same_reports"] is same
 
 
 def test_summary_flags_a_regression_beyond_its_bound():
@@ -131,13 +150,13 @@ def test_machine_line_names_the_bytecode_setting(monkeypatch):
     assert bench_pairs.machine_line(env).endswith("PYTHONDONTWRITEBYTECODE=unset")
 
 
-def fake_checkout(root, name, rate, failed, holdout_rate=None):
+def fake_checkout(root, name, rate, failed, holdout_rate=None, digest="f762f45d"):
     """A checkout whose bench/run.py prints a fixed result per seed (rate,
     or holdout_rate on seed 5) and exits 1 on failed checks, as the real one
     does; it appends its arguments to calls.log in the checkout."""
     bench = root / name / "bench"
     bench.mkdir(parents=True)
-    texts = {1: output(rate, 0.01, failed),
+    texts = {1: output(rate, 0.01, failed, digest=digest + "0" * 56),
              5: output(holdout_rate or rate, 0.01, failed, digest="6bf8eb07" + "0" * 56)}
     (bench / "run.py").write_text(
         "import sys\n"
@@ -163,6 +182,17 @@ def test_main_exits_nonzero_when_a_run_fails(tmp_path, failed, status):
     assert record["pr"] == 7 and record["pairs"] == 2
     assert record["workloads"]["w"]["failed"] == {"parent": 0, "change": 2 * failed}
     assert record["claim"][0]["change_better_pairs"] == 2
+
+
+def test_main_prints_differing_reports_and_keeps_the_exit_code(tmp_path, capsys):
+    parent = fake_checkout(tmp_path, "parent", 150, 0)
+    change = fake_checkout(tmp_path, "change", 150, 0, digest="4daa7577")
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main([str(parent), str(change), "--workload", "w", "--seed", "1",
+                             "--seconds", "0", "--pairs", "2", "--out", str(out)]) == 0
+    assert ("w seed 1: reports differ, digests ['f762f45d'] vs ['4daa7577']"
+            in capsys.readouterr().out.splitlines())
+    assert json.loads(out.read_text())["workloads"]["w"]["same_reports"] is False
 
 
 def test_main_refuses_an_unmeasured_claim(tmp_path):

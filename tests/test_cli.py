@@ -444,6 +444,17 @@ class TestMain:
         capsys.readouterr()
         assert main(["grammar"]) == 0
 
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_scenario_not_utf8(self, tmp_path, capsys, command):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe" + DARBOUX.encode("utf-16-le"))
+        assert main([command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "cannot read scenario: 'utf-8' codec can't decode byte 0xff in "
+            "position 0: invalid start byte\n")
+
     def test_unknown_only_kind(self, tmp_path, capsys):
         path = tmp_path / "darboux.json"
         path.write_text(DARBOUX)

@@ -54,6 +54,37 @@ def test_unknown_name_has_position():
     assert err.value.column == 5
 
 
+@pytest.mark.parametrize("text, plain", [
+    ("x1 ", "x1"), ("x1\t", "x1"), (" x1 \n", "x1"), ("x1 +\r\n x2 ", "x1 + x2"),
+])
+def test_trailing_whitespace_accepted(text, plain):
+    assert parse_expression(D, text) == parse_expression(D, plain)
+
+
+@pytest.mark.parametrize("text, line, column", [
+    ("x1 + \nx9", 2, 0),
+    ("x1 +\nx9", 2, 0),
+    ("x1 +\t\n\n  x9", 3, 2),
+    ("x1 + \r\n x9", 2, 1),
+])
+def test_every_newline_counts(text, line, column):
+    with pytest.raises(ParseError) as err:
+        parse_expression(D, text)
+    assert "unknown coordinate 'x9'" in str(err.value)
+    assert (err.value.line, err.value.column) == (line, column)
+
+
+@pytest.mark.parametrize("text, char, column", [
+    ("x1^\u0662", "\u0662", 3),  # ARABIC-INDIC DIGIT TWO
+    ("\U0001d7d3*x2", "\U0001d7d3", 0),  # MATHEMATICAL BOLD DIGIT FIVE
+])
+def test_only_ascii_digits(text, char, column):
+    with pytest.raises(ParseError) as err:
+        parse_expression(D, text)
+    assert f"unexpected character {char!r}" in str(err.value)
+    assert (err.value.line, err.value.column) == (1, column)
+
+
 def test_exponent_limit():
     x1 = parse_expression(D, "x1")
     assert parse_expression(D, f"x1^{MAX_EXPONENT}") == x1 ** MAX_EXPONENT

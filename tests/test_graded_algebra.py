@@ -668,8 +668,9 @@ def plan_values(rng, dim, kind):
     """Values for the coordinates of dim.  The even values are of one kind:
     Moebius maps x -> x/(1 - c x), general rational functions, rational
     functions with a nilpotent soul over a denominator, or rational
-    constants; each may instead stay polynomial.  The odd values carry
-    fractions too."""
+    constants, each of which may instead stay polynomial; or non-constant
+    polynomials with a nilpotent soul.  The odd values carry fractions
+    too."""
     one = SuperFunction.one(dim)
     coords = [coord(dim, i) for i in range(dim.size)]
     ths = coords[dim.n:]
@@ -683,7 +684,11 @@ def plan_values(rng, dim, kind):
 
     evens = []
     for a in range(dim.n):
-        if rng.random() < 0.25:
+        if kind == "polynomial":
+            soul = (ths[0] * ths[-1]).scale(rng.choice((1, -3)))  # 0 at m = 1
+            value = coords[a] + scalar(2) + soul
+            evens.append(value + coords[a] if value.body().is_ground else value)
+        elif rng.random() < 0.25:
             evens.append(coords[a] + scalar())
         elif kind == "moebius":
             c = rng.choice((1, 2, -1, Fraction(1, 3)))
@@ -701,8 +706,9 @@ def plan_values(rng, dim, kind):
 
 def rational_function(rng, dim):
     """A function whose coefficients are mostly true fractions, some with
-    one shared denominator."""
-    f = rand_super(rng, dim, deg=2)
+    one shared denominator, and polynomials over an integer denominator."""
+    f = rand_super(rng, dim, deg=2) + rand_super(rng, dim).scale(
+        Fraction(1, rng.choice((2, 3, 6))))
     shared = SuperFunction(dim, {(): rand_scalar(rng, dim, 1)})
     if shared.body():
         f = f + rand_super(rng, dim, deg=1) * shared.invert()
@@ -714,7 +720,7 @@ PLAN_DIMS = [Dimension.of(1, 2), Dimension.of(2, 1), D22]
 
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(PLAN_DIMS),
-       st.sampled_from(["moebius", "rational", "soul", "constant"]),
+       st.sampled_from(["moebius", "rational", "soul", "constant", "polynomial"]),
        st.integers(min_value=0, max_value=10**6))
 def test_plan_equals_term_by_term_reference(dim, kind, seed):
     rng = random.Random(seed)
@@ -749,8 +755,10 @@ def test_polynomial_plan_runs_no_gcd(monkeypatch):
     assert calls == []
 
 
-def test_shared_denominator_is_evaluated_once_per_plan(monkeypatch):
-    values = [expr(D22, e) for e in ("x1/(1 - 2*x1)", "x2", "th1", "th2*(1 + x1)")]
+@pytest.mark.parametrize("evens", [("x1/(1 - 2*x1)", "x2"), ("x1 + 2*x2", "x2 - x1^2")],
+                         ids=["fraction_values", "polynomial_values"])
+def test_shared_denominator_is_evaluated_once_per_plan(monkeypatch, evens):
+    values = [expr(D22, e) for e in evens + ("th1", "th2*(1 + x1)")]
     f = expr(D22, "x1/(x1 + x2 + 1) + x2^2/(x1 + x2 + 1)*th1 "
                   "+ th1*th2/(x1 + x2 + 1) + th2/x2")
     calls = []

@@ -268,6 +268,13 @@ class TestBVCheck:
         conditions, _ = bv_check(Sym2Upper(D11, {}, 1), ProjectiveClass(D11, {}))
         assert satisfied(conditions)
 
+    def test_dimension_zero_has_no_conditions(self):
+        d00 = Dimension.of(0, 0)
+        conditions, info = bv_check(Sym2Upper(d00, {}, 1), ProjectiveClass(d00, {}))
+        assert conditions == {} and satisfied(conditions)
+        assert info == {"laplacian_square_zero": True, "formula_square_zero": True,
+                        "order_of_square": 0, "verdicts_agree": True}
+
     def test_counterexample_fails_both_ways(self):
         conditions, info = bv_check(nonflat_odd_tensor(), ProjectiveClass(D11, {}))
         assert not satisfied(conditions)
