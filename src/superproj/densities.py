@@ -2,7 +2,11 @@
 component triples, canonical generating operators and formal adjoints.
 
 A density element is a finite sum of slices ``f(x, th) |Dx|^w`` with exact
-rational weights.  An operator is kept in normal order, as one flat map from
+rational weights.  A weight key (of a slice, of an operator term, of a
+triple) is an ``int`` when the weight is integral and a ``Fraction``
+otherwise (`_as_weight`, applied to every sum of weights): the two types
+compare, hash and print alike, and an ``int`` hashes without Fraction's
+modular inverse.  An operator is kept in normal order, as one flat map from
 keys (alpha, k, mu) to functions f:
 
     sum  f |Dx|^mu  d^alpha  w^k
@@ -68,8 +72,14 @@ from .graded_algebra import (
 # ---------------------------------------------------------------------------
 
 
-def _as_weight(w) -> Fraction:
-    return w if isinstance(w, Fraction) else Fraction(w)
+def _as_weight(w) -> int | Fraction:
+    """The weight key of w: an int when w is integral, else a Fraction.
+    Equal weights of either type hash alike, compare equal and print the
+    same way, and an int key hashes without Fraction's modular inverse."""
+    if type(w) is int:
+        return w
+    w = w if isinstance(w, Fraction) else Fraction(w)
+    return w.numerator if w.denominator == 1 else w
 
 
 class DensityElement:
@@ -89,8 +99,8 @@ class DensityElement:
 
     @staticmethod
     def _of(dim: Dimension, slices: dict) -> "DensityElement":
-        """Trusted: Fraction weights to slices over dim, in a dict of the
-        caller's own; drops zero slices."""
+        """Trusted: weight keys (see `_as_weight`) to slices over dim, in a
+        dict of the caller's own; drops zero slices."""
         if not all(f.terms for f in slices.values()):
             slices = {w: f for w, f in slices.items() if f.terms}
         out = object.__new__(DensityElement)
@@ -123,6 +133,10 @@ class DensityElement:
     def __add__(self, other: "DensityElement") -> "DensityElement":
         if self.dim != other.dim:
             raise DimensionMismatch("density dimensions differ")
+        if not other.slices:
+            return self
+        if not self.slices:
+            return other
         out = dict(self.slices)
         for w, f in other.slices.items():
             out[w] = out[w] + f if w in out else f
@@ -131,21 +145,34 @@ class DensityElement:
     def __neg__(self):
         return self.scale(-1)
 
-    def __sub__(self, other):
-        return self + (-other)
+    def __sub__(self, other: "DensityElement") -> "DensityElement":
+        if self.dim != other.dim:
+            raise DimensionMismatch("density dimensions differ")
+        if not other.slices:
+            return self
+        out = dict(self.slices)
+        for w, f in other.slices.items():
+            out[w] = out[w] - f if w in out else -f
+        return DensityElement._of(self.dim, out)
 
     def __mul__(self, other: "DensityElement") -> "DensityElement":
         if self.dim != other.dim:
             raise DimensionMismatch("density dimensions differ")
+        if not self.slices:
+            return self
+        if not other.slices:
+            return other
         out: dict = {}
         for w1, f1 in self.slices.items():
             for w2, f2 in other.slices.items():
-                w = w1 + w2
+                w = _as_weight(w1 + w2)
                 prod = f1 * f2
                 out[w] = out[w] + prod if w in out else prod
         return DensityElement._of(self.dim, out)
 
     def scale(self, q) -> "DensityElement":
+        if not self.slices or q == 1:
+            return self
         return DensityElement._of(self.dim, {w: f.scale(q) for w, f in self.slices.items()})
 
     def partial(self, i: int) -> "DensityElement":
@@ -251,7 +278,7 @@ class DensityOperator:
 
     @staticmethod
     def identity(dim: Dimension) -> "DensityOperator":
-        return _assemble(dim, [(Fraction(0), SuperFunction.one(dim), (), 0)])
+        return _assemble(dim, [(0, SuperFunction.one(dim), (), 0)])
 
     @staticmethod
     def mult(coeff: DensityElement) -> "DensityOperator":
@@ -259,11 +286,11 @@ class DensityOperator:
 
     @staticmethod
     def deriv(dim: Dimension, i: int) -> "DensityOperator":
-        return _assemble(dim, [(Fraction(0), SuperFunction.one(dim), (i,), 0)])
+        return _assemble(dim, [(0, SuperFunction.one(dim), (i,), 0)])
 
     @staticmethod
     def weight(dim: Dimension) -> "DensityOperator":
-        return _assemble(dim, [(Fraction(0), SuperFunction.one(dim), (), 1)])
+        return _assemble(dim, [(0, SuperFunction.one(dim), (), 1)])
 
     @staticmethod
     def from_written(coeff: DensityElement, deriv_indices: Sequence[int],
@@ -316,7 +343,7 @@ class DensityOperator:
                     for _ in range(alpha[i]):
                         g = g.partial(i)
                 if g.terms:
-                    _add_into(out, mu + lam, f * g)
+                    _add_into(out, _as_weight(mu + lam), f * g)
         return DensityElement._of(self.dim, out)
 
     # -- serialization ------------------------------------------------
@@ -387,7 +414,7 @@ class DensityOperator:
                 for _ in range(alpha[i]):
                     acc = acc._compose_deriv(i)
             for (beta, k, nu), g in acc.terms.items():
-                _add_into(out, (beta, k, mu + nu), f * g)
+                _add_into(out, (beta, k, _as_weight(mu + nu)), f * g)
         return DensityOperator(self.dim, out)
 
 
@@ -396,8 +423,7 @@ class DensityOperator:
 # ---------------------------------------------------------------------------
 
 
-DEFAULT_WEIGHTS = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2),
-                   Fraction(-1, 2))
+DEFAULT_WEIGHTS = (0, Fraction(1, 2), 1, 2, Fraction(-1, 2))
 
 
 def density_test_family(dim: Dimension, weights: Iterable = DEFAULT_WEIGHTS,
@@ -494,7 +520,7 @@ class BracketTriple:
     gamma: Mapping[int, SuperFunction]
     theta: SuperFunction
     eps: int
-    weight: Fraction
+    weight: int | Fraction  # a weight key, see `_as_weight`
 
     def __post_init__(self):
         dim = self.s.dim
@@ -544,46 +570,43 @@ def bracket_from_triple(triple: BracketTriple, a: DensityElement,
         if not arg.is_homogeneous():
             raise NonHomogeneous("bracket arguments must be parity homogeneous")
     dim = triple.dim
+    if not (a.slices and b.slices):
+        return DensityElement.zero(dim)
     odd_a = int(a.parity())
 
     def signed(j, term):
         return -term if odd_a and dim.parity(j) else term
 
-    b_slices = [(nu, g, _partials(g)) for nu, g in b.slices.items()]
+    # The first derivatives the sum reads, each taken once per call: of a's
+    # slices at the columns i of S, and at gamma's indices if some nu is
+    # nonzero; of b's slices at the rows j of S that meet a nonzero d_i f,
+    # and at gamma's indices if some mu is nonzero.
+    comps, gamma = triple.s.comps, triple.gamma
+    cols = {i for _, i in comps} | (gamma.keys() if any(b.slices) else set())
+    a_slices = [(mu, f, {i: f.partial(i) for i in cols}) for mu, f in a.slices.items()]
+    live = {i for _, _, df in a_slices for i, d in df.items() if d.terms}
+    rows = {j for j, i in comps if i in live} | (gamma.keys() if any(a.slices) else set())
+    b_slices = [(nu, g, {j: g.partial(j) for j in rows}) for nu, g in b.slices.items()]
     out: dict = {}
-    for mu, f in a.slices.items():
-        df = _partials(f)
+    for mu, f, df in a_slices:
         for nu, g, dg in b_slices:
             acc = SuperFunction.zero(dim)
-            for (j, i), s_ji in triple.s.comps.items():
-                if df(i).is_zero() or dg(j).is_zero():
-                    continue
-                acc = acc + signed(j, s_ji * df(i) * dg(j))
+            for (j, i), s_ji in comps.items():
+                if df[i].terms and dg[j].terms:
+                    acc = acc + signed(j, s_ji * df[i] * dg[j])
             if mu:
-                for j, gamma_j in triple.gamma.items():
-                    if not dg(j).is_zero():
-                        acc = acc + signed(j, gamma_j * f * dg(j)).scale(mu)
+                for j, gamma_j in gamma.items():
+                    if dg[j].terms:
+                        acc = acc + signed(j, gamma_j * f * dg[j]).scale(mu)
             if nu:
-                for i, gamma_i in triple.gamma.items():
-                    if not df(i).is_zero():
-                        acc = acc + (gamma_i * df(i) * g).scale(nu)
+                for i, gamma_i in gamma.items():
+                    if df[i].terms:
+                        acc = acc + (gamma_i * df[i] * g).scale(nu)
             if mu and nu:
                 acc = acc + (triple.theta * f * g).scale(mu * nu)
-            w = triple.weight + mu + nu
+            w = _as_weight(triple.weight + mu + nu)
             out[w] = out[w] + acc if w in out else acc
     return DensityElement._of(dim, out)
-
-
-def _partials(f: SuperFunction):
-    """i -> d_i f, each derivative computed on first use."""
-    done: dict = {}
-
-    def d(i):
-        if i not in done:
-            done[i] = f.partial(i)
-        return done[i]
-
-    return d
 
 
 def generators(dim: Dimension) -> list:
@@ -726,9 +749,8 @@ def laplacian_vector(s: Sym2Upper, pi: ProjectiveClass) -> dict:
 def projective_laplacian(s: Sym2Upper, pi: ProjectiveClass) -> DensityOperator:
     """S^ij d_j d_i + T^i d_i with T = `laplacian_vector`, acting on weight-0
     densities."""
-    zero = Fraction(0)
-    pieces = [(zero, s_ij, (j, i), 0) for (i, j), s_ij in s.comps.items()]
-    pieces += [(zero, t_i, (i,), 0) for i, t_i in laplacian_vector(s, pi).items()]
+    pieces = [(0, s_ij, (j, i), 0) for (i, j), s_ij in s.comps.items()]
+    pieces += [(0, t_i, (i,), 0) for i, t_i in laplacian_vector(s, pi).items()]
     return _assemble(s.dim, pieces)
 
 

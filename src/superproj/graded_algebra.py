@@ -31,6 +31,15 @@ already, and :class:`Dimension` computes its counts once.  A
 :class:`Substitution` validates its values once and keeps their monomials;
 a coefficient's kind, not the plan, picks its formula.  A
 `geometry.CoordinateChange` keeps one plan for each of its maps.
+``SuperFunction.migrate`` is a renaming and builds no plan.
+
+Trivial operands take short paths: a zero summand or factor gives the other
+operand or zero, an even-scalar factor multiplies each coefficient (QQ(x)
+has no zero divisors, so nothing cancels), a polynomial times the constant
+1 is the polynomial, and two constants multiply with one gcd.  Each element
+keeps its first derivatives once taken (``_derivs``, filled by `partial`);
+equality, hashing and immutability ignore it, and a derivative never refers
+to its antiderivative, so the kept values die with the element.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -242,6 +251,8 @@ class Poly(_Scalar):
 
     def diff(self, i: int) -> "Poly":
         """Derivative by the i-th even coordinate."""
+        if self.is_ground:
+            return self.ring.zero
         num = {}
         for m, c in self.num.items():
             e = m[i]
@@ -326,6 +337,12 @@ def _pmul(a: Poly, b: Poly) -> Poly:
         (mb, cb), = b.num.items()
         if any(mb):
             num = {tuple(map(_add_int, m, mb)): c * cb for m, c in a.num.items()}
+        elif cb == 1 and b.den == 1:
+            return a
+        elif len(a.num) == 1 and mb in a.num:  # two constants: one product, one gcd
+            p, q = a.num[mb] * cb, a.den * b.den
+            g = math.gcd(p, q)
+            return Poly(a.ring, {mb: p // g}, q // g)
         else:
             num = {m: c * cb for m, c in a.num.items()}
     else:
@@ -710,9 +727,12 @@ def _merge_sign(left: tuple[int, ...], right: tuple[int, ...]):
 
 
 class SuperFunction:
-    """Canonical supercommutative expression over a fixed Dimension."""
+    """Canonical supercommutative expression over a fixed Dimension.
 
-    __slots__ = ("dim", "terms")
+    Each element keeps its first derivatives once taken (`partial`), so a
+    derivative of the same element is computed only once."""
+
+    __slots__ = ("dim", "terms", "_derivs")
 
     def __init__(self, dim: Dimension, terms: Mapping[tuple[int, ...], object]):
         ring = _ring_of(dim.even_names)
@@ -723,6 +743,7 @@ class SuperFunction:
                 clean[tuple(key)] = coeff
         _set(self, "dim", dim)
         _set(self, "terms", clean)
+        _set(self, "_derivs", None)
 
     @staticmethod
     def _of(dim: Dimension, terms: dict) -> "SuperFunction":
@@ -730,6 +751,7 @@ class SuperFunction:
         out = _new(SuperFunction)
         _set(out, "dim", dim)
         _set(out, "terms", terms)
+        _set(out, "_derivs", None)
         return out
 
     def __setattr__(self, *_):
@@ -803,24 +825,48 @@ class SuperFunction:
 
     def __add__(self, other: "SuperFunction") -> "SuperFunction":
         self._check_dim(other)
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            out[key] = _add(out[key], coeff) if key in out else coeff
-        if not all(out.values()):
-            out = {k: c for k, c in out.items() if c}
-        return SuperFunction._of(self.dim, out)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
+        return self._plus(other.terms.items())
 
     def __neg__(self) -> "SuperFunction":
         return SuperFunction._of(self.dim, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other: "SuperFunction") -> "SuperFunction":
-        return self + (-other)
+        self._check_dim(other)
+        if not other.terms:
+            return self
+        return self._plus((k, -c) for k, c in other.terms.items())
+
+    def _plus(self, pairs) -> "SuperFunction":
+        """self plus the terms (key, coefficient) in pairs."""
+        out = dict(self.terms)
+        for key, coeff in pairs:
+            out[key] = _add(out[key], coeff) if key in out else coeff
+        if not all(out.values()):
+            out = {k: c for k, c in out.items() if c}
+        return SuperFunction._of(self.dim, out)
 
     def __mul__(self, other: "SuperFunction") -> "SuperFunction":
         self._check_dim(other)
+        left, right = self.terms, other.terms
+        if not left:
+            return self
+        if not right:
+            return other
+        # an even scalar multiplies each coefficient; QQ(x) has no zero
+        # divisors, so no product vanishes
+        if len(right) == 1 and () in right:
+            c = right[()]
+            return SuperFunction._of(self.dim, {k: _mul(a, c) for k, a in left.items()})
+        if len(left) == 1 and () in left:
+            c = left[()]
+            return SuperFunction._of(self.dim, {k: _mul(c, b) for k, b in right.items()})
         out: dict[tuple[int, ...], object] = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
+        for k1, c1 in left.items():
+            for k2, c2 in right.items():
                 merged = _merge_sign(k1, k2)
                 if merged is None:
                     continue
@@ -885,22 +931,30 @@ class SuperFunction:
     # -- calculus -----------------------------------------------------
 
     def partial(self, i: int) -> "SuperFunction":
-        """Left partial derivative with respect to coordinate i."""
+        """Left partial derivative with respect to coordinate i, kept on
+        this element after its first use."""
+        derivs = self._derivs
+        if derivs is not None and i in derivs:
+            return derivs[i]
         dim = self.dim
         if not 0 <= i < dim.size:
             raise UnknownCoordinate(f"coordinate index {i} out of range for {dim}")
+        if not self.terms:
+            return self
+        if derivs is None:
+            derivs = {}
+            _set(self, "_derivs", derivs)
         if i < dim.n:
-            return SuperFunction._of(dim, {
-                k: d for k, c in self.terms.items() if (d := _diff(c, i))})
-        slot = i - dim.n
-        out = {}
-        for key, coeff in self.terms.items():
-            if slot not in key:
-                continue
-            pos = key.index(slot)
-            rest = key[:pos] + key[pos + 1:]
-            out[rest] = -coeff if pos % 2 else coeff
-        return SuperFunction._of(dim, out)
+            out = {k: d for k, c in self.terms.items() if (d := _diff(c, i))}
+        else:
+            slot, out = i - dim.n, {}
+            for key, coeff in self.terms.items():
+                if slot not in key:
+                    continue
+                pos = key.index(slot)
+                out[key[:pos] + key[pos + 1:]] = -coeff if pos % 2 else coeff
+        derivs[i] = d = SuperFunction._of(dim, out)
+        return d
 
     # -- substitution ---------------------------------------------------
 
@@ -911,19 +965,48 @@ class SuperFunction:
     def migrate(self, new_dim: Dimension) -> "SuperFunction":
         """Reinterpret over a dimension matching coordinates by name.
 
+        A renaming, not a substitution: each even exponent and each odd
+        slot moves to the target position of its name.  Odd slots that
+        change order take the Koszul sign of their sort, and a fraction is
+        negated when the new variable order makes its denominator's lex
+        leading coefficient negative (`_reduced` puts it in normal form).
         Coordinates absent from the target must not occur in the expression
-        (canonical coefficients make non-occurrence structural).
+        (canonical coefficients make non-occurrence structural), else
+        UnknownCoordinate; a shared name of the other parity is refused
+        with NonHomogeneous, whether it occurs or not.
         """
-        values = []
-        for idx, name in enumerate(self.dim.names):
-            if name in new_dim.names:
-                values.append(SuperFunction.coordinate(new_dim, new_dim.index(name)))
-            else:
-                if not self.partial(idx).is_zero():
-                    raise UnknownCoordinate(
-                        f"expression depends on {name!r}, absent from {new_dim}")
-                values.append(SuperFunction.zero(new_dim))
-        return self.substitute(values)
+        dim = self.dim
+        where = {name: j for j, name in enumerate(new_dim.names)}
+        for idx, name in enumerate(dim.names):
+            if name not in where and not self.partial(idx).is_zero():
+                raise UnknownCoordinate(
+                    f"expression depends on {name!r}, absent from {new_dim}")
+        for idx, name in enumerate(dim.names):
+            if name in where and new_dim.parity(where[name]) != dim.parity(idx):
+                raise NonHomogeneous(
+                    f"value for coordinate {name} has wrong parity")
+        # the source exponent read at each target even position, -1 (the
+        # appended 0) where the target coordinate is new
+        source = [-1] * new_dim.n
+        for i, name in enumerate(dim.even_names):
+            if name in where:
+                source[where[name]] = i
+        slots = {a: where[name] - new_dim.n
+                 for a, name in enumerate(dim.odd_names) if name in where}
+        ring = _ring_of(new_dim.even_names)
+
+        def rename(p: Poly) -> Poly:
+            return Poly(ring, {tuple(map((m + (0,)).__getitem__, source)): c
+                               for m, c in p.num.items()}, p.den)
+
+        terms = {}
+        for key, coeff in self.terms.items():
+            coeff = (rename(coeff) if type(coeff) is Poly
+                     else _reduced(rename(coeff.numer), rename(coeff.denom)))
+            key = [slots[a] for a in key]
+            inversions = sum(x > y for p, x in enumerate(key) for y in key[p + 1:])
+            terms[tuple(sorted(key))] = -coeff if inversions % 2 else coeff
+        return SuperFunction._of(new_dim, terms)
 
     def __eq__(self, other) -> bool:
         return (

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from superproj.cli import _residual_map
 from superproj.densities import (
     BracketTriple,
     DensityElement,
@@ -95,6 +96,21 @@ class TestDensityAlgebra:
         prod = a * b
         assert sorted(prod.slices) == [Fraction(5, 6)]
         assert prod.slice(Fraction(5, 6)) == expr(D11, "x1*th1")
+
+    def test_integral_weights_are_int_keys(self):
+        half = fn(D11, "x1", Fraction(1, 2))
+        assert [type(w) for w in (half * half).slices] == [int]
+        assert [type(w) for w in half.slices] == [Fraction]
+        assert list(fn(D11, "x1", Fraction(4, 2)).slices) == [2]
+
+    def test_int_and_fraction_keys_agree(self):
+        f = expr(D11, "x1*th1 - 3")
+        by_int = DensityElement._of(D11, {1: f})
+        by_fraction = DensityElement._of(D11, {Fraction(1): f})
+        assert by_int == by_fraction and hash(by_int) == hash(by_fraction)
+        assert by_int.slice(Fraction(1)) is f and by_fraction.slice(1) is f
+        residuals = [_residual_map([("d", d)]) for d in (by_int, by_fraction)]
+        assert residuals[0] == residuals[1] == {"d": "(-3 + x1*th1)*Vol^1"}
 
 
 # ---------------------------------------------------------------------------

@@ -229,6 +229,148 @@ class TestSubstitution:
             f.migrate(Dimension(("y1",), ("th1", "th2")))
 
 
+# ---------------------------------------------------------------------------
+# migrate: a renaming, against substitution by name
+# ---------------------------------------------------------------------------
+
+def reference_migrate(f, new_dim):
+    """Substitute each coordinate by the target coordinate of its name, or
+    by zero where the target lacks the name (refused if it occurs)."""
+    values = []
+    for idx, name in enumerate(f.dim.names):
+        if name in new_dim.names:
+            values.append(coord(new_dim, new_dim.index(name)))
+        elif not f.partial(idx).is_zero():
+            raise UnknownCoordinate(
+                f"expression depends on {name!r}, absent from {new_dim}")
+        else:
+            values.append(SuperFunction.zero(new_dim))
+    return f.substitute(values)
+
+
+def outcome(route):
+    """A route's result, or the type and message of its refusal."""
+    try:
+        return route()
+    except (UnknownCoordinate, NonHomogeneous) as exc:
+        return type(exc), str(exc)
+
+
+def renaming_case(rng, shape):
+    """(f, target): f with fraction coefficients over the source, some
+    coordinates killed; the target shuffles the source names among new
+    ones, drops some names and may move one to the other parity."""
+    dim = Dimension.of(*shape)
+    killed = {i for i in range(dim.size) if rng.random() < 0.3}
+    values = [SuperFunction.zero(dim) if i in killed else coord(dim, i)
+              for i in range(dim.size)]
+    f = rand_super(rng, dim).substitute(values)
+    q = SuperFunction(dim, {(): rand_scalar(rng, dim, 2, 3)}).substitute(values)
+    if q.terms:
+        f = f * q.invert() + rand_super(rng, dim).substitute(values)
+    evens = [name for name in dim.even_names if rng.random() < 0.9]
+    odds = [name for name in dim.odd_names if rng.random() < 0.9]
+    evens += [f"y{k}" for k in range(rng.randint(0, 2))]
+    odds += [f"eta{k}" for k in range(rng.randint(0, 2))]
+    if rng.random() < 0.15 and evens:
+        odds.append(evens.pop(rng.randrange(len(evens))))
+    if rng.random() < 0.15 and odds:
+        evens.append(odds.pop(rng.randrange(len(odds))))
+    rng.shuffle(evens)
+    rng.shuffle(odds)
+    return f, Dimension(tuple(evens), tuple(odds))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([(1, 1), (2, 1), (1, 2), (2, 2), (3, 2)]),
+       st.integers(min_value=0, max_value=10**6))
+def test_migrate_equals_substitution_by_name(shape, seed):
+    f, target = renaming_case(random.Random(seed), shape)
+    got = outcome(lambda: f.migrate(target))
+    want = outcome(lambda: reference_migrate(f, target))
+    assert got == want
+    if isinstance(got, SuperFunction):
+        assert got.dim == target and got.terms == want.terms
+        assert hash(got) == hash(want) and text(got) == text(want)
+
+
+def test_renaming_cases_reach_every_outcome():
+    kinds = set()
+    for seed in range(300):
+        f, target = renaming_case(random.Random(seed), (2, 2))
+        got = outcome(lambda: f.migrate(target))
+        kinds.add(got[0] if type(got) is tuple else "renamed")
+    assert kinds == {"renamed", UnknownCoordinate, NonHomogeneous}
+
+
+class TestMigrate:
+    def test_reordered_odd_slots_take_the_koszul_sign(self):
+        f = expr(D22, "x1*th1*th2")
+        swapped = Dimension(("x1", "x2"), ("th2", "th1"))
+        assert text(f.migrate(swapped)) == "-x1*th2*th1"
+        assert f.migrate(swapped).migrate(D22) == f
+
+    def test_reordered_evens_keep_a_positive_leading_denominator(self):
+        f = expr(D22, "1/(x1 - x2)")
+        swapped = Dimension(("x2", "x1"), ("th1", "th2"))
+        g = f.migrate(swapped)
+        assert g.terms == reference_migrate(f, swapped).terms
+        assert text(g) == "-1/(x2 - x1)"
+
+    def test_absent_dependence_refused_before_parity(self):
+        f = coord(D22, 0)
+        target = Dimension(("th1",), ("x2", "th2"))
+        with pytest.raises(UnknownCoordinate, match="'x1'"):
+            f.migrate(target)
+
+    def test_shared_name_of_other_parity_refused_even_unused(self):
+        f = SuperFunction.constant(D22, 3)
+        target = Dimension(("x1", "th1"), ("x2", "th2"))
+        with pytest.raises(NonHomogeneous, match="coordinate x2 has wrong parity"):
+            f.migrate(target)
+        with pytest.raises(NonHomogeneous, match="coordinate x2 has wrong parity"):
+            reference_migrate(f, target)
+
+
+# ---------------------------------------------------------------------------
+# kept derivatives
+# ---------------------------------------------------------------------------
+
+class TestKeptDerivatives:
+    def function(self):
+        rng = random.Random(17)
+        q = SuperFunction(D22, {(): rand_scalar(rng, D22, 2, 3)})
+        return rand_super(rng, D22) * q.invert() + rand_super(rng, D22)
+
+    def test_each_derivative_is_kept(self):
+        f = self.function()
+        for i in range(D22.size):
+            assert f.partial(i) is f.partial(i)
+
+    def test_kept_values_equal_a_fresh_elements_partials(self):
+        f = self.function()
+        before = hash(f)
+        kept = [f.partial(i) for i in range(D22.size)]
+        fresh = expr(D22, text(f))
+        assert fresh == f and fresh is not f and hash(f) == before
+        for i in range(D22.size):
+            assert kept[i] == fresh.partial(i) and kept[i].terms == fresh.partial(i).terms
+            assert f.partial(i) is kept[i]
+
+    def test_zero_is_its_own_derivative_after_the_index_check(self):
+        zero = SuperFunction.zero(D22)
+        assert zero.partial(1) is zero
+        with pytest.raises(UnknownCoordinate):
+            zero.partial(D22.size)
+
+    def test_still_immutable(self):
+        f = self.function()
+        f.partial(0)
+        for attr in ("terms", "dim", "_derivs"):
+            with pytest.raises(AttributeError):
+                setattr(f, attr, None)
+
+
 def test_scalar_field_is_canonical():
     _, (x1, x2) = scalar_ring(D22)
     quotient = (x1 ** 2 - x2 ** 2) / (x1 - x2)

@@ -100,7 +100,9 @@ def assert_trusted(f: SuperFunction):
 def assert_trusted_density(d: DensityElement):
     assert type(d.slices) is dict
     for w, f in d.slices.items():
-        assert type(w) is Fraction and f.dim == d.dim and not f.is_zero()
+        # a weight key is an int when integral, else a true Fraction
+        assert type(w) is int or (type(w) is Fraction and w.denominator > 1)
+        assert f.dim == d.dim and not f.is_zero()
         assert_trusted(f)
     assert DensityElement(d.dim, dict(d.slices)) == d
 
