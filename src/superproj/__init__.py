@@ -15,8 +15,8 @@ Subpackages:
 * ``cli``            -- scenario-driven command line front end.
 """
 
-from .graded_algebra import Dimension, Parity, SuperFunction
+from .graded_algebra import Dimension, SuperFunction
 from .errors import KernelError
 
-__all__ = ["Dimension", "Parity", "SuperFunction", "KernelError"]
+__all__ = ["Dimension", "SuperFunction", "KernelError"]
 __version__ = "0.1.0"

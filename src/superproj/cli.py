@@ -44,7 +44,6 @@ from .geometry import (
     ProjectiveClass,
     Sym2Cov,
     Sym2Upper,
-    div_trace,
     projective_class,
     super_schwarzian,
     transform_connection,
@@ -154,6 +153,15 @@ def _complete_symmetric(dim, comps):
     return out
 
 
+def _built(where, build, *args):
+    """build(*args), with a kernel refusal reported as a ValidationError
+    at where."""
+    try:
+        return build(*args)
+    except KernelError as exc:
+        raise ValidationError(f"{where}: {exc}") from None
+
+
 def _table(dim, obj, arity, where):
     comps = {}
     for key, text in _object(obj, where).items():
@@ -224,22 +232,16 @@ def parse_scenario(text: str) -> Scenario:
         named[key] = {}
         for name, table in section(key):
             comps = _table(dim, table, 3, f"{key}.{name}")
-            comps = _complete_symmetric(dim, comps)
-            try:
-                named[key][name] = cls(dim, comps)
-            except (ValidationError, KernelError) as exc:
-                raise ValidationError(f"{key}.{name}: {exc}") from None
+            named[key][name] = _built(f"{key}.{name}", cls, dim,
+                                      _complete_symmetric(dim, comps))
 
     tensors = {}
     for name, spec in section("tensors"):
         spec = _object(spec, f"tensors.{name}")
         parity = _parity(spec.get("parity", "even"), f"tensors.{name}")
         comps = _table(dim, spec.get("components", {}), 2, f"tensors.{name}")
-        comps = _complete_symmetric(dim, comps)
-        try:
-            tensors[name] = Sym2Upper(dim, comps, parity)
-        except (ValidationError, KernelError) as exc:
-            raise ValidationError(f"tensors.{name}: {exc}") from None
+        tensors[name] = _built(f"tensors.{name}", Sym2Upper, dim,
+                               _complete_symmetric(dim, comps), parity)
 
     changes = {}
     for name, spec in section("changes"):
@@ -256,10 +258,8 @@ def parse_scenario(text: str) -> Scenario:
                 raise ValidationError(
                     f"changes.{name}: inverse must list {dim.size} expressions")
             inverse = tuple(_expr(dim, t, f"changes.{name}.inverse") for t in inv)
-        try:
-            changes[name] = CoordinateChange(dim, forward, inverse)
-        except KernelError as exc:
-            raise ValidationError(f"changes.{name}: {exc}") from None
+        changes[name] = _built(f"changes.{name}", CoordinateChange, dim,
+                               forward, inverse)
 
     triples = {}
     for name, spec in section("triples"):
@@ -275,10 +275,8 @@ def parse_scenario(text: str) -> Scenario:
         theta = _expr(dim, spec.get("theta", "0"), f"triples.{name}.theta")
         eps = _parity(spec.get("parity", "even"), f"triples.{name}")
         weight = _parse_fraction(spec.get("weight", "0"), f"triples.{name}.weight")
-        try:
-            triples[name] = BracketTriple(tensors[s_name], gamma, theta, eps, weight)
-        except (ValidationError, KernelError) as exc:
-            raise ValidationError(f"triples.{name}: {exc}") from None
+        triples[name] = _built(f"triples.{name}", BracketTriple,
+                               tensors[s_name], gamma, theta, eps, weight)
 
     named.update(tensors=tensors, changes=changes, triples=triples,
                  volume_forms={name: _expr(dim, text, f"volume_forms.{name}")
@@ -483,7 +481,7 @@ def _check_canonical_operator(triple: BracketTriple) -> tuple:
     # generator and on each product.
     gens = generators(dim)
     d_gens = [delta(g) for g in gens]
-    dp = int(delta.parity())
+    dp = delta.parity()
     size = dim.size
     defects = {}
     for p, q in combinations_with_replacement(range(size + 1), 2):
@@ -510,12 +508,12 @@ def _check_canonical_operator(triple: BracketTriple) -> tuple:
 
 def _check_thomas_lift(pc: ProjectiveClass) -> tuple:
     chart = thomas.TildeChart(pc.dim)
+    # the lift is a ProjectiveClass, whose constructor refuses a nonzero
+    # trace, so only the restriction to the base is left to check
     tilde = thomas.lift_projective_class(pc)
-    trace = div_trace(tilde)
-    conditions = {f"trace^{i}": trace.component(i) for i in range(chart.ext.size)}
-    for (k, i, j), val in pc.comps.items():
-        conditions[f"restriction {k + 1},{i + 1},{j + 1}"] = (
-            tilde.component(k + 1, i + 1, j + 1) - chart.embed(val))
+    conditions = {f"restriction {k + 1},{i + 1},{j + 1}":
+                  tilde.component(k + 1, i + 1, j + 1) - chart.embed(val)
+                  for (k, i, j), val in pc.comps.items()}
     comps = {f"{k},{i},{j}": format_super(v)
              for (k, i, j), v in sorted(tilde.comps.items())}
     return conditions, {"lifted_components": comps}

@@ -62,7 +62,6 @@ from .graded_algebra import (
     EVEN,
     ODD,
     Dimension,
-    Parity,
     SuperFunction,
     scalar_ring,
 )
@@ -178,21 +177,12 @@ class DensityElement:
     def partial(self, i: int) -> "DensityElement":
         return DensityElement._of(self.dim, {w: f.partial(i) for w, f in self.slices.items()})
 
-    def _parities(self) -> list:
-        """The set of term parities of each slice."""
-        return [{len(k) % 2 for k in f.terms} for f in self.slices.values()]
-
-    def is_homogeneous(self) -> bool:
-        return len(set().union(*self._parities())) <= 1
-
-    def parity(self) -> Parity:
-        per_slice = self._parities()
-        if any(len(p) > 1 for p in per_slice):
-            raise NonHomogeneous("density slice of mixed parity")
-        parities = set().union(*per_slice)
+    def parity(self) -> int:
+        """`SuperFunction.parity` over the terms of every slice."""
+        parities = {len(k) % 2 for f in self.slices.values() for k in f.terms}
         if len(parities) > 1:
             raise NonHomogeneous("density of mixed parity")
-        return Parity(parities.pop()) if parities else Parity(EVEN)
+        return parities.pop() if parities else EVEN
 
     def __eq__(self, other):
         return (
@@ -362,16 +352,14 @@ class DensityOperator:
 
     # -- parity -----------------------------------------------------------
 
-    def term_parities(self):
+    def parity(self) -> int:
+        """`SuperFunction.parity` over the terms f d^alpha, odd d's counted."""
         n = self.dim.n
-        return {(sum(alpha[n:]) + len(key)) % 2
-                for (alpha, _, _), f in self.terms.items() for key in f.terms}
-
-    def parity(self) -> Parity:
-        parities = self.term_parities()
+        parities = {(sum(alpha[n:]) + len(key)) % 2
+                    for (alpha, _, _), f in self.terms.items() for key in f.terms}
         if len(parities) > 1:
             raise NonHomogeneous("operator of mixed parity")
-        return Parity(parities.pop()) if parities else Parity(EVEN)
+        return parities.pop() if parities else EVEN
 
     # -- composition --------------------------------------------------
 
@@ -566,13 +554,11 @@ def bracket_from_triple(triple: BracketTriple, a: DensityElement,
     summed over slices.  Every term is linear in the first derivatives of f
     and |Dx| in a, and of g and |Dx| in b, so this is a biderivation; it is
     graded-symmetric, {a,b} = (-1)^{a~b~}{b,a}."""
-    for arg in (a, b):
-        if not arg.is_homogeneous():
-            raise NonHomogeneous("bracket arguments must be parity homogeneous")
+    odd_a = a.parity()
+    b.parity()  # refuses a mixed b, as the line above refuses a mixed a
     dim = triple.dim
     if not (a.slices and b.slices):
         return DensityElement.zero(dim)
-    odd_a = int(a.parity())
 
     def signed(j, term):
         return -term if odd_a and dim.parity(j) else term
@@ -619,8 +605,8 @@ def _four_term(dp: int, a: DensityElement, b: DensityElement,
                ab: DensityElement, values) -> DensityElement:
     """{a,b} = D(ab) - a D(b) (-1)^{a~D~} - D(a) b + a b D(1) (-1)^{(a~+b~)D~}
     for an operator D of parity dp, from the product ab = a b and
-    values = (D(a), D(b), D(ab), D(1))."""
-    pa, pb = int(a.parity()), int(b.parity())
+    values = (D(a), D(b), D(ab), D(1)); a mixed a or b is refused."""
+    pa, pb = a.parity(), b.parity()
     d_a, d_b, d_ab, d_1 = values
     out = d_ab - (a * d_b).scale((-1) ** (pa * dp)) - d_a * b
     return out + (ab * d_1).scale((-1) ** ((pa + pb) * dp))
@@ -629,12 +615,9 @@ def _four_term(dp: int, a: DensityElement, b: DensityElement,
 def generated_bracket(delta: DensityOperator, a: DensityElement,
                       b: DensityElement) -> DensityElement:
     """The four-term bracket `_four_term` of delta on a and b."""
-    for arg in (a, b):
-        if not arg.is_homogeneous():
-            raise NonHomogeneous("bracket arguments must be parity homogeneous")
     ab = a * b
     one = DensityElement.of(SuperFunction.one(delta.dim))
-    return _four_term(int(delta.parity()), a, b, ab,
+    return _four_term(delta.parity(), a, b, ab,
                       (delta(a), delta(b), delta(ab), delta(one)))
 
 

@@ -48,6 +48,8 @@ Conventions fixed here and relied on everywhere else:
   front of the monomial, picking up (-1)^(position of a in K);
 * parity of a nonzero homogeneous element is the common size mod 2 of its
   odd monomials; the zero element is compatible with every parity.
+  ``parity()``, the one parity query (here, on densities and operators),
+  is a plain 0 or 1 and raises NonHomogeneous when two terms disagree.
 """
 
 from __future__ import annotations
@@ -67,21 +69,6 @@ from .errors import (
 
 EVEN = 0
 ODD = 1
-
-
-class Parity(int):
-    """Element of Z_2; addition is mod 2, product parity is the sum."""
-
-    def __new__(cls, value):
-        return super().__new__(cls, int(value) % 2)
-
-    def __add__(self, other):
-        return Parity(int(self) + int(other))
-
-    __radd__ = __add__
-
-    def __repr__(self):
-        return "odd" if self else "even"
 
 
 class Dimension:
@@ -795,22 +782,17 @@ class SuperFunction:
         ring, _ = scalar_ring(self.dim)
         return self.terms.get((), ring.zero)
 
-    def _parities(self) -> set:
-        """The parities of the terms."""
-        return {len(k) % 2 for k in self.terms}
-
-    def is_homogeneous(self) -> bool:
-        return len(self._parities()) <= 1
-
-    def parity(self) -> Parity:
-        sizes = self._parities()
+    def parity(self) -> int:
+        """The common parity, 0 or 1, of the terms (0 for zero); raises
+        NonHomogeneous when two terms disagree."""
+        sizes = {len(k) % 2 for k in self.terms}
         if len(sizes) > 1:
             raise NonHomogeneous(f"mixed parity in {self}")
-        return Parity(sizes.pop()) if sizes else Parity(EVEN)
+        return sizes.pop() if sizes else EVEN
 
     def has_parity(self, p) -> bool:
         """True if homogeneous of parity p (zero matches any parity)."""
-        return self._parities() <= {int(p) % 2}
+        return {len(k) % 2 for k in self.terms} <= {p % 2}
 
     def parity_split(self) -> tuple["SuperFunction", "SuperFunction"]:
         ev = {k: c for k, c in self.terms.items() if len(k) % 2 == 0}

@@ -269,9 +269,18 @@ class TestBracketFromTriple:
     def test_requires_homogeneous(self):
         rng = random.Random(39)
         t = rand_triple(rng, D11, 1, 0)
-        mixed = fn(D11, "x1 + th1")
-        with pytest.raises(NonHomogeneous):
-            bracket_from_triple(t, mixed, mixed)
+        x = fn(D11, "x1")
+        # a mixed slice, and homogeneous slices of different parities
+        split = DensityElement(D11, {0: expr(D11, "x1"), 1: expr(D11, "th1")})
+        delta = canonical_operator(t)
+        for mixed in (fn(D11, "x1 + th1"), split):
+            with pytest.raises(NonHomogeneous):
+                mixed.parity()
+            for a, b in ((mixed, mixed), (x, mixed), (mixed, x)):
+                with pytest.raises(NonHomogeneous):
+                    bracket_from_triple(t, a, b)
+                with pytest.raises(NonHomogeneous):
+                    generated_bracket(delta, a, b)
 
 
 class TestClosedFormBracket:

@@ -18,7 +18,6 @@ from superproj.errors import (
 from superproj.expressions import format_scalar
 from superproj.graded_algebra import (
     Dimension,
-    Parity,
     Poly,
     SuperFunction,
     numer_denom,
@@ -120,7 +119,7 @@ class TestNormalForm:
 def test_graded_commutativity(a, b):
     # even/odd pair commutes, odd/odd anticommutes
     assert a * b == b * a
-    assert (b * b).parity() == Parity(0)
+    assert (b * b).parity() == 0
 
 
 @settings(max_examples=20, deadline=None)
@@ -175,15 +174,11 @@ def test_iterated_odd_derivatives_vanish():
 # ---------------------------------------------------------------------------
 
 class TestParity:
-    def test_addition_mod_two(self):
-        assert Parity(1) + Parity(1) == Parity(0)
-        assert Parity(1) + Parity(0) == Parity(1)
-
     def test_homogeneity_detection(self):
         f = coord(D22, 0) + coord(D22, 2) * coord(D22, 3)
-        assert f.is_homogeneous() and f.parity() == Parity(0)
+        assert type(f.parity()) is int and f.parity() == 0
+        assert coord(D22, 2).parity() == 1
         g = coord(D22, 0) + coord(D22, 2)
-        assert not g.is_homogeneous()
         with pytest.raises(NonHomogeneous):
             g.parity()
 

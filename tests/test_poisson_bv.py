@@ -22,6 +22,7 @@ from superproj.poisson_bv import (
     canonical_pb,
     density_jacobi_check,
     hamiltonian_bracket,
+    jacobi_conditions,
     jacobi_obstruction,
     jacobiator,
     master_hamiltonian,
@@ -31,9 +32,11 @@ from superproj.poisson_bv import (
     satisfied,
     symplectic_canonical_check,
 )
+from superproj.thomas import extend_bracket
 
 from helpers import (
     darboux_odd,
+    rand_projective_class,
     rand_scalar,
     rand_super,
     rand_triple,
@@ -95,8 +98,10 @@ class TestCanonicalPB:
 
     def test_requires_homogeneous(self):
         mixed = SuperFunction.coordinate(P11, 0) + SuperFunction.coordinate(P11, 2)
-        with pytest.raises(NonHomogeneous):
-            canonical_pb(mixed, mixed, D11)
+        px = SuperFunction.coordinate(P11, 1)
+        for f, g in ((mixed, mixed), (px, mixed), (mixed, px)):
+            with pytest.raises(NonHomogeneous):
+                canonical_pb(f, g, D11)
 
     def test_momentum_pair_against_leibniz_expansion(self):
         # (p_th p_x, th x) expanded by bilinearity + Leibniz by hand:
@@ -576,6 +581,29 @@ class TestProjectivePoisson:
         conditions, info = projective_poisson_check(
             darboux_odd(D22), ProjectiveClass(D22, {}), SuperFunction.one(D22))
         assert satisfied(conditions) == info["extension_jacobi_satisfied"]
+
+    @pytest.mark.parametrize("dim, seed, holds",
+                             [(D11, None, True), (D22, None, True), (D22, 0, False)])
+    def test_extension_tested_by_jacobi_conditions_only(
+            self, monkeypatch, dim, seed, holds):
+        # the extension's verdict comes from its four obstructions alone:
+        # no bracket is evaluated, and no report of the direct route is kept
+        counted = []
+        bracket = densities.bracket_from_triple
+
+        def counting(*args):
+            counted.append(args)
+            return bracket(*args)
+
+        monkeypatch.setattr(densities, "bracket_from_triple", counting)
+        s = darboux_odd(dim)
+        pi = (ProjectiveClass(dim, {}) if seed is None
+              else rand_projective_class(random.Random(seed), dim))
+        _, info = projective_poisson_check(s, pi, SuperFunction.one(dim))
+        assert counted == []
+        assert set(info) == {"extension_jacobi_satisfied"}
+        want = satisfied(jacobi_conditions(extend_bracket(s, pi, 0)))
+        assert info["extension_jacobi_satisfied"] == want == holds
 
     def test_degenerate_rejected(self):
         with pytest.raises(Degenerate):
