@@ -22,7 +22,9 @@ bound relative to its median, unless every run of the change beats every
 run of the parent; also each side's report
 digests and failed checks, ``same_reports`` (each side has one digest and
 the two are equal), and the machine, including
-``PYTHONDONTWRITEBYTECODE``.  The workloads whose reports differ are
+``PYTHONDONTWRITEBYTECODE``.  The record also gives ``src_lines``, the
+total line count of each checkout's ``src/superproj/*.py`` (what
+``wc -l`` prints).  The workloads whose reports differ are
 printed; that alone does not fail the script, since a change may alter
 reports on purpose.  A claim ``WORKLOAD:METRIC`` is met when the
 change is better in at least 9 of 10 pairs (the same share of any other
@@ -167,6 +169,12 @@ def machine_line(env: dict) -> str:
             f"{'unset' if flag is None else repr(flag)}")
 
 
+def src_lines(checkout: Path) -> int:
+    """The total number of lines of the checkout's ``src/superproj/*.py``."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (checkout / "src" / "superproj").glob("*.py"))
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple:
     """(run, ok) for one bench/run.py process in checkout."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload,
@@ -264,6 +272,7 @@ def main(argv=None) -> int:
         "command": command_line(args.seed, args.seconds),
         "pairs": args.pairs,
         "machine": machine_line(env),
+        "src_lines": {side: src_lines(path) for side, path in sides.items()},
         "statistic": STATISTIC,
         "workloads": summaries[0],
     }

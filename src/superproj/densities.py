@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -63,6 +63,7 @@ from .graded_algebra import (
     ODD,
     Dimension,
     SuperFunction,
+    keyed_sums,
     scalar_ring,
 )
 
@@ -98,10 +99,8 @@ class DensityElement:
 
     @staticmethod
     def _of(dim: Dimension, slices: dict) -> "DensityElement":
-        """Trusted: weight keys (see `_as_weight`) to slices over dim, in a
-        dict of the caller's own; drops zero slices."""
-        if not all(f.terms for f in slices.values()):
-            slices = {w: f for w, f in slices.items() if f.terms}
+        """Trusted: weight keys (see `_as_weight`) to nonzero slices over
+        dim (sums come from `keyed_sums`), in a dict of the caller's own."""
         out = object.__new__(DensityElement)
         object.__setattr__(out, "dim", dim)
         object.__setattr__(out, "slices", slices)
@@ -136,10 +135,8 @@ class DensityElement:
             return self
         if not self.slices:
             return other
-        out = dict(self.slices)
-        for w, f in other.slices.items():
-            out[w] = out[w] + f if w in out else f
-        return DensityElement._of(self.dim, out)
+        return DensityElement._of(self.dim, keyed_sums(
+            chain(self.slices.items(), other.slices.items())))
 
     def __neg__(self):
         return self.scale(-1)
@@ -149,10 +146,8 @@ class DensityElement:
             raise DimensionMismatch("density dimensions differ")
         if not other.slices:
             return self
-        out = dict(self.slices)
-        for w, f in other.slices.items():
-            out[w] = out[w] - f if w in out else -f
-        return DensityElement._of(self.dim, out)
+        return DensityElement._of(self.dim, keyed_sums(
+            chain(self.slices.items(), [(w, -f) for w, f in other.slices.items()])))
 
     def __mul__(self, other: "DensityElement") -> "DensityElement":
         if self.dim != other.dim:
@@ -161,21 +156,20 @@ class DensityElement:
             return self
         if not other.slices:
             return other
-        out: dict = {}
-        for w1, f1 in self.slices.items():
-            for w2, f2 in other.slices.items():
-                w = _as_weight(w1 + w2)
-                prod = f1 * f2
-                out[w] = out[w] + prod if w in out else prod
-        return DensityElement._of(self.dim, out)
+        return DensityElement._of(self.dim, keyed_sums(
+            [(_as_weight(w1 + w2), f1 * f2) for w1, f1 in self.slices.items()
+             for w2, f2 in other.slices.items()]))
 
     def scale(self, q) -> "DensityElement":
         if not self.slices or q == 1:
             return self
+        if not q:
+            return DensityElement.zero(self.dim)
         return DensityElement._of(self.dim, {w: f.scale(q) for w, f in self.slices.items()})
 
     def partial(self, i: int) -> "DensityElement":
-        return DensityElement._of(self.dim, {w: f.partial(i) for w, f in self.slices.items()})
+        return DensityElement._of(self.dim, keyed_sums(
+            [(w, f.partial(i)) for w, f in self.slices.items()]))
 
     def parity(self) -> int:
         """`SuperFunction.parity` over the terms of every slice."""
@@ -208,11 +202,6 @@ class DensityElement:
 # ---------------------------------------------------------------------------
 
 
-def _add_into(out: dict, key, f) -> None:
-    """Add f into out[key], which may be absent."""
-    out[key] = out[key] + f if key in out else f
-
-
 def _insert_deriv(dim: Dimension, alpha: tuple, i: int):
     """Prepend d_i to the written product d^alpha.  Returns (alpha', sign)
     or None when it annihilates (odd derivative squared)."""
@@ -231,7 +220,7 @@ def _insert_deriv(dim: Dimension, alpha: tuple, i: int):
 def _assemble(dim: Dimension, pieces) -> "DensityOperator":
     """The sum of f |Dx|^mu d_{i1} .. d_{il} w^k over pieces
     (mu, f, [i1 .. il], k), derivatives in written order."""
-    out: dict = {}
+    terms = []
     for mu, f, derivs, wpow in pieces:
         alpha, sign = (0,) * dim.size, 1
         for i in reversed(derivs):
@@ -241,8 +230,8 @@ def _assemble(dim: Dimension, pieces) -> "DensityOperator":
             alpha, s = ins
             sign *= s
         else:
-            _add_into(out, (alpha, wpow, mu), f if sign == 1 else -f)
-    return DensityOperator(dim, out)
+            terms.append(((alpha, wpow, mu), f if sign == 1 else -f))
+    return DensityOperator(dim, keyed_sums(terms))
 
 
 class DensityOperator:
@@ -294,10 +283,8 @@ class DensityOperator:
     def __add__(self, other: "DensityOperator") -> "DensityOperator":
         if self.dim != other.dim:
             raise DimensionMismatch("operator dimensions differ")
-        out = dict(self.terms)
-        for key, f in other.terms.items():
-            _add_into(out, key, f)
-        return DensityOperator(self.dim, out)
+        return DensityOperator(self.dim, keyed_sums(
+            chain(self.terms.items(), other.terms.items())))
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -324,7 +311,7 @@ class DensityOperator:
     def __call__(self, phi: DensityElement) -> DensityElement:
         if phi.dim != self.dim:
             raise DimensionMismatch("argument over wrong dimension")
-        out: dict = {}
+        out = []
         for (alpha, wpow, mu), f in self.terms.items():
             for lam, g in phi.slices.items():
                 if wpow:
@@ -333,8 +320,8 @@ class DensityOperator:
                     for _ in range(alpha[i]):
                         g = g.partial(i)
                 if g.terms:
-                    _add_into(out, _as_weight(mu + lam), f * g)
-        return DensityElement._of(self.dim, out)
+                    out.append((_as_weight(mu + lam), f * g))
+        return DensityElement._of(self.dim, keyed_sums(out))
 
     # -- serialization ------------------------------------------------
 
@@ -365,20 +352,20 @@ class DensityOperator:
 
     def _compose_weight(self) -> "DensityOperator":
         """w o self, normal-ordered."""
-        out: dict = {}
+        out = []
         for (alpha, wpow, mu), f in self.terms.items():
-            _add_into(out, (alpha, wpow + 1, mu), f)
+            out.append(((alpha, wpow + 1, mu), f))
             if mu:
-                _add_into(out, (alpha, wpow, mu), f.scale(mu))
-        return DensityOperator(self.dim, out)
+                out.append(((alpha, wpow, mu), f.scale(mu)))
+        return DensityOperator(self.dim, keyed_sums(out))
 
     def _compose_deriv(self, i: int) -> "DensityOperator":
         """d_i o self, normal-ordered via the graded Leibniz rule: an odd d_i
         passes an odd coefficient with a sign."""
         dim = self.dim
-        out: dict = {}
+        out = []
         for (alpha, wpow, mu), f in self.terms.items():
-            _add_into(out, (alpha, wpow, mu), f.partial(i))
+            out.append(((alpha, wpow, mu), f.partial(i)))
             ins = _insert_deriv(dim, alpha, i)
             if ins is None:
                 continue
@@ -386,14 +373,14 @@ class DensityOperator:
             if dim.parity(i) == ODD:
                 ev, od = f.parity_split()
                 f = ev - od
-            _add_into(out, (alpha2, wpow, mu), f if sign == 1 else -f)
-        return DensityOperator(dim, out)
+            out.append(((alpha2, wpow, mu), f if sign == 1 else -f))
+        return DensityOperator(dim, keyed_sums(out))
 
     def compose(self, other: "DensityOperator") -> "DensityOperator":
         """self o other (apply other first)."""
         if self.dim != other.dim:
             raise DimensionMismatch("operator dimensions differ")
-        out: dict = {}
+        out = []
         for (alpha, wpow, mu), f in self.terms.items():
             acc = other
             for _ in range(wpow):
@@ -401,9 +388,9 @@ class DensityOperator:
             for i in reversed(range(self.dim.size)):
                 for _ in range(alpha[i]):
                     acc = acc._compose_deriv(i)
-            for (beta, k, nu), g in acc.terms.items():
-                _add_into(out, (beta, k, _as_weight(mu + nu)), f * g)
-        return DensityOperator(self.dim, out)
+            out += [((beta, k, _as_weight(mu + nu)), f * g)
+                    for (beta, k, nu), g in acc.terms.items()]
+        return DensityOperator(self.dim, keyed_sums(out))
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +462,7 @@ def formal_adjoint(d: DensityOperator) -> DensityOperator:
         (-1)^{q(q-1)/2 + l} (1 - w)^k d_{i_l} .. d_{i_1} f |Dx|^mu.
     """
     dim = d.dim
-    out: dict = {}
+    out = []
     for (alpha, wpow, mu), f in d.terms.items():
         odd_derivs = sum(alpha[dim.n:])
         for par, piece in enumerate(f.parity_split()):
@@ -489,9 +476,9 @@ def formal_adjoint(d: DensityOperator) -> DensityOperator:
                 op = op - op._compose_weight()
             q = par + odd_derivs
             sign = (-1) ** (q * (q - 1) // 2 + sum(alpha))
-            for key, g in op.terms.items():
-                _add_into(out, key, g if sign == 1 else -g)
-    return DensityOperator(dim, out)
+            out += op.terms.items() if sign == 1 else [
+                (key, -g) for key, g in op.terms.items()]
+    return DensityOperator(dim, keyed_sums(out))
 
 
 # ---------------------------------------------------------------------------
@@ -573,26 +560,24 @@ def bracket_from_triple(triple: BracketTriple, a: DensityElement,
     live = {i for _, _, df in a_slices for i, d in df.items() if d.terms}
     rows = {j for j, i in comps if i in live} | (gamma.keys() if any(a.slices) else set())
     b_slices = [(nu, g, {j: g.partial(j) for j in rows}) for nu, g in b.slices.items()]
-    out: dict = {}
+    out = []  # (weight, term)
     for mu, f, df in a_slices:
         for nu, g, dg in b_slices:
-            acc = SuperFunction.zero(dim)
+            w = _as_weight(triple.weight + mu + nu)
             for (j, i), s_ji in comps.items():
                 if df[i].terms and dg[j].terms:
-                    acc = acc + signed(j, s_ji * df[i] * dg[j])
+                    out.append((w, signed(j, s_ji * df[i] * dg[j])))
             if mu:
                 for j, gamma_j in gamma.items():
                     if dg[j].terms:
-                        acc = acc + signed(j, gamma_j * f * dg[j]).scale(mu)
+                        out.append((w, signed(j, gamma_j * f * dg[j]).scale(mu)))
             if nu:
                 for i, gamma_i in gamma.items():
                     if df[i].terms:
-                        acc = acc + (gamma_i * df[i] * g).scale(nu)
+                        out.append((w, (gamma_i * df[i] * g).scale(nu)))
             if mu and nu:
-                acc = acc + (triple.theta * f * g).scale(mu * nu)
-            w = _as_weight(triple.weight + mu + nu)
-            out[w] = out[w] + acc if w in out else acc
-    return DensityElement._of(dim, out)
+                out.append((w, (triple.theta * f * g).scale(mu * nu)))
+    return DensityElement._of(dim, keyed_sums(out))
 
 
 def generators(dim: Dimension) -> list:
@@ -629,20 +614,15 @@ def generated_bracket(delta: DensityOperator, a: DensityElement,
 def linear_combination(*pairs) -> dict:
     """Sum of q * v over (q, v) pairs of a rational and a vector
     {index: SuperFunction}; zero entries omitted."""
-    out: dict = {}
-    for q, vec in pairs:
-        for i, v in vec.items():
-            out[i] = out[i] + v.scale(q) if i in out else v.scale(q)
-    return {i: v for i, v in out.items() if not v.is_zero()}
+    return keyed_sums([(i, v.scale(q)) for q, vec in pairs for i, v in vec.items()])
 
 
 def div_vector(v: Mapping[int, SuperFunction], dim: Dimension,
                eps: int) -> SuperFunction:
     """Signed divergence d_k v^k (-1)^{k~(eps+1)}."""
-    acc = SuperFunction.zero(dim)
-    for k, v_k in v.items():
-        acc = acc + v_k.partial(k).scale((-1) ** (dim.parity(k) * (eps + 1)))
-    return acc
+    return SuperFunction.sum(dim, [
+        v_k.partial(k).scale((-1) ** (dim.parity(k) * (eps + 1)))
+        for k, v_k in v.items()])
 
 
 def div_upper(s: Sym2Upper) -> dict:
@@ -651,29 +631,21 @@ def div_upper(s: Sym2Upper) -> dict:
     columns: dict = {}
     for (j, i), s_ji in s.comps.items():
         columns.setdefault(i, {})[j] = s_ji
-    divs = {i: div_vector(col, s.dim, s.parity) for i, col in columns.items()}
-    return {i: v for i, v in divs.items() if not v.is_zero()}
+    return keyed_sums([(i, div_vector(col, s.dim, s.parity))
+                       for i, col in columns.items()])
 
 
 def contract_class(s: Sym2Upper, pi: Sym2Cov) -> dict:
     """i -> S^jk Pi^i_kj; zero entries omitted."""
-    out: dict = {}
-    for (i, k, j), p in pi.comps.items():
-        s_jk = s.comps.get((j, k))
-        if s_jk is not None:
-            out[i] = out[i] + s_jk * p if i in out else s_jk * p
-    return {i: v for i, v in out.items() if not v.is_zero()}
+    return keyed_sums([(i, s.comps[j, k] * p) for (i, k, j), p in pi.comps.items()
+                       if (j, k) in s.comps])
 
 
 def contract_lower(s: Sym2Upper,
                    lower: Mapping[tuple, SuperFunction]) -> SuperFunction:
     """S^jk L_kj for a lower tensor given as {(k, j): L_kj}."""
-    acc = SuperFunction.zero(s.dim)
-    for (j, k), s_jk in s.comps.items():
-        l_kj = lower.get((k, j))
-        if l_kj is not None:
-            acc = acc + s_jk * l_kj
-    return acc
+    return SuperFunction.sum(s.dim, [
+        s_jk * lower[k, j] for (j, k), s_jk in s.comps.items() if (k, j) in lower])
 
 
 # ---------------------------------------------------------------------------

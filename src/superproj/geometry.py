@@ -44,7 +44,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import chain
+from operator import itemgetter
 from typing import Mapping, Optional
 
 from .errors import (
@@ -54,7 +55,7 @@ from .errors import (
     SingularDimension,
     ValidationError,
 )
-from .graded_algebra import EVEN, Dimension, Substitution, SuperFunction
+from .graded_algebra import EVEN, Dimension, Substitution, SuperFunction, keyed_sums
 
 # ---------------------------------------------------------------------------
 # tensors with function components
@@ -139,19 +140,16 @@ class Sym2Cov(_Table):
     symmetric = True
 
     def __add__(self, other: "Sym2Cov") -> "Sym2Cov":
-        return self._plus(other, 1)
+        return self._plus(other, other.comps.items())
 
     def __sub__(self, other: "Sym2Cov") -> "Sym2Cov":
-        return self._plus(other, -1)
+        return self._plus(other, [(key, -val) for key, val in other.comps.items()])
 
-    def _plus(self, other, sign):
+    def _plus(self, other, terms):
         if self.dim != other.dim or self.parity != other.parity:
             raise DimensionMismatch("tensor mismatch in addition")
-        out = dict(self.comps)
-        for key, val in other.comps.items():
-            val = val if sign > 0 else -val
-            out[key] = out[key] + val if key in out else val
-        return Sym2Cov(self.dim, out, self.parity)
+        comps = keyed_sums(chain(self.comps.items(), terms))
+        return Sym2Cov(self.dim, comps, self.parity)
 
     def scale(self, q) -> "Sym2Cov":
         return Sym2Cov(
@@ -188,12 +186,8 @@ class Sym2Upper(_Table):
 
 def _div(a: Sym2Cov) -> dict:
     """The nonzero components of `div_trace`, unvalidated."""
-    out = {}
-    for (k, i, j), val in a.comps.items():
-        if k == j:
-            term = val.scale(-2 if a.dim.parity(j) and not a.parity else 2)
-            out[i] = out[i] + term if i in out else term
-    return {i: val for i, val in out.items() if not val.is_zero()}
+    return keyed_sums([(i, val.scale(-2 if a.dim.parity(j) and not a.parity else 2))
+                       for (k, i, j), val in a.comps.items() if k == j])
 
 
 def div_trace(a: Sym2Cov) -> CovectorField:
@@ -201,39 +195,31 @@ def div_trace(a: Sym2Cov) -> CovectorField:
     return CovectorField(a.dim, _div(a), a.parity)
 
 
+def _j_terms(phi: Mapping, dim: Dimension, eps: int, c) -> list:
+    """(key, term) pairs of c j(phi) sorted by key, for j = 2 `j_inject` and
+    phi = {b: phi_b} of parity eps: phi_b enters only (t, t, b), (t, b, t)."""
+    terms = []
+    for b, phi_b in phi.items():
+        for t in range(dim.size):
+            for key, power in (((t, t, b), (dim.parity(b) + eps) * dim.parity(t)),
+                               ((t, b, t), eps * dim.parity(t))):
+                terms.append((key, phi_b.scale(-c if power % 2 else c)))
+    return sorted(terms, key=itemgetter(0))
+
+
 def j_inject(phi: CovectorField) -> Sym2Cov:
     """Natural injection phi -> phi v e^i (x) e_i, normalized so that
     div_trace o j_inject = (n - m + 1) id exactly."""
-    dim, eps = phi.dim, phi.parity
-    comps = {}
-    for k, i, j in product(range(dim.size), repeat=3):
-        total = SuperFunction.zero(dim)
-        if k == i:
-            sign = (-1) ** ((dim.parity(j) + eps) * dim.parity(i))
-            total = total + phi.component(j).scale(sign)
-        if k == j:
-            total = total + phi.component(i).scale((-1) ** (eps * dim.parity(j)))
-        comps[(k, i, j)] = total.scale(Fraction(1, 2))
-    return Sym2Cov(dim, comps, eps)
+    terms = _j_terms(phi.comps, phi.dim, phi.parity, Fraction(1, 2))
+    return Sym2Cov(phi.dim, keyed_sums(terms), phi.parity)
 
 
 def _trace_free(a: Sym2Cov) -> dict:
     """The components of A - j(div A)/(n - m + 1), unvalidated; callers rule
-    out n - m = -1.  `j_inject`'s formula, added in one pass: phi_b enters
-    only the entries (t, t, b) and (t, b, t)."""
-    dim, eps = a.dim, a.parity
-    c = Fraction(-1, 2 * (dim.n0 + 1))
-    delta = {}
-    for b, phi in _div(a).items():
-        for t in range(dim.size):
-            for key, power in (((t, t, b), (dim.parity(b) + eps) * dim.parity(t)),
-                               ((t, b, t), eps * dim.parity(t))):
-                term = phi.scale(-c if power % 2 else c)
-                delta[key] = delta[key] + term if key in delta else term
-    out = dict(a.comps)
-    for key in sorted(delta):  # entries A lacks follow in key order, as in j_inject
-        out[key] = out[key] + delta[key] if key in out else delta[key]
-    return out
+    out n - m = -1.  `j_inject`'s terms are added to A's in one pass, and
+    the entries A lacks follow in key order, as in `j_inject`."""
+    c = Fraction(-1, 2 * (a.dim.n0 + 1))
+    return keyed_sums(chain(a.comps.items(), _j_terms(_div(a), a.dim, a.parity, c)))
 
 
 def projective_class(gamma: Sym2Cov) -> ProjectiveClass:
@@ -261,14 +247,10 @@ class SuperMatrix(_Table):
         if self.dim != other.dim:
             raise DimensionMismatch("matrix dimensions differ")
         size = self.dim.size
-        out = {}
-        for r in range(size):
-            for c in range(size):
-                acc = SuperFunction.zero(self.dim)
-                for k in range(size):
-                    acc = acc + self.component(r, k) * other.component(k, c)
-                out[(r, c)] = acc
-        return SuperMatrix(self.dim, out)
+        return SuperMatrix(self.dim, {
+            (r, c): SuperFunction.sum(self.dim, [
+                self.component(r, k) * other.component(k, c) for k in range(size)])
+            for r in range(size) for c in range(size)})
 
 
 def _eliminate(grid, dim: Dimension):
@@ -467,7 +449,7 @@ def _transform_core(a: Sym2Cov, c: CoordinateChange):
     jrows = [[(d, jf) for d, jf in enumerate(row) if jf.terms]
              for row in jacobian_rows(c)]
     pairs = {}
-    inner = {}  # (aa, bb, k) -> sum over i, j, shared by every d
+    inner = []  # ((aa, bb, k), term): summed over i, j, shared by every d
     for (k, i, j), comp in a.comps.items():
         signed = pairs.get((i, j))
         if signed is None:
@@ -478,19 +460,11 @@ def _transform_core(a: Sym2Cov, c: CoordinateChange):
                     if dim.parity(i) * (dim.parity(j) + dim.parity(bb)) % 2:
                         prod = -prod
                     signed.append((aa, bb, prod))
-        for aa, bb, prod in signed:
-            key = (aa, bb, k)
-            term = prod * comp
-            inner[key] = inner[key] + term if key in inner else term
-    out = {}
-    for (aa, bb, k), val in inner.items():
-        if not val.terms:
-            continue
-        for d, jf in jrows[k]:
-            key = (d, aa, bb)
-            term = val * jf
-            out[key] = out[key] + term if key in out else term
-    return {key: out[key] for key in sorted(out) if out[key].terms}
+        inner += [((aa, bb, k), prod * comp) for aa, bb, prod in signed]
+    out = keyed_sums([((d, aa, bb), val * jf)
+                      for (aa, bb, k), val in keyed_sums(inner).items()
+                      for d, jf in jrows[k]])
+    return {key: out[key] for key in sorted(out)}
 
 
 def _substitute_comps(comps, inverse: Substitution):
@@ -521,7 +495,7 @@ def transform_upper2(s: Sym2Upper, c: CoordinateChange) -> Sym2Upper:
     inverse = c.require_inverse()
     jrows = [[(aa, jf) for aa, jf in enumerate(row) if jf.terms]
              for row in jacobian_rows(c)]
-    raw = {}
+    terms = []  # raw^ab at (a, b) and (-1)^{a~b~} raw^ab at (b, a)
     for (i, j), comp in s.comps.items():
         for bb, jb in jrows[j]:
             left = comp * jb
@@ -529,20 +503,12 @@ def transform_upper2(s: Sym2Upper, c: CoordinateChange) -> Sym2Upper:
                 term = left * ja
                 if dim.parity(bb) * (dim.parity(i) + dim.parity(aa)) % 2:
                     term = -term
-                key = (aa, bb)
-                raw[key] = raw[key] + term if key in raw else term
+                mirror = term if dim.mirror_sign(aa, bb) > 0 else -term
+                terms += [((aa, bb), term), ((bb, aa), mirror)]
+    sym = keyed_sums(terms)
     half = Fraction(1, 2)
-    sym = {}
-    for aa, bb in sorted(raw.keys() | {(bb, aa) for aa, bb in raw}):
-        val = raw.get((aa, bb))
-        mirror = raw.get((bb, aa))
-        if mirror is not None:
-            mirror = mirror if dim.mirror_sign(aa, bb) > 0 else -mirror
-            val = mirror if val is None else val + mirror
-        val = val.scale(half)
-        if val.terms:
-            sym[(aa, bb)] = val
-    return Sym2Upper(dim, _substitute_comps(sym, inverse), s.parity)
+    return Sym2Upper(dim, _substitute_comps(
+        {key: sym[key].scale(half) for key in sorted(sym)}, inverse), s.parity)
 
 
 # ---------------------------------------------------------------------------
@@ -561,16 +527,9 @@ def schwarzian_raw(c: CoordinateChange) -> Sym2Cov:
     second = {(i, j, s): rows[j][s].partial(i)
               for i in range(size) for j in range(size) for s in range(size)}
     kcols = [[(k, ks) for k, ks in enumerate(row) if ks.terms] for row in kinv]
-    acc = {}
-    for (i, j, s), d2 in second.items():
-        if not d2.terms:
-            continue
-        for k, ks in kcols[s]:
-            key = (k, i, j)
-            term = d2 * ks
-            acc[key] = acc[key] + term if key in acc else term
-    comps = {key: acc[key] for key in sorted(acc) if acc[key].terms}
-    return Sym2Cov(dim, comps, EVEN)
+    acc = keyed_sums([((k, i, j), d2 * ks) for (i, j, s), d2 in second.items()
+                      if d2.terms for k, ks in kcols[s]])
+    return Sym2Cov(dim, {key: acc[key] for key in sorted(acc)}, EVEN)
 
 
 def super_schwarzian(c: CoordinateChange) -> Sym2Cov:

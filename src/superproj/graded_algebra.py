@@ -33,6 +33,11 @@ a coefficient's kind, not the plan, picks its formula.  A
 `geometry.CoordinateChange` keeps one plan for each of its maps.
 ``SuperFunction.migrate`` is a renaming and builds no plan.
 
+Every sum of functions is one pass of `SuperFunction.sum`, binary ``+`` and
+``-`` included, or of `keyed_sums` for sums keyed by an index or a weight:
+the terms are added into one dict, zero coefficients are dropped once at the
+end, and a sole nonzero summand is passed through unchanged.
+
 Trivial operands take short paths: a zero summand or factor gives the other
 operand or zero, an even-scalar factor multiplies each coefficient (QQ(x)
 has no zero divisors, so nothing cancels), a polynomial times the constant
@@ -805,13 +810,36 @@ class SuperFunction:
 
     # -- ring operations ----------------------------------------------
 
+    @staticmethod
+    def sum(dim: Dimension, functions) -> "SuperFunction":
+        """The sum of functions over dim in one pass (see the module
+        docstring); DimensionMismatch for a summand over another dim."""
+        sole = out = None
+        for f in functions:
+            if f.dim is not dim and f.dim != dim:
+                raise DimensionMismatch(f"{dim} vs {f.dim}")
+            if not f.terms:
+                continue
+            if sole is None:
+                sole = f
+                continue
+            if out is None:
+                out = dict(sole.terms)
+            for key, coeff in f.terms.items():
+                out[key] = _add(out[key], coeff) if key in out else coeff
+        if out is None:
+            return SuperFunction._of(dim, {}) if sole is None else sole
+        if not all(out.values()):
+            out = {k: c for k, c in out.items() if c}
+        return SuperFunction._of(dim, out)
+
     def __add__(self, other: "SuperFunction") -> "SuperFunction":
         self._check_dim(other)
         if not other.terms:
             return self
         if not self.terms:
             return other
-        return self._plus(other.terms.items())
+        return SuperFunction.sum(self.dim, (self, other))
 
     def __neg__(self) -> "SuperFunction":
         return SuperFunction._of(self.dim, {k: -c for k, c in self.terms.items()})
@@ -820,16 +848,7 @@ class SuperFunction:
         self._check_dim(other)
         if not other.terms:
             return self
-        return self._plus((k, -c) for k, c in other.terms.items())
-
-    def _plus(self, pairs) -> "SuperFunction":
-        """self plus the terms (key, coefficient) in pairs."""
-        out = dict(self.terms)
-        for key, coeff in pairs:
-            out[key] = _add(out[key], coeff) if key in out else coeff
-        if not all(out.values()):
-            out = {k: c for k, c in out.items() if c}
-        return SuperFunction._of(self.dim, out)
+        return SuperFunction.sum(self.dim, (self, -other))
 
     def __mul__(self, other: "SuperFunction") -> "SuperFunction":
         self._check_dim(other)
@@ -1006,6 +1025,28 @@ class SuperFunction:
         return f"<{format_super(self)}>"
 
 
+def keyed_sums(pairs) -> dict:
+    """{key: the sum of its functions} over (key, SuperFunction) pairs, keys
+    in first-seen order, nonzero sums only; zero summands are skipped, and
+    only a key with several summands calls `SuperFunction.sum`."""
+    first: dict = {}
+    more: dict = {}  # the summands of each key that has several
+    for key, f in pairs:
+        if not f.terms:
+            continue
+        if key not in first:
+            first[key] = f
+        elif key in more:
+            more[key].append(f)
+        else:
+            more[key] = [first[key], f]
+    for key, functions in more.items():
+        first[key] = SuperFunction.sum(functions[0].dim, functions)
+        if not first[key].terms:
+            del first[key]
+    return first
+
+
 class Substitution:
     """Evaluation of functions over ``dim`` at values, one SuperFunction per
     coordinate, planned once for many functions: the values are validated
@@ -1042,7 +1083,7 @@ class Substitution:
     def __call__(self, f: SuperFunction) -> SuperFunction:
         if f.dim != self.dim:
             raise DimensionMismatch(f"{f.dim} vs {self.dim}")
-        result = SuperFunction.zero(self.target)
+        pieces = []
         for key, coeff in f.terms.items():
             if type(coeff) is Poly:
                 num, degrees = self._numerator(coeff)
@@ -1052,8 +1093,8 @@ class Substitution:
                 piece = self._fraction(coeff)
             for slot in key:
                 piece = piece * self._odd[slot]
-            result = result + piece
-        return result
+            pieces.append(piece)
+        return SuperFunction.sum(self.target, pieces)
 
     def _monomial(self, monom: tuple) -> SuperFunction:
         term = self._monomials.get(monom)

@@ -45,6 +45,7 @@ from .graded_algebra import (
     ODD,
     Dimension,
     SuperFunction,
+    keyed_sums,
     numer_denom,
     reciprocal,
 )
@@ -117,26 +118,22 @@ def canonical_pb(F: SuperFunction, G: SuperFunction,
     pdim = phase_dimension(dim)
     if F.dim != pdim or G.dim != pdim:
         raise DimensionMismatch("arguments must live on the phase dimension")
-    out = SuperFunction.zero(pdim)
+    terms = []
     for a in range(dim.size):
         pa = dim.parity(a)
         qi = coordinate_index(dim, a)
         pi_ = momentum_index(dim, a)
-        s1 = (-1) ** (pa * (pf + 1))
-        s2 = (-1) ** (pa * pf)
-        t1 = F.partial(pi_) * G.partial(qi)
-        t2 = F.partial(qi) * G.partial(pi_)
-        out = out + t1.scale(s1) - t2.scale(s2)
-    return out
+        terms.append((F.partial(pi_) * G.partial(qi)).scale((-1) ** (pa * (pf + 1))))
+        terms.append((F.partial(qi) * G.partial(pi_)).scale(-(-1) ** (pa * pf)))
+    return SuperFunction.sum(pdim, terms)
 
 
 def master_hamiltonian(s: Sym2Upper) -> SuperFunction:
     """S = S^{ab} p_b p_a as a phase function."""
     dim = s.dim
-    total = SuperFunction.zero(phase_dimension(dim))
-    for (a, b), val in s.comps.items():
-        total = total + to_phase(val, dim) * momentum(dim, b) * momentum(dim, a)
-    return total
+    return SuperFunction.sum(phase_dimension(dim), [
+        to_phase(val, dim) * momentum(dim, b) * momentum(dim, a)
+        for (a, b), val in s.comps.items()])
 
 
 def hamiltonian_bracket(s_phase: SuperFunction, f: SuperFunction,
@@ -211,21 +208,18 @@ def bv_check(s: Sym2Upper, pi: ProjectiveClass) -> tuple:
             d = tj.partial(k)
             if d.terms:
                 d_t[k].append((j, d))
-    flows = {key: apply(val) for key, val in s.comps.items()}
-
-    def add(key, term):
-        flows[key] = flows[key] + term if key in flows else term
-
+    flows = [(key, apply(val)) for key, val in s.comps.items()]
     for (a, k), s_ak in s.comps.items():
         for b, d in d_t[k]:
             term = s_ak * d
             # S^ik d_k T^j (-1)^{j~} at (i, j) = (a, b)
-            add((a, b), -term if dim.parity(b) else term)
+            flows.append(((a, b), -term if dim.parity(b) else term))
             # S^jk d_k T^i (-1)^{i~(j~+1)} at (i, j) = (b, a)
-            add((b, a), -term if dim.parity(b) * (dim.parity(a) + 1) % 2 else term)
+            flows.append(((b, a), -term if dim.parity(b) * (dim.parity(a) + 1) % 2
+                          else term))
+    flows = keyed_sums(flows)
     for i, j in sorted(flows):
-        if flows[i, j].terms:
-            conditions[f"flow_of_S^{i + 1}{j + 1}"] = flows[i, j]
+        conditions[f"flow_of_S^{i + 1}{j + 1}"] = flows[i, j]
     # direct route: square the Laplacian
     delta2 = delta.compose(delta)
     square_zero = delta2.is_zero()
@@ -279,9 +273,8 @@ def jacobi_conditions(triple: BracketTriple) -> dict:
         raise WrongParity("density Jacobi conditions require an odd bracket")
     dim = triple.dim
     s_ph = master_hamiltonian(triple.s)
-    gamma_ph = SuperFunction.zero(phase_dimension(dim))
-    for i, g in triple.gamma.items():
-        gamma_ph = gamma_ph + to_phase(g, dim) * momentum(dim, i)
+    gamma_ph = SuperFunction.sum(phase_dimension(dim), [
+        to_phase(g, dim) * momentum(dim, i) for i, g in triple.gamma.items()])
     theta_ph = to_phase(triple.theta, dim)
     # The relative weight 2 on (gamma,gamma) is forced by expanding the
     # master Hamiltonian of the extended chart, S + 2 gamma p0 + theta p0^2,
@@ -380,18 +373,14 @@ def _body_matrix_invertible(s: Sym2Upper) -> bool:
 def _log_volume(s: Sym2Upper, rho: SuperFunction) -> tuple:
     """(d_j log rho by j, S^ij d_j log rho by i) for an even invertible
     volume form rho and a tensor S with an invertible body matrix; the
-    second omits the rows of S that are zero."""
+    second omits its zero entries."""
     if not rho.has_parity(EVEN) or not rho.body():
         raise Degenerate("volume form must be even and invertible")
     if not _body_matrix_invertible(s):
         raise Degenerate("bracket tensor has singular body matrix")
     inverse = rho.invert()
     dlog = [rho.partial(j) * inverse for j in range(s.dim.size)]
-    s_dlog = {}
-    for (i, j), s_ij in s.comps.items():
-        term = s_ij * dlog[j]
-        s_dlog[i] = s_dlog[i] + term if i in s_dlog else term
-    return dlog, s_dlog
+    return dlog, keyed_sums([(i, s_ij * dlog[j]) for (i, j), s_ij in s.comps.items()])
 
 
 def symplectic_canonical_check(triple: BracketTriple,
@@ -411,10 +400,9 @@ def symplectic_canonical_check(triple: BracketTriple,
         gamma = triple.gamma_component(i)
         conditions[f"gamma^{i + 1}+S^{i + 1}j*dlog_j"] = (
             gamma + s_dlog[i] if i in s_dlog else gamma)
-    theta_want = SuperFunction.zero(dim)
-    for k in range(dim.size):
-        theta_want = theta_want + triple.gamma_component(k) * dlog[k].scale(-1)
-    conditions["theta-gamma^k*gamma_k"] = triple.theta - theta_want
+    # theta - gamma^k gamma_k with gamma_k = -d_k log rho
+    conditions["theta-gamma^k*gamma_k"] = SuperFunction.sum(dim, [triple.theta] + [
+        g * dlog[k] for k, g in triple.gamma.items()])
     return conditions, {}
 
 
@@ -436,12 +424,11 @@ def projective_poisson_check(s: Sym2Upper, pi: ProjectiveClass,
     zero = SuperFunction.zero(dim)
     conditions = {f"volume_flatness^{i + 1}": flatness.get(i, zero)
                   for i in range(dim.size)}
-    acc = contract_lower(s, b) + div_vector(s_dlog, dim, ODD)
     c2 = Fraction(n0 + 2, n0 + 1)
-    for (i, j), s_ij in s.comps.items():
-        sign = (-1) ** dim.parity(j)
-        acc = acc + (s_ij * dlog[i] * dlog[j]).scale(c2 * sign)
-    conditions["scalar_curvature"] = acc
+    conditions["scalar_curvature"] = SuperFunction.sum(dim, [
+        contract_lower(s, b), div_vector(s_dlog, dim, ODD)] + [
+        (s_ij * dlog[i] * dlog[j]).scale(c2 * (-1) ** dim.parity(j))
+        for (i, j), s_ij in s.comps.items()])
     # dual path: extend and test the density Jacobi conditions
     dual = jacobi_conditions(extend_bracket(s, pi, Fraction(0)))
     return conditions, {"extension_jacobi_satisfied": satisfied(dual)}

@@ -44,7 +44,7 @@ from .geometry import (
     Sym2Upper,
     projective_class,
 )
-from .graded_algebra import Dimension, SuperFunction
+from .graded_algebra import Dimension, SuperFunction, keyed_sums
 
 # ---------------------------------------------------------------------------
 # the extended chart
@@ -82,22 +82,13 @@ def _ricci_combination(pi: ProjectiveClass, pp_sign: int) -> dict:
     by_head: dict = {}
     for (q, p, j), right in pi.comps.items():
         by_head.setdefault((q, p), []).append((j, right))
-    acc: dict = {}
-
-    def add(k, j, q, term, sign):
-        if sign * _q_sign(dim, q, k, j) < 0:
-            term = -term
-        key = (k, j)
-        acc[key] = acc[key] + term if key in acc else term
-
-    for (q, k, j), val in pi.comps.items():
-        d_term = val.partial(q)
-        if d_term.terms:
-            add(k, j, q, d_term, 1)
-    for (p, q, k), left in pi.comps.items():
-        for j, right in by_head.get((q, p), ()):
-            add(k, j, q, left * right, pp_sign)
-    return {key: acc[key].scale(pref) for key in sorted(acc) if acc[key].terms}
+    terms = [((k, j), val.partial(q).scale(_q_sign(dim, q, k, j)))
+             for (q, k, j), val in pi.comps.items()]
+    terms += [((k, j), (left * right).scale(pp_sign * _q_sign(dim, q, k, j)))
+              for (p, q, k), left in pi.comps.items()
+              for j, right in by_head.get((q, p), ())]
+    acc = keyed_sums(terms)
+    return {key: acc[key].scale(pref) for key in sorted(acc)}
 
 
 def b_tensor(pi: ProjectiveClass) -> dict:

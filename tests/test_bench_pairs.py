@@ -150,12 +150,19 @@ def test_machine_line_names_the_bytecode_setting(monkeypatch):
     assert bench_pairs.machine_line(env).endswith("PYTHONDONTWRITEBYTECODE=unset")
 
 
-def fake_checkout(root, name, rate, failed, holdout_rate=None, digest="f762f45d"):
+def fake_checkout(root, name, rate, failed, holdout_rate=None, digest="f762f45d",
+                  src=()):
     """A checkout whose bench/run.py prints a fixed result per seed (rate,
     or holdout_rate on seed 5) and exits 1 on failed checks, as the real one
-    does; it appends its arguments to calls.log in the checkout."""
+    does; it appends its arguments to calls.log in the checkout.  src gives
+    the line count of each file src/superproj/m<i>.py."""
     bench = root / name / "bench"
     bench.mkdir(parents=True)
+    package = root / name / "src" / "superproj"
+    package.mkdir(parents=True)
+    for i, lines in enumerate(src):
+        (package / f"m{i}.py").write_text("x = 1\n" * lines)
+    (package / "notes.txt").write_text("not counted\n")
     texts = {1: output(rate, 0.01, failed, digest=digest + "0" * 56),
              5: output(holdout_rate or rate, 0.01, failed, digest="6bf8eb07" + "0" * 56)}
     (bench / "run.py").write_text(
@@ -171,8 +178,8 @@ def fake_checkout(root, name, rate, failed, holdout_rate=None, digest="f762f45d"
 
 @pytest.mark.parametrize("failed, status", [(0, 0), (3, 1)])
 def test_main_exits_nonzero_when_a_run_fails(tmp_path, failed, status):
-    parent = fake_checkout(tmp_path, "parent", 150, 0)
-    change = fake_checkout(tmp_path, "change", 200, failed)
+    parent = fake_checkout(tmp_path, "parent", 150, 0, src=(3, 40))
+    change = fake_checkout(tmp_path, "change", 200, failed, src=(3, 30, 2))
     out = tmp_path / "BENCH.json"
     args = [str(parent), str(change), "--workload", "w", "--seed", "1",
             "--seconds", "0", "--pairs", "2", "--pr", "7", "--out", str(out),
@@ -180,6 +187,7 @@ def test_main_exits_nonzero_when_a_run_fails(tmp_path, failed, status):
     assert bench_pairs.main(args) == status
     record = json.loads(out.read_text())
     assert record["pr"] == 7 and record["pairs"] == 2
+    assert record["src_lines"] == {"parent": 43, "change": 35}
     assert record["workloads"]["w"]["failed"] == {"parent": 0, "change": 2 * failed}
     assert record["claim"][0]["change_better_pairs"] == 2
 

@@ -1,13 +1,15 @@
 """Results of operations are built without validation (``SuperFunction._of``,
 ``DensityElement._of``); these tests check that each
-such result is exactly what the validating constructors would build, and
-that a coordinate change's substitution plans give fresh substitutions'
-results.
+such result is exactly what the validating constructors would build, that
+the summation primitives ``SuperFunction.sum`` and ``keyed_sums`` agree
+with sums taken coefficient by coefficient, and that a coordinate change's
+substitution plans give fresh substitutions' results.
 """
 
 import json
 import random
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,7 @@ from superproj.graded_algebra import (
     Poly,
     Substitution,
     SuperFunction,
+    keyed_sums,
     numer_denom,
     scalar_ring,
 )
@@ -107,6 +110,18 @@ def assert_trusted_density(d: DensityElement):
     assert DensityElement(d.dim, dict(d.slices)) == d
 
 
+def reference_sum(dim, functions):
+    """The sum of functions taken coefficient by coefficient with the
+    coefficient ring's own +, built by the validating constructor; it does
+    not go through `SuperFunction.sum`."""
+    ring, _ = scalar_ring(dim)
+    out = {}
+    for f in functions:
+        for key, coeff in f.terms.items():
+            out[key] = out.get(key, ring.zero) + coeff
+    return SuperFunction(dim, out)
+
+
 cases = st.tuples(st.sampled_from(DIMS), st.integers(0, 10**6))
 
 
@@ -121,8 +136,37 @@ def test_superfunction_results_are_canonical(case):
     results += [a.partial(i) for i in range(dim.size)]
     values = rand_values(rng, dim)
     results += [a.substitute(values), b.substitute(values)]
+    # the summation primitive: no, one, cancelling and random summands
+    zero = SuperFunction.zero(dim)
+    assert SuperFunction.sum(dim, []) == zero
+    for f in (a, b):  # a sole nonzero summand comes back unchanged
+        assert SuperFunction.sum(dim, [f]) is f or f.is_zero()
+        assert SuperFunction.sum(dim, [zero, f, zero]) is f or f.is_zero()
+    assert SuperFunction.sum(dim, [a, -a]) == zero
+    summands = [rand_function(rng, dim) for _ in range(rng.randint(2, 6))]
+    summands += [-summands[0], zero]
+    rng.shuffle(summands)
+    total = SuperFunction.sum(dim, summands)
+    assert total == reference_sum(dim, summands)
+    results += [SuperFunction.sum(dim, []), SuperFunction.sum(dim, [a, -a]), total]
+    # keyed sums: repeated keys, and key "c" whose summands cancel
+    pairs = [(rng.choice("xyz"), f) for f in summands] + [("c", a), ("c", -a)]
+    rng.shuffle(pairs)
+    sums = keyed_sums(pairs)
+    seen = [key for key, f in pairs if not f.is_zero()]
+    want = {key: reference_sum(dim, [f for k, f in pairs if k == key])
+            for key in dict.fromkeys(seen)}
+    assert sums == {key: f for key, f in want.items() if not f.is_zero()}
+    assert list(sums) == [key for key in want if not want[key].is_zero()]
+    assert "c" not in sums
+    results += list(sums.values())
     for f in results:
         assert_trusted(f)
+    other = Dimension.of(dim.n + 1, dim.m)
+    with pytest.raises(DimensionMismatch):
+        SuperFunction.sum(dim, [a, SuperFunction.one(other)])
+    with pytest.raises(DimensionMismatch):
+        keyed_sums([(0, SuperFunction.one(dim)), (0, SuperFunction.one(other))])
 
 
 @settings(max_examples=30, deadline=None)
@@ -134,6 +178,11 @@ def test_density_results_are_canonical(case):
     q = Fraction(rng.randint(-3, 3), rng.randint(1, 5))
     results = [a + b, a - b, a - a, a * b, a.scale(q), a.scale(0)]
     results += [a.partial(i) for i in range(dim.size)]
+    # slices summed by weight, a's cancelling: every slice of a + b - a is b's
+    by_weight = keyed_sums(chain(a.slices.items(), b.slices.items(),
+                                 [(w, -f) for w, f in a.slices.items()]))
+    assert by_weight == b.slices
+    results.append(DensityElement._of(dim, by_weight))
     for d in results:
         assert_trusted_density(d)
 
