@@ -16,12 +16,21 @@ above :data:`MAX_EXPONENT` is refused with a located ``ParseError``, and so
 is a product, quotient or power whose term count may exceed
 :data:`MAX_TERMS` or whose integers may exceed :data:`MAX_BITS` bits, before
 it is computed.
+
+Constants fold exactly: a constant-only subexpression stays an int or a
+``Fraction`` until it meets a function, where a constant factor or divisor
+scales the function and a constant summand (or the whole result) becomes a
+constant function.  A folded constant counts as the constant function
+would in those limits (one term and the larger bit length of its numerator
+and denominator, or none for zero), so every refusal, its message and its
+column are those of building every atom as a function.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from fractions import Fraction
 
 from .errors import ParseError, UnknownCoordinate
 from .graded_algebra import Dimension, Poly, SuperFunction, numer_denom
@@ -73,7 +82,7 @@ def _tokenize(text: str):
         elif name is not None:
             tokens.append(("name", name, line, col))
         else:
-            tokens.append(("op", op, line, col))
+            tokens.append((op, op, line, col))
     tokens.append(("end", "", line, len(text) - line_start))
     return tokens
 
@@ -99,9 +108,20 @@ def _log2(t: int) -> int:
     return (max(t, 1) - 1).bit_length()
 
 
-def _bounds(op: str, a: SuperFunction, b) -> tuple[int, int]:
+def _size(v) -> tuple[int, int]:
+    """(terms, bits) of a function, or of a folded constant as of the
+    constant function: 1 term and the larger bit length of its numerator
+    and denominator, or 0 and 0 for zero."""
+    if type(v) is SuperFunction:
+        return _terms(v), _bits(v)
+    if not v:
+        return 0, 0
+    return 1, max(v.numerator.bit_length(), v.denominator.bit_length())
+
+
+def _bounds(op: str, a, b) -> tuple[int, int]:
     """Upper bounds on the terms and on the integer bit size of ``a * b`` or
-    ``a / b`` (b a function), or of ``a ^ b`` (b an int).
+    ``a / b`` (b a function or constant), or of ``a ^ b`` (b an int).
 
     Terms: len(a)·len(b), or C(len(a)+|b|-1, |b|), the number of multisets
     of |b| terms of a.  Bits: bits(a) + bits(b) + ceil(log2 min(len(a),
@@ -109,114 +129,128 @@ def _bounds(op: str, a: SuperFunction, b) -> tuple[int, int]:
     products of coefficients; or |b|·(bits(a) + ceil(log2 len(a))).  Both
     hold for polynomial coefficients; for fractions they count the larger
     of numerator and denominator."""
-    ta = _terms(a)
+    ta, ba = _size(a)
     if op == "^":
         k = abs(b)
-        return (math.comb(ta + k - 1, k) if k else 1), k * (_bits(a) + _log2(ta))
-    tb = _terms(b)
-    return ta * tb, _bits(a) + _bits(b) + _log2(min(ta, tb))
+        return (math.comb(ta + k - 1, k) if k else 1), k * (ba + _log2(ta))
+    tb, bb = _size(b)
+    return ta * tb, ba + bb + _log2(min(ta, tb))
 
 
 class _Parser:
+    """Recursive descent over the token list, read by index.  A value is a
+    SuperFunction or a folded constant (an int or a Fraction); see the
+    module docstring."""
+
     def __init__(self, dim: Dimension, text: str):
         self.dim = dim
         self.tokens = _tokenize(text)
         self.i = 0
 
-    def peek(self):
-        return self.tokens[self.i]
-
-    def take(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def error(self, message, tok=None):
-        tok = tok or self.peek()
+    def error(self, message, tok):
         raise ParseError(message, tok[2], tok[3])
 
     def bounded(self, tok, a, b):
         """Refuse, at tok, an operation that may exceed MAX_TERMS terms or
         MAX_BITS-bit integers."""
-        terms, bits = _bounds(tok[1], a, b)
+        terms, bits = _bounds(tok[0], a, b)
         if terms > MAX_TERMS:
-            self.error(f"{tok[1]!r} may give up to {terms} terms, over the "
+            self.error(f"{tok[0]!r} may give up to {terms} terms, over the "
                        f"limit {MAX_TERMS}", tok)
         if bits > MAX_BITS:
-            self.error(f"{tok[1]!r} may give integers of up to {bits} bits, "
+            self.error(f"{tok[0]!r} may give integers of up to {bits} bits, "
                        f"over the limit {MAX_BITS}", tok)
+
+    def function(self, value) -> SuperFunction:
+        if type(value) is SuperFunction:
+            return value
+        return SuperFunction.constant(self.dim, value)
 
     def parse(self) -> SuperFunction:
         value = self.expr()
-        if self.peek()[0] != "end":
-            self.error(f"trailing input {self.peek()[1]!r}")
-        return value
+        tok = self.tokens[self.i]
+        if tok[0] != "end":
+            self.error(f"trailing input {tok[1]!r}", tok)
+        return self.function(value)
 
     def expr(self):
         value = self.term()
-        while self.peek()[:2] in (("op", "+"), ("op", "-")):
-            op = self.take()[1]
+        tokens = self.tokens
+        while (op := tokens[self.i][0]) == "+" or op == "-":
+            self.i += 1
             rhs = self.term()
+            if type(value) is SuperFunction or type(rhs) is SuperFunction:
+                value, rhs = self.function(value), self.function(rhs)
             value = value + rhs if op == "+" else value - rhs
         return value
 
     def term(self):
         value = self.unary()
-        while self.peek()[:2] in (("op", "*"), ("op", "/")):
-            tok = self.take()
+        tokens = self.tokens
+        while (tok := tokens[self.i])[0] == "*" or tok[0] == "/":
+            self.i += 1
             rhs = self.unary()
-            if tok[1] == "/":
-                if not rhs.is_even_scalar():
+            function, div = type(rhs) is SuperFunction, tok[0] == "/"
+            if div:
+                if function and not rhs.is_even_scalar():
                     self.error("division by an expression with odd generators", tok)
-                if rhs.is_zero():
+                if rhs.is_zero() if function else not rhs:
                     self.error("division by zero", tok)
             self.bounded(tok, value, rhs)
-            value = value * rhs if tok[1] == "*" else value / rhs
+            if not function:  # a constant factor or divisor
+                rhs = Fraction(1, rhs) if div else rhs
+                value = value.scale(rhs) if type(value) is SuperFunction else value * rhs
+            elif type(value) is SuperFunction:
+                value = value / rhs if div else value * rhs
+            else:  # a constant times a function, or over one
+                value = (rhs.invert() if div else rhs).scale(value)
         return value
 
     def unary(self):
-        if self.peek()[:2] == ("op", "-"):
-            self.take()
+        if self.tokens[self.i][0] == "-":
+            self.i += 1
             return -self.unary()
         return self.power()
 
     def power(self):
         base = self.atom()
-        if self.peek()[:2] == ("op", "^"):
-            tok = self.take()
-            negate = False
-            if self.peek()[:2] == ("op", "-"):
-                self.take()
-                negate = True
-            etok = self.take()
-            if etok[0] != "num":
-                self.error("exponent must be an integer literal", etok)
-            if etok[1] > MAX_EXPONENT:
-                self.error(f"exponent {etok[1]} exceeds the limit {MAX_EXPONENT}", etok)
-            exp = -etok[1] if negate else etok[1]
-            if exp < 0 and not base.is_even_scalar():
-                self.error("negative power of an expression with odd generators", tok)
-            if exp < 0 and base.is_zero():
-                self.error("negative power of zero", tok)
-            self.bounded(tok, base, exp)
-            return base ** exp
-        return base
+        tokens = self.tokens
+        tok = tokens[self.i]
+        if tok[0] != "^":
+            return base
+        negate = tokens[self.i + 1][0] == "-"
+        self.i += 2 + negate
+        etok = tokens[self.i - 1]
+        if etok[0] != "num":
+            self.error("exponent must be an integer literal", etok)
+        if etok[1] > MAX_EXPONENT:
+            self.error(f"exponent {etok[1]} exceeds the limit {MAX_EXPONENT}", etok)
+        exp = -etok[1] if negate else etok[1]
+        function = type(base) is SuperFunction
+        if exp < 0 and function and not base.is_even_scalar():
+            self.error("negative power of an expression with odd generators", tok)
+        if exp < 0 and (base.is_zero() if function else not base):
+            self.error("negative power of zero", tok)
+        self.bounded(tok, base, exp)
+        return base ** exp if function or exp >= 0 else Fraction(base) ** exp
 
     def atom(self):
-        tok = self.take()
+        tok = self.tokens[self.i]
+        self.i += 1
         kind, value = tok[0], tok[1]
         if kind == "num":
-            return SuperFunction.constant(self.dim, value)
+            return value
         if kind == "name":
             try:
                 idx = self.dim.index(value)
             except UnknownCoordinate:
                 self.error(f"unknown coordinate {value!r}", tok)
             return SuperFunction.coordinate(self.dim, idx)
-        if (kind, value) == ("op", "("):
+        if kind == "(":
             inner = self.expr()
-            closing = self.take()
-            if closing[:2] != ("op", ")"):
+            closing = self.tokens[self.i]
+            self.i += 1
+            if closing[0] != ")":
                 self.error("expected ')'", closing)
             return inner
         self.error(f"unexpected token {value!r}", tok)
@@ -228,7 +262,7 @@ def parse_expression(dim: Dimension, text: str) -> SuperFunction:
     try:
         return parser.parse()
     except RecursionError:
-        _, _, line, col = parser.peek()
+        _, _, line, col = parser.tokens[parser.i]
         raise ParseError("expression nested too deeply", line, col) from None
 
 

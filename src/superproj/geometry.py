@@ -53,6 +53,7 @@ from .errors import (
     NonHomogeneous,
     NotInvertible,
     SingularDimension,
+    UnknownCoordinate,
     ValidationError,
 )
 from .graded_algebra import EVEN, Dimension, Substitution, SuperFunction, keyed_sums
@@ -82,25 +83,29 @@ class _Table:
             cls._kind = cls
 
     def __init__(self, dim: Dimension, comps: Mapping, parity: int = EVEN):
-        clean = {}
+        # One walk checks every type and dimension and keeps the first
+        # parity fault (or index out of range), raised only after the walk.
+        n, size = dim.n, dim.size
+        clean, fault = {}, None
         for key, val in comps.items():
             if not isinstance(val, SuperFunction):
                 raise ValidationError(f"component {key} is not a SuperFunction")
-            if val.dim != dim:
+            if val.dim is not dim and val.dim != dim:
                 raise DimensionMismatch(
                     f"component {key} over {val.dim}, expected {dim}")
-            if not val.is_zero():
-                clean[key] = val
-        for key, val in clean.items():
-            idx = key if isinstance(key, tuple) else (key,)
-            if not val.has_parity(sum(dim.parity(a) for a in idx) + parity):
-                raise ValidationError(f"component {str(key).replace(' ', '')} "
-                                      "violates parity homogeneity")
+            if not val.terms:
+                continue
+            clean[key] = val
+            if fault is None:
+                fault = _parity_fault(key, val, n, size, parity, dim)
+        if fault is not None:
+            raise fault
         for key, val in clean.items() if self.symmetric else ():
             *head, i, j = key
             mirror = clean.get((*head, j, i))
-            if mirror is None or val != (
-                    mirror if dim.mirror_sign(i, j) > 0 else -mirror):
+            if mirror is None or not (
+                    _negation(val.terms, mirror.terms) if i >= n and j >= n
+                    else mirror is val or val.terms == mirror.terms):
                 raise ValidationError(
                     f"graded symmetry fails at {str(key).replace(' ', '')}")
         object.__setattr__(self, "dim", dim)
@@ -128,6 +133,29 @@ class _Table:
 
     def __hash__(self):
         return hash((self.dim, self.parity, frozenset(self.comps.items())))
+
+
+def _parity_fault(key, val, n, size, parity, dim):
+    """The error of a nonzero component whose parity breaks the component
+    rule, or that has an index out of range (as `Dimension.parity` reports
+    it); None if it keeps the rule."""
+    p = parity
+    for a in key if isinstance(key, tuple) else (key,):
+        if not 0 <= a < size:
+            return UnknownCoordinate(f"coordinate index {a} out of range for {dim}")
+        p += a >= n
+    for k in val.terms:
+        if (len(k) + p) & 1:
+            return ValidationError(f"component {str(key).replace(' ', '')} "
+                                   "violates parity homogeneity")
+    return None
+
+
+def _negation(terms: dict, mirror: dict) -> bool:
+    """True if the mirror's terms are the negation of terms."""
+    get = mirror.get
+    return len(terms) == len(mirror) and all(
+        (m := get(k)) is not None and m == -c for k, c in terms.items())
 
 
 class CovectorField(_Table):

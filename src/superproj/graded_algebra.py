@@ -27,7 +27,11 @@ integer content cancelled (:func:`_reduced`).
 
 Only the public constructors validate: ``SuperFunction._of`` builds the
 result of an operation, whose coefficients are canonical and nonzero
-already, and :class:`Dimension` computes its counts once.  A
+already, and :class:`Dimension` computes its counts once.  ``Dimension.of``
+is interned, one object per ``(n, m)``, and each dimension's coordinate
+functions are built once with ``_of`` and shared by every
+``SuperFunction.coordinate``, so parsed atoms, bases and momenta share them
+and the ``is`` tests on ``dim`` hit.  A
 :class:`Substitution` validates its values once and keeps their monomials;
 a coefficient's kind, not the plan, picks its formula.  A
 `geometry.CoordinateChange` keeps one plan for each of its maps.
@@ -77,9 +81,12 @@ ODD = 1
 
 
 class Dimension:
-    """An n|m coordinate system: named even and odd coordinates."""
+    """An n|m coordinate system: named even and odd coordinates.  Its
+    coordinate functions are built once, at the first
+    `SuperFunction.coordinate`, and kept in ``_coordinates``."""
 
-    __slots__ = ("even_names", "odd_names", "names", "n", "m", "n0", "size")
+    __slots__ = ("even_names", "odd_names", "names", "n", "m", "n0", "size",
+                 "_coordinates")
 
     def __init__(self, even_names: tuple[str, ...], odd_names: tuple[str, ...]):
         names = even_names + odd_names
@@ -87,7 +94,7 @@ class Dimension:
             raise ValueError(f"duplicate coordinate names in {names}")
         n, m = len(even_names), len(odd_names)
         for slot, value in zip(self.__slots__, (even_names, odd_names, names,
-                                                n, m, n - m, n + m)):
+                                                n, m, n - m, n + m, None)):
             object.__setattr__(self, slot, value)
 
     def __setattr__(self, *_):
@@ -102,12 +109,16 @@ class Dimension:
 
     @staticmethod
     def of(n: int, m: int) -> "Dimension":
-        if n < 0 or m < 0:
-            raise ValueError("coordinate counts must be nonnegative")
-        return Dimension(
-            tuple(f"x{i + 1}" for i in range(n)),
-            tuple(f"th{j + 1}" for j in range(m)),
-        )
+        """The default n|m dimension, x1..xn and th1..thm: one object per
+        (n, m), so that every function parsed over it shares it."""
+        dim = _DIMENSIONS.get((n, m))
+        if dim is None:
+            if n < 0 or m < 0:
+                raise ValueError("coordinate counts must be nonnegative")
+            dim = _DIMENSIONS[n, m] = Dimension(
+                tuple(f"x{i + 1}" for i in range(n)),
+                tuple(f"th{j + 1}" for j in range(m)))
+        return dim
 
     def parity(self, i: int) -> int:
         if not 0 <= i < self.size:
@@ -127,6 +138,9 @@ class Dimension:
 
     def __repr__(self):
         return f"Dimension({self.n}|{self.m})"
+
+
+_DIMENSIONS: dict = {}  # (n, m) -> Dimension.of(n, m)
 
 
 # ---------------------------------------------------------------------------
@@ -766,12 +780,17 @@ class SuperFunction:
 
     @staticmethod
     def coordinate(dim: Dimension, i: int) -> "SuperFunction":
+        """The i-th coordinate function, one shared object per dimension."""
         if not 0 <= i < dim.size:
             raise UnknownCoordinate(f"coordinate index {i} out of range for {dim}")
-        ring, gens = scalar_ring(dim)
-        if i < dim.n:
-            return SuperFunction(dim, {(): gens[i]})
-        return SuperFunction(dim, {(i - dim.n,): ring.one})
+        coords = dim._coordinates
+        if coords is None:
+            ring = _ring_of(dim.even_names)
+            of = SuperFunction._of
+            coords = (*(of(dim, {(): g}) for g in ring.gens),
+                      *(of(dim, {(a,): ring.one}) for a in range(dim.m)))
+            object.__setattr__(dim, "_coordinates", coords)
+        return coords[i]
 
     # -- structure ----------------------------------------------------
 
@@ -1059,7 +1078,9 @@ class Substitution:
     division per coefficient, skipped when the divisor is 1.  For P/Q the
     b-powers cancel; Q(values), evaluated once per plan and needing
     invertible body, is inverted unless it is an even scalar, which leaves
-    one division.
+    one division.  The odd values of a term's odd monomial multiply that
+    numerator before the division, so each output coefficient of a term is
+    divided once.
     """
 
     __slots__ = ("dim", "target", "_even", "_odd", "_monomials", "_denoms",
@@ -1085,15 +1106,18 @@ class Substitution:
             raise DimensionMismatch(f"{f.dim} vs {self.dim}")
         pieces = []
         for key, coeff in f.terms.items():
+            quotient = None
             if type(coeff) is Poly:
                 num, degrees = self._numerator(coeff)
-                piece = (self._divide(num, self._power(degrees)) if any(degrees)
-                         else SuperFunction._of(self.target, num))
+                den = self._power(degrees) if any(degrees) else None
             else:
-                piece = self._fraction(coeff)
-            for slot in key:
+                num, den, quotient = self._fraction(coeff)
+            piece = SuperFunction._of(self.target, num)
+            for slot in key:  # on the numerator, before the one division
                 piece = piece * self._odd[slot]
-            pieces.append(piece)
+            if den is not None:
+                piece = self._divide(piece.terms, den)
+            pieces.append(piece if quotient is None else piece * quotient)
         return SuperFunction.sum(self.target, pieces)
 
     def _monomial(self, monom: tuple) -> SuperFunction:
@@ -1131,17 +1155,20 @@ class Substitution:
         inv = reciprocal(den)
         return SuperFunction._of(self.target, {k: _mul(c, inv) for k, c in num.items()})
 
-    def _fraction(self, coeff: Frac) -> SuperFunction:
+    def _fraction(self, coeff: Frac) -> tuple:
+        """(N, B, R) with coeff(values) = (N / B) R: N of polynomial
+        coefficients, B an even polynomial and R = 1/Q(values) where that
+        has odd terms, else None."""
         num, degrees = self._numerator(coeff.numer)
         quotient = self._quotients.get(coeff.denom)
         if quotient is None:
             quotient = self._quotients[coeff.denom] = self._denominator(coeff.denom)
         if type(quotient) is SuperFunction:  # 1/Q(values), which has odd terms
-            return self._divide(num, self._power(degrees)) * quotient
+            return num, self._power(degrees), quotient
         body, q_degrees = quotient
         up = self._power(tuple(max(q - d, 0) for d, q in zip(degrees, q_degrees)))
         down = self._power(tuple(max(d - q, 0) for d, q in zip(degrees, q_degrees)))
-        return self._divide({k: _pmul(c, up) for k, c in num.items()}, _pmul(body, down))
+        return {k: _pmul(c, up) for k, c in num.items()}, _pmul(body, down), None
 
     def _denominator(self, q: Poly):
         """(B, D) with q(values) = B / prod b_i^D_i, B even, or 1/q(values)."""

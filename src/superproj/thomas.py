@@ -38,12 +38,7 @@ from .densities import (
     _generating_operator,
 )
 from .errors import SingularDimension, SingularWeight
-from .geometry import (
-    Connection,
-    ProjectiveClass,
-    Sym2Upper,
-    projective_class,
-)
+from .geometry import Connection, ProjectiveClass, Sym2Upper
 from .graded_algebra import Dimension, SuperFunction, keyed_sums
 
 # ---------------------------------------------------------------------------
@@ -115,38 +110,44 @@ def tilde_ricci(pi: ProjectiveClass) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _lift(pi: ProjectiveClass, mixed: Fraction, corner: Fraction) -> tuple:
+    """(ext, comps) of a lifted table: the embedded Pi, the constant mixed
+    at (g, g, 0) and (g, 0, g) for g >= 1 and corner at (0, 0, 0), and the
+    x0-row `tilde_ricci` at (0, k+1, j+1)."""
+    chart = TildeChart(pi.dim)
+    ext = chart.ext
+    comps = {(k + 1, i + 1, j + 1): chart.embed(val)
+             for (k, i, j), val in pi.comps.items()}
+    mixed = SuperFunction.constant(ext, mixed)
+    for g in range(1, ext.size):
+        comps[(g, g, 0)] = comps[(g, 0, g)] = mixed
+    comps[(0, 0, 0)] = SuperFunction.constant(ext, corner)
+    for (k, j), val in tilde_ricci(pi).items():
+        comps[(0, k + 1, j + 1)] = chart.embed(val)
+    return ext, comps
+
+
 def lift_connection(pi: ProjectiveClass) -> Connection:
     """Linear connection on the extended chart determined by a projective
     class: base block Pi, mixed block -delta/(n0+1), and the x0-row
     `tilde_ricci`."""
-    dim = pi.dim
-    n0 = dim.n0
+    n0 = pi.dim.n0
     if n0 in (1, -1):
         raise SingularDimension(f"n - m = {n0}: connection lift undefined")
-    chart = TildeChart(dim)
-    ext = chart.ext
-    comps: dict = {}
-    for (k, i, j), val in pi.comps.items():
-        comps[(k + 1, i + 1, j + 1)] = chart.embed(val)
-    mixed = SuperFunction.constant(ext, Fraction(-1, n0 + 1))
-    for g in range(ext.size):
-        comps[(g, 0, g)] = mixed
-        if g:
-            comps[(g, g, 0)] = mixed
-    for (k, j), val in tilde_ricci(pi).items():
-        comps[(0, k + 1, j + 1)] = chart.embed(val)
-    return Connection(ext, comps)
+    return Connection(*_lift(pi, Fraction(-1, n0 + 1), Fraction(-1, n0 + 1)))
 
 
 def lift_projective_class(pi: ProjectiveClass) -> ProjectiveClass:
     """Projective class on the extended chart: the trace-free part of the
-    lifted connection.  Closed form of the extra components:
-    Pi~^k_{j0} = -delta^k_j/((n0+1)(n0+2)), Pi~^0_{00} = n0/((n0+1)(n0+2)),
-    Pi~^0_{ji} = tilde_ricci, Pi~^0_{j0} = Pi~^k_{00} = 0."""
+    lifted connection, built from its closed form: the embedded Pi,
+    Pi~^g_{g0} = Pi~^g_{0g} = -1/((n0+1)(n0+2)) for g >= 1,
+    Pi~^0_{00} = n0/((n0+1)(n0+2)), Pi~^0_{k+1,j+1} = `tilde_ricci`, and
+    Pi~^0_{j0} = Pi~^k_{00} = 0.  The constructor checks the trace."""
     n0 = pi.dim.n0
     if n0 in (1, -1, -2):
         raise SingularDimension(f"n - m = {n0}: projective class lift undefined")
-    return projective_class(lift_connection(pi))
+    q = Fraction(1, (n0 + 1) * (n0 + 2))
+    return ProjectiveClass(*_lift(pi, -q, n0 * q))
 
 
 # ---------------------------------------------------------------------------

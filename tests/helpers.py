@@ -219,3 +219,64 @@ def product_of_term_pairs(count):
                            for j in range(17)][:size])
 
     return f"({monomial_sum(p, 'x1', 'x2')})*({monomial_sum(q, 'x3', 'x4')})"
+
+
+# ---------------------------------------------------------------------------
+# expression trees: a reference evaluator for the parser
+# ---------------------------------------------------------------------------
+# A tree is ("num", k), ("name", s), ("neg", t), ("pow", t, e) or
+# (op, a, b) for op in "+-*/".  `render_tree` prints it in the grammar with
+# the fewest parentheses; `evaluate_tree` builds every atom as a
+# SuperFunction with the validating constructor and applies + - * / ** in
+# the parser's order, refusing what the parser refuses (`TreeRefused`).
+
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "pow": 4,
+               "num": 5, "name": 5}
+
+
+class TreeRefused(Exception):
+    """The parser's message for a division or negative power it refuses."""
+
+
+def render_tree(tree) -> str:
+    def wrap(child, need):
+        text = render_tree(child)
+        return f"({text})" if _PRECEDENCE[child[0]] < need else text
+
+    kind = tree[0]
+    if kind in ("num", "name"):
+        return str(tree[1])
+    if kind == "neg":
+        return "-" + wrap(tree[1], 3)
+    if kind == "pow":
+        return f"{wrap(tree[1], 5)}^{tree[2]}"
+    level = _PRECEDENCE[kind]
+    return f"{wrap(tree[1], level)} {kind} {wrap(tree[2], level + 1)}"
+
+
+def evaluate_tree(dim, tree) -> SuperFunction:
+    kind = tree[0]
+    if kind == "num":
+        return SuperFunction(dim, {(): tree[1]})
+    if kind == "name":
+        i = dim.index(tree[1])
+        if i < dim.n:
+            return SuperFunction(dim, {(): scalar_ring(dim)[1][i]})
+        return SuperFunction(dim, {(i - dim.n,): 1})
+    if kind == "neg":
+        return -evaluate_tree(dim, tree[1])
+    if kind == "pow":
+        base, e = evaluate_tree(dim, tree[1]), tree[2]
+        if e < 0 and not base.is_even_scalar():
+            raise TreeRefused("negative power of an expression with odd generators")
+        if e < 0 and base.is_zero():
+            raise TreeRefused("negative power of zero")
+        return base ** e
+    a, b = evaluate_tree(dim, tree[1]), evaluate_tree(dim, tree[2])
+    if kind == "/":
+        if not b.is_even_scalar():
+            raise TreeRefused("division by an expression with odd generators")
+        if b.is_zero():
+            raise TreeRefused("division by zero")
+        return a / b
+    return {"+": a.__add__, "-": a.__sub__, "*": a.__mul__}[kind](b)

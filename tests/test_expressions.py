@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,13 @@ from superproj.expressions import (
 )
 from superproj.graded_algebra import Dimension, SuperFunction, numer_denom
 
-from helpers import product_of_term_pairs, rand_super
+from helpers import (
+    TreeRefused,
+    evaluate_tree,
+    product_of_term_pairs,
+    rand_super,
+    render_tree,
+)
 
 D = Dimension.of(2, 2)
 
@@ -223,3 +230,122 @@ def test_bounds_read_from_coefficients_match_numer_denom(seed):
 def test_grammar_help_mentions_names():
     assert "x1..xn" in GRAMMAR_HELP and "th1..thm" in GRAMMAR_HELP
     assert f"{MAX_BITS} bits" in GRAMMAR_HELP
+
+
+# ---------------------------------------------------------------------------
+# the parser against a reference evaluator over SuperFunction atoms
+# ---------------------------------------------------------------------------
+
+_NUMS = st.integers(min_value=0, max_value=12).map(lambda k: ("num", k))
+_EVEN = st.recursive(
+    _NUMS | st.sampled_from(["x1", "x2"]).map(lambda s: ("name", s)),
+    lambda sub: st.tuples(st.sampled_from("+-*"), sub, sub), max_leaves=3)
+
+
+def _trees(leaves):
+    atoms = _NUMS | st.sampled_from(D.names).map(lambda s: ("name", s))
+
+    def extend(sub):
+        return (st.tuples(st.sampled_from("+-*/"), sub, sub)
+                | st.tuples(st.just("/"), sub, _EVEN)  # an even divisor
+                | st.tuples(st.just("neg"), sub)
+                | st.tuples(st.just("pow"), sub, st.integers(-2, 3)))
+
+    return st.recursive(atoms, extend, max_leaves=leaves)
+
+
+_CONSTANT = st.recursive(_NUMS, lambda sub: (
+    st.tuples(st.sampled_from("+-*/"), sub, sub)
+    | st.tuples(st.just("neg"), sub)
+    | st.tuples(st.just("pow"), sub, st.integers(-3, 3))), max_leaves=6)
+
+
+def _parses_like_the_reference(tree):
+    text = render_tree(tree)
+    try:
+        want = evaluate_tree(D, tree)
+    except TreeRefused as refused:
+        with pytest.raises(ParseError, match=re.escape(str(refused))):
+            parse_expression(D, text)
+        return
+    got = parse_expression(D, text)
+    assert got == want and got.dim is D, text
+
+
+@settings(max_examples=150, deadline=None)
+@given(_trees(7))
+def test_parser_matches_reference_evaluator(tree):
+    _parses_like_the_reference(tree)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_CONSTANT, _trees(3))
+def test_folded_constants_meet_functions_like_the_reference(const, tree):
+    # a constant-only subtree next to a function, on either side of each op
+    for op in "+-*/":
+        _parses_like_the_reference((op, const, tree))
+        _parses_like_the_reference((op, tree, const))
+    _parses_like_the_reference(("neg", ("neg", ("neg", const))))
+
+
+_T4 = "((((2)^16)^16)^16)^16"  # 2^65536, 65,537 bits
+
+
+@pytest.mark.parametrize("text, message, column", [
+    (f"({_T4})^16", "'^' may give integers of up to 1048592 bits, over the "
+     "limit 1048576", 23),
+    (f"({_T4})^-16", "'^' may give integers of up to 1048592 bits, over the "
+     "limit 1048576", 23),
+    ("((x1+x2+1)^16)^16", "'^' may give up to 9206887338937200407418 terms, "
+     "over the limit 10000", 14),
+    ("1/0", "division by zero", 1),
+    ("1/(1-1)", "division by zero", 1),
+    ("0/0", "division by zero", 1),
+    ("1/(th1*th1)", "division by zero", 1),
+    ("x1/(x2-x2)", "division by zero", 2),
+    ("2*x1/0*th1", "division by zero", 4),
+    ("0*th1/0", "division by zero", 5),
+    ("1/(x1-x1)^2", "division by zero", 1),
+    ("x1/th1", "division by an expression with odd generators", 2),
+    ("0^-1", "negative power of zero", 1),
+    ("(1-1)^-2", "negative power of zero", 5),
+    ("1/(2-2)^-1", "negative power of zero", 7),
+    ("3*(2-2)^-1", "negative power of zero", 7),
+    ("th1^-1", "negative power of an expression with odd generators", 3),
+    ("(th1*th2)^-1", "negative power of an expression with odd generators", 9),
+    ("x1^17", "exponent 17 exceeds the limit 16", 3),
+    ("x1^-17", "exponent 17 exceeds the limit 16", 4),
+    ("x1^x2", "exponent must be an integer literal", 3),
+    ("x1^(2)", "exponent must be an integer literal", 3),
+    ("x1^-", "exponent must be an integer literal", 4),
+    ("(x1", "expected ')'", 3),
+    ("x1)", "trailing input ')'", 2),
+    ("x1 x2", "trailing input 'x2'", 3),
+    ("x1 2", "trailing input 2", 3),
+    ("x1 +", "unexpected token ''", 4),
+    ("x1 + 1/", "unexpected token ''", 7),
+    ("", "unexpected token ''", 0),
+    ("-", "unexpected token ''", 1),
+    ("()", "unexpected token ')'", 1),
+    ("*x1", "unexpected token '*'", 0),
+    ("x9", "unknown coordinate 'x9'", 0),
+    ("2 $", "unexpected character '$'", 2),
+])
+def test_refusals_keep_message_and_place(text, message, column):
+    with pytest.raises(ParseError) as err:
+        parse_expression(D, text)
+    assert str(err.value) == f"{message} (line 1, column {column})"
+    assert (err.value.line, err.value.column) == (1, column)
+
+
+@pytest.mark.parametrize("text, value", [
+    (_T4, 2 ** 65536),
+    (f"{_T4}*{_T4}", 2 ** 131072),
+    ("0^0", 1),
+    ("x1^-0", 1),
+    ("2^-2", Fraction(1, 4)),
+    ("2/3/4/(1/2)", Fraction(1, 3)),
+    ("-(-2)^-3*-(3-4)", Fraction(1, 8)),
+], ids=["2^65536", "2^131072", "0^0", "x1^-0", "2^-2", "quotients", "signs"])
+def test_accepted_constants(text, value):
+    assert parse_expression(D, text) == SuperFunction.constant(D, value)

@@ -11,6 +11,7 @@ from superproj.errors import (
     NonHomogeneous,
     NotInvertible,
     SingularDimension,
+    UnknownCoordinate,
     ValidationError,
 )
 from superproj.expressions import parse_expression
@@ -250,6 +251,22 @@ class TestJInject:
 # the shared component table
 # ---------------------------------------------------------------------------
 
+# One fault each over 1|2 (index 0 even, 1 and 2 odd), for an even
+# Sym2Upper: its components, its phase of validation and its message.
+_TABLE_FAULTS = {
+    "not_a_function": ({(2, 2): 3}, 1, ValidationError,
+                       "component (2, 2) is not a SuperFunction"),
+    "index_out_of_range": ({(0, 3): "x1"}, 2, UnknownCoordinate,
+                           "coordinate index 3 out of range for Dimension(1|2)"),
+    "parity": ({(0, 0): "th1"}, 2, ValidationError,
+               "component (0,0) violates parity homogeneity"),
+    "missing_mirror": ({(0, 1): "th1"}, 3, ValidationError,
+                       "graded symmetry fails at (0,1)"),
+    "odd_odd_sign": ({(1, 2): "x1", (2, 1): "x1"}, 3, ValidationError,
+                     "graded symmetry fails at (1,2)"),
+}
+
+
 class TestComponentTable:
     @pytest.mark.parametrize("make, message", [
         (lambda f: CovectorField(D11, {1: f}), "component 1 violates"),
@@ -275,6 +292,27 @@ class TestComponentTable:
         comps = {(0, 1): expr(D11, "th1"), (1, 0): expr(D11, "x1")}
         with pytest.raises(ValidationError, match=re.escape("component (1,0)")):
             Sym2Upper(D11, comps)
+
+    @pytest.mark.parametrize("names", [
+        (a,) for a in _TABLE_FAULTS] + [
+        (a, b) for a in _TABLE_FAULTS for b in _TABLE_FAULTS if a != b])
+    def test_first_fault_of_the_earliest_phase_wins(self, names):
+        comps = {}
+        for name in names:
+            for key, val in _TABLE_FAULTS[name][0].items():
+                comps[key] = expr(D12, val) if isinstance(val, str) else val
+        # the earliest phase wins; within a phase, the first component
+        winner = min(names, key=lambda name: _TABLE_FAULTS[name][1])
+        _, _, error, message = _TABLE_FAULTS[winner]
+        with pytest.raises(error) as err:
+            Sym2Upper(D12, comps)
+        assert str(err.value) == message
+
+    def test_odd_odd_mirror_of_the_right_sign_is_accepted(self):
+        x1 = expr(D12, "x1")
+        s = Sym2Upper(D12, {(1, 2): x1, (2, 1): -x1, (0, 1): expr(D12, "th1"),
+                            (1, 0): expr(D12, "th1")})
+        assert s.component(2, 1) == -x1
 
     def test_equality_within_a_kind(self):
         rng = random.Random(21)

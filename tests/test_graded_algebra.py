@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -911,3 +912,49 @@ def test_shared_denominator_is_evaluated_once_per_plan(monkeypatch):
         want = reference_substitute(f, values)
         assert same_value(plan(f), want) and same_value(plan(f), want)
         assert sorted(map(str, calls)) == ["x1 + x2 + 1", "x2"]
+
+
+def divide_first(plan, f, values):
+    """plan(f) by the route that divides each coefficient's piece first and
+    then multiplies the quotient by the odd values of its key."""
+    n = f.dim.n
+    return SuperFunction.sum(plan.target, [
+        math.prod((values[n + slot] for slot in key),
+                  start=plan(SuperFunction(f.dim, {(): coeff})))
+        for key, coeff in f.terms.items()])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(PLAN_DIMS), st.sampled_from(["moebius", "rational", "soul"]),
+       st.booleans(), st.integers(min_value=0, max_value=10**6))
+def test_fraction_plan_divides_once_after_the_odd_values(dim, kind, polynomial_odds,
+                                                         seed):
+    rng = random.Random(seed)
+    values = plan_values(rng, dim, kind)
+    if polynomial_odds:  # odd values without fractions
+        values[dim.n:] = [coord(dim, a) + coord(dim, a) * coord(dim, 0).scale(
+            rng.choice((1, -2))) if dim.n else coord(dim, a)
+            for a in range(dim.n, dim.size)]
+    plan = graded_algebra.Substitution(dim, values)
+    for f in [rational_function(rng, dim) for _ in range(3)]:
+        try:
+            want = divide_first(plan, f, values)
+        except NotInvertible:
+            continue
+        assert same_value(plan(f), want)
+
+
+def test_dimensions_are_interned_with_shared_coordinates():
+    assert Dimension.of(2, 1) is Dimension.of(2, 1)
+    assert Dimension.of(2, 1) is not Dimension.of(1, 2)
+    dim = Dimension.of(3, 2)
+    for i in range(dim.size):
+        x = SuperFunction.coordinate(dim, i)
+        assert x.dim is dim and x is SuperFunction.coordinate(dim, i)
+        assert x == SuperFunction(dim, {(): scalar_ring(dim)[1][i]} if i < dim.n
+                                  else {(i - dim.n,): 1})
+    # an equal dimension built by hand keeps its own coordinates
+    twin = Dimension(dim.even_names, dim.odd_names)
+    assert twin == dim and SuperFunction.coordinate(twin, 0).dim is twin
+    with pytest.raises(UnknownCoordinate):
+        SuperFunction.coordinate(dim, dim.size)

@@ -2,11 +2,13 @@
 
 ``run_scenarios.py`` exits 1 exactly when some bundled scenario has a
 failing check, and then ends with the count of failing checks; the golden
-reports say how many there are.
+reports say how many there are.  ``ab_same_process.py`` runs on two copies
+of this checkout, and fails once one copy prints its reports differently.
 """
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -44,3 +46,33 @@ def test_verify_identities():
     done = run_script(ROOT / "scripts" / "verify_identities.py")
     assert done.returncode == 0, done.stdout + done.stderr
     assert done.stdout.splitlines()[-1] == "all identities verified"
+
+
+def _checkout_copy(into):
+    for part in ("src", "bench"):
+        shutil.copytree(ROOT / part, into / part,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    return into
+
+
+def test_ab_same_process(tmp_path):
+    parent = _checkout_copy(tmp_path / "parent")
+    change = _checkout_copy(tmp_path / "change")
+    args = ["--workload", "geometry_changes", "--cases", "4", "--passes", "2"]
+    done = run_script(ROOT / "scripts" / "ab_same_process.py", parent, change, *args)
+    assert done.returncode == 0, done.stdout + done.stderr
+    lines = done.stdout.splitlines()
+    assert "same_reports true" in lines
+    summary = json.loads(lines[-1])
+    assert summary["same_reports"] is True
+    assert set(summary["ratio"]) == {"total_s", "p50_s", "p90_s"}
+    for side in ("parent", "change"):
+        assert summary[side]["total_s"] > 0
+    # a change whose reports differ fails the run
+    printer = change / "src" / "superproj" / "expressions.py"
+    printer.write_text(printer.read_text(encoding="utf-8") + (
+        "\n_format = format_super\n\n\n"
+        "def format_super(f):\n    return _format(f) + ' '\n"), encoding="utf-8")
+    done = run_script(ROOT / "scripts" / "ab_same_process.py", parent, change, *args)
+    assert done.returncode == 1
+    assert json.loads(done.stdout.splitlines()[-1])["same_reports"] is False

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superproj.densities import (
     BracketTriple,
@@ -185,6 +187,22 @@ class TestLiftProjectiveClass:
         for (n, m) in ((1, 0), (1, 2), (0, 2)):
             with pytest.raises(SingularDimension):
                 lift_projective_class(ProjectiveClass(Dimension.of(n, m), {}))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(1, 0), (2, 0), (3, 0), (1, 1), (2, 1), (2, 2), (3, 1), (3, 2)]),
+       st.integers(min_value=0, max_value=10**6))
+def test_closed_form_lift_is_the_trace_free_lifted_connection(shape, seed):
+    # the closed form against the projection of the lifted connection; both
+    # refuse the singular n - m of either construction
+    pc = rand_projective_class(random.Random(seed), Dimension.of(*shape))
+    try:
+        want = projective_class(lift_connection(pc))
+    except SingularDimension:
+        with pytest.raises(SingularDimension):
+            lift_projective_class(pc)
+        return
+    assert lift_projective_class(pc) == want
 
 
 # ---------------------------------------------------------------------------
