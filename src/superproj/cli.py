@@ -170,6 +170,13 @@ def _table(dim, obj, arity, where):
     return comps
 
 
+def _values(dim, value, where, label) -> tuple:
+    """A change's list of one expression per coordinate, at where.label."""
+    if not isinstance(value, list) or len(value) != dim.size:
+        raise ValidationError(f"{where}: {label} must list {dim.size} expressions")
+    return tuple(_expr(dim, t, f"{where}.{label}") for t in value)
+
+
 def _location(text: str, pos: int):
     """(line, column) of offset pos in text."""
     return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
@@ -246,18 +253,10 @@ def parse_scenario(text: str) -> Scenario:
     changes = {}
     for name, spec in section("changes"):
         spec = _object(spec, f"changes.{name}")
-        fwd = spec.get("forward")
-        if not isinstance(fwd, list) or len(fwd) != dim.size:
-            raise ValidationError(
-                f"changes.{name}: forward must list {dim.size} expressions")
-        forward = tuple(_expr(dim, t, f"changes.{name}.forward") for t in fwd)
-        inverse = None
-        if spec.get("inverse") is not None:
-            inv = spec["inverse"]
-            if not isinstance(inv, list) or len(inv) != dim.size:
-                raise ValidationError(
-                    f"changes.{name}: inverse must list {dim.size} expressions")
-            inverse = tuple(_expr(dim, t, f"changes.{name}.inverse") for t in inv)
+        forward = _values(dim, spec.get("forward"), f"changes.{name}", "forward")
+        inverse = spec.get("inverse")
+        if inverse is not None:
+            inverse = _values(dim, inverse, f"changes.{name}", "inverse")
         changes[name] = _built(f"changes.{name}", CoordinateChange, dim,
                                forward, inverse)
 
@@ -267,11 +266,8 @@ def parse_scenario(text: str) -> Scenario:
         s_name = spec.get("s")
         if not isinstance(s_name, str) or s_name not in tensors:
             raise ValidationError(f"triples.{name}: unknown tensor {s_name!r}")
-        gamma = {}
-        for key, text in _object(spec.get("gamma", {}),
-                                 f"triples.{name}.gamma").items():
-            idx = _parse_index_key(key, 1, dim, f"triples.{name}.gamma")
-            gamma[idx[0]] = _expr(dim, text, f"triples.{name}.gamma[{key}]")
+        gamma = {i: val for (i,), val in _table(
+            dim, spec.get("gamma", {}), 1, f"triples.{name}.gamma").items()}
         theta = _expr(dim, spec.get("theta", "0"), f"triples.{name}.theta")
         eps = _parity(spec.get("parity", "even"), f"triples.{name}")
         weight = _parse_fraction(spec.get("weight", "0"), f"triples.{name}.weight")

@@ -90,7 +90,7 @@ class DensityElement:
     def __init__(self, dim: Dimension, slices: Mapping):
         clean = {}
         for w, f in slices.items():
-            if f.dim != dim:
+            if f.dim is not dim:
                 raise DimensionMismatch("slice over wrong dimension")
             if not f.is_zero():
                 clean[_as_weight(w)] = f
@@ -129,7 +129,7 @@ class DensityElement:
         return not self.slices
 
     def __add__(self, other: "DensityElement") -> "DensityElement":
-        if self.dim != other.dim:
+        if self.dim is not other.dim:
             raise DimensionMismatch("density dimensions differ")
         if not other.slices:
             return self
@@ -142,7 +142,7 @@ class DensityElement:
         return self.scale(-1)
 
     def __sub__(self, other: "DensityElement") -> "DensityElement":
-        if self.dim != other.dim:
+        if self.dim is not other.dim:
             raise DimensionMismatch("density dimensions differ")
         if not other.slices:
             return self
@@ -150,7 +150,7 @@ class DensityElement:
             chain(self.slices.items(), [(w, -f) for w, f in other.slices.items()])))
 
     def __mul__(self, other: "DensityElement") -> "DensityElement":
-        if self.dim != other.dim:
+        if self.dim is not other.dim:
             raise DimensionMismatch("density dimensions differ")
         if not self.slices:
             return self
@@ -181,7 +181,7 @@ class DensityElement:
     def __eq__(self, other):
         return (
             isinstance(other, DensityElement)
-            and self.dim == other.dim
+            and self.dim is other.dim
             and self.slices == other.slices
         )
 
@@ -281,7 +281,7 @@ class DensityOperator:
     # -- linear structure -------------------------------------------------
 
     def __add__(self, other: "DensityOperator") -> "DensityOperator":
-        if self.dim != other.dim:
+        if self.dim is not other.dim:
             raise DimensionMismatch("operator dimensions differ")
         return DensityOperator(self.dim, keyed_sums(
             chain(self.terms.items(), other.terms.items())))
@@ -299,7 +299,7 @@ class DensityOperator:
     def __eq__(self, other):
         return (
             isinstance(other, DensityOperator)
-            and self.dim == other.dim
+            and self.dim is other.dim
             and self.terms == other.terms
         )
 
@@ -309,7 +309,7 @@ class DensityOperator:
     # -- action -----------------------------------------------------------
 
     def __call__(self, phi: DensityElement) -> DensityElement:
-        if phi.dim != self.dim:
+        if phi.dim is not self.dim:
             raise DimensionMismatch("argument over wrong dimension")
         out = []
         for (alpha, wpow, mu), f in self.terms.items():
@@ -378,7 +378,7 @@ class DensityOperator:
 
     def compose(self, other: "DensityOperator") -> "DensityOperator":
         """self o other (apply other first)."""
-        if self.dim != other.dim:
+        if self.dim is not other.dim:
             raise DimensionMismatch("operator dimensions differ")
         out = []
         for (alpha, wpow, mu), f in self.terms.items():
@@ -505,12 +505,12 @@ class BracketTriple:
             raise ValidationError("S tensor parity must equal the bracket parity")
         gamma = {i: v for i, v in dict(self.gamma).items() if not v.is_zero()}
         for i, v in gamma.items():
-            if v.dim != dim:
+            if v.dim is not dim:
                 raise DimensionMismatch("gamma component over wrong dimension")
             if not v.has_parity(dim.parity(i) + self.eps):
                 raise ValidationError(f"gamma component {i} violates parity")
         object.__setattr__(self, "gamma", gamma)
-        if self.theta.dim != dim:
+        if self.theta.dim is not dim:
             raise DimensionMismatch("theta over wrong dimension")
         if not self.theta.has_parity(self.eps):
             raise ValidationError("theta violates parity")

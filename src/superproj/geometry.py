@@ -90,7 +90,7 @@ class _Table:
         for key, val in comps.items():
             if not isinstance(val, SuperFunction):
                 raise ValidationError(f"component {key} is not a SuperFunction")
-            if val.dim is not dim and val.dim != dim:
+            if val.dim is not dim:
                 raise DimensionMismatch(
                     f"component {key} over {val.dim}, expected {dim}")
             if not val.terms:
@@ -126,7 +126,7 @@ class _Table:
         return (
             isinstance(other, _Table)
             and self._kind is other._kind
-            and self.dim == other.dim
+            and self.dim is other.dim
             and self.parity == other.parity
             and self.comps == other.comps
         )
@@ -174,7 +174,7 @@ class Sym2Cov(_Table):
         return self._plus(other, [(key, -val) for key, val in other.comps.items()])
 
     def _plus(self, other, terms):
-        if self.dim != other.dim or self.parity != other.parity:
+        if self.dim is not other.dim or self.parity != other.parity:
             raise DimensionMismatch("tensor mismatch in addition")
         comps = keyed_sums(chain(self.comps.items(), terms))
         return Sym2Cov(self.dim, comps, self.parity)
@@ -272,7 +272,7 @@ class SuperMatrix(_Table):
         return SuperMatrix(dim, {(i, i): one for i in range(dim.size)})
 
     def __mul__(self, other: "SuperMatrix") -> "SuperMatrix":
-        if self.dim != other.dim:
+        if self.dim is not other.dim:
             raise DimensionMismatch("matrix dimensions differ")
         size = self.dim.size
         return SuperMatrix(self.dim, {
@@ -358,7 +358,7 @@ class CoordinateChange:
             if len(self.forward) != self.dim.size:
                 raise ValidationError("forward tuple has wrong length")
             for a, val in enumerate(self.forward):
-                if val.dim != self.dim:
+                if val.dim is not self.dim:
                     raise DimensionMismatch("forward component over wrong dimension")
                 if not val.has_parity(self.dim.parity(a)):
                     raise NonHomogeneous(f"forward component {a} has wrong parity")
@@ -406,7 +406,7 @@ class CoordinateChange:
 
     def then(self, second: "CoordinateChange") -> "CoordinateChange":
         """The composite change x -> second(self(x))."""
-        if self.dim != second.dim:
+        if self.dim is not second.dim:
             raise DimensionMismatch("composing changes over different dimensions")
         fwd = tuple(map(self._forward_plan, second.forward))
         inv = None

@@ -27,11 +27,10 @@ integer content cancelled (:func:`_reduced`).
 
 Only the public constructors validate: ``SuperFunction._of`` builds the
 result of an operation, whose coefficients are canonical and nonzero
-already, and :class:`Dimension` computes its counts once.  ``Dimension.of``
-is interned, one object per ``(n, m)``, and each dimension's coordinate
-functions are built once with ``_of`` and shared by every
-``SuperFunction.coordinate``, so parsed atoms, bases and momenta share them
-and the ``is`` tests on ``dim`` hit.  A
+already.  A :class:`Dimension` is interned by its names, so equal
+dimensions are one object and every dimension test is ``is``; it owns its
+scalar ring and its coordinate functions, built once when it is made and
+shared by every ``SuperFunction.coordinate``.  A
 :class:`Substitution` validates its values once and keeps their monomials;
 a coefficient's kind, not the plan, picks its formula.  A
 `geometry.CoordinateChange` keeps one plan for each of its maps.
@@ -65,7 +64,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from operator import add as _add_int
 from typing import Mapping, Sequence
 
@@ -81,44 +79,44 @@ ODD = 1
 
 
 class Dimension:
-    """An n|m coordinate system: named even and odd coordinates.  Its
-    coordinate functions are built once, at the first
-    `SuperFunction.coordinate`, and kept in ``_coordinates``."""
+    """An n|m coordinate system: named even and odd coordinates.
+
+    A dimension is its names: ``Dimension(even_names, odd_names)`` returns
+    one object per pair of name tuples, so equal dimensions are identical
+    and compare by ``is``.  It owns its ring QQ[x] of the even coordinates
+    (``ring``) and its coordinate functions (``coordinates``), built once,
+    when it is made."""
 
     __slots__ = ("even_names", "odd_names", "names", "n", "m", "n0", "size",
-                 "_coordinates")
+                 "ring", "coordinates")
 
-    def __init__(self, even_names: tuple[str, ...], odd_names: tuple[str, ...]):
-        names = even_names + odd_names
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate coordinate names in {names}")
-        n, m = len(even_names), len(odd_names)
-        for slot, value in zip(self.__slots__, (even_names, odd_names, names,
-                                                n, m, n - m, n + m, None)):
-            object.__setattr__(self, slot, value)
+    def __new__(cls, even_names: tuple[str, ...], odd_names: tuple[str, ...]):
+        dim = _DIMENSIONS.get((even_names, odd_names))
+        if dim is None:
+            names = even_names + odd_names
+            if len(set(names)) != len(names):
+                raise ValueError(f"duplicate coordinate names in {names}")
+            dim, ring = object.__new__(cls), ScalarRing(even_names)
+            n, m = len(even_names), len(odd_names)
+            coordinates = (*(SuperFunction._of(dim, {(): g}) for g in ring.gens),
+                           *(SuperFunction._of(dim, {(a,): ring.one})
+                             for a in range(m)))
+            for slot, value in zip(cls.__slots__, (even_names, odd_names, names, n,
+                                                   m, n - m, n + m, ring, coordinates)):
+                object.__setattr__(dim, slot, value)
+            _DIMENSIONS[even_names, odd_names] = dim
+        return dim
 
     def __setattr__(self, *_):
         raise AttributeError("Dimension is immutable")
 
-    def __eq__(self, other):
-        return self is other or (type(other) is Dimension
-                                 and (self.n, self.names) == (other.n, other.names))
-
-    def __hash__(self):
-        return hash((self.even_names, self.odd_names))
-
     @staticmethod
     def of(n: int, m: int) -> "Dimension":
-        """The default n|m dimension, x1..xn and th1..thm: one object per
-        (n, m), so that every function parsed over it shares it."""
-        dim = _DIMENSIONS.get((n, m))
-        if dim is None:
-            if n < 0 or m < 0:
-                raise ValueError("coordinate counts must be nonnegative")
-            dim = _DIMENSIONS[n, m] = Dimension(
-                tuple(f"x{i + 1}" for i in range(n)),
-                tuple(f"th{j + 1}" for j in range(m)))
-        return dim
+        """The default n|m dimension, x1..xn and th1..thm."""
+        if n < 0 or m < 0:
+            raise ValueError("coordinate counts must be nonnegative")
+        return Dimension(tuple(f"x{i + 1}" for i in range(n)),
+                         tuple(f"th{j + 1}" for j in range(m)))
 
     def parity(self, i: int) -> int:
         if not 0 <= i < self.size:
@@ -140,7 +138,7 @@ class Dimension:
         return f"Dimension({self.n}|{self.m})"
 
 
-_DIMENSIONS: dict = {}  # (n, m) -> Dimension.of(n, m)
+_DIMENSIONS: dict = {}  # (even_names, odd_names) -> its one Dimension
 
 
 # ---------------------------------------------------------------------------
@@ -168,16 +166,10 @@ class ScalarRing:
         return Poly(self, {self.zero_monom: p}, q) if p else self.zero
 
 
-@lru_cache(maxsize=None)
-def _ring_of(even_names: tuple[str, ...]) -> ScalarRing:
-    return ScalarRing(even_names)
-
-
 def scalar_ring(dim: Dimension):
     """The polynomial ring QQ[x] in the even coordinates of dim, and its
     generators; fractions of its elements are formed with ``/``."""
-    ring = _ring_of(dim.even_names)
-    return ring, ring.gens
+    return dim.ring, dim.ring.gens
 
 
 class _Scalar:
@@ -201,9 +193,17 @@ class _Scalar:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return _mul(self, reciprocal(self._lift(other)))
+        other = self._lift(other)
+        if not other:
+            raise NotInvertible("division by zero")
+        return _mul(self, reciprocal(other))
 
     def __pow__(self, k: int):
+        """self^k; a negative k is the reciprocal's power."""
+        if k < 0:
+            if not self:
+                raise NotInvertible("zero to a negative power")
+            return reciprocal(self) ** -k
         out = self.ring.one
         for _ in range(k):
             out = _mul(out, self)
@@ -741,7 +741,7 @@ class SuperFunction:
     __slots__ = ("dim", "terms", "_derivs")
 
     def __init__(self, dim: Dimension, terms: Mapping[tuple[int, ...], object]):
-        ring = _ring_of(dim.even_names)
+        ring = dim.ring
         clean = {}
         for key, coeff in terms.items():
             coeff = _canonical(coeff, ring)
@@ -771,31 +771,23 @@ class SuperFunction:
 
     @staticmethod
     def one(dim: Dimension) -> "SuperFunction":
-        return SuperFunction._of(dim, {(): _ring_of(dim.even_names).one})
+        return SuperFunction._of(dim, {(): dim.ring.one})
 
     @staticmethod
     def constant(dim: Dimension, value) -> "SuperFunction":
-        ring, _ = scalar_ring(dim)
-        return SuperFunction(dim, {(): ring(value)})
+        return SuperFunction(dim, {(): dim.ring(value)})
 
     @staticmethod
     def coordinate(dim: Dimension, i: int) -> "SuperFunction":
         """The i-th coordinate function, one shared object per dimension."""
         if not 0 <= i < dim.size:
             raise UnknownCoordinate(f"coordinate index {i} out of range for {dim}")
-        coords = dim._coordinates
-        if coords is None:
-            ring = _ring_of(dim.even_names)
-            of = SuperFunction._of
-            coords = (*(of(dim, {(): g}) for g in ring.gens),
-                      *(of(dim, {(a,): ring.one}) for a in range(dim.m)))
-            object.__setattr__(dim, "_coordinates", coords)
-        return coords[i]
+        return dim.coordinates[i]
 
     # -- structure ----------------------------------------------------
 
     def _check_dim(self, other: "SuperFunction"):
-        if self.dim is not other.dim and self.dim != other.dim:
+        if self.dim is not other.dim:
             raise DimensionMismatch(f"{self.dim} vs {other.dim}")
 
     def is_zero(self) -> bool:
@@ -803,8 +795,7 @@ class SuperFunction:
 
     def body(self):
         """Coefficient at the empty odd monomial (odd generators set to 0)."""
-        ring, _ = scalar_ring(self.dim)
-        return self.terms.get((), ring.zero)
+        return self.terms.get((), self.dim.ring.zero)
 
     def parity(self) -> int:
         """The common parity, 0 or 1, of the terms (0 for zero); raises
@@ -835,7 +826,7 @@ class SuperFunction:
         docstring); DimensionMismatch for a summand over another dim."""
         sole = out = None
         for f in functions:
-            if f.dim is not dim and f.dim != dim:
+            if f.dim is not dim:
                 raise DimensionMismatch(f"{dim} vs {f.dim}")
             if not f.terms:
                 continue
@@ -1013,7 +1004,7 @@ class SuperFunction:
                 source[where[name]] = i
         slots = {a: where[name] - new_dim.n
                  for a, name in enumerate(dim.odd_names) if name in where}
-        ring = _ring_of(new_dim.even_names)
+        ring = new_dim.ring
 
         def rename(p: Poly) -> Poly:
             return Poly(ring, {tuple(map((m + (0,)).__getitem__, source)): c
@@ -1031,7 +1022,7 @@ class SuperFunction:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SuperFunction)
-            and self.dim == other.dim
+            and self.dim is other.dim
             and self.terms == other.terms
         )
 
@@ -1091,7 +1082,7 @@ class Substitution:
             raise DimensionMismatch(f"need {dim.size} values, got {len(values)}")
         self.dim, self.target, self._monomials = dim, values[0].dim if values else dim, {}
         for i, v in enumerate(values):
-            if v.dim != self.target:
+            if v.dim is not self.target:
                 raise DimensionMismatch("substitution values over mixed dimensions")
             if not v.has_parity(dim.parity(i)):
                 raise NonHomogeneous(
@@ -1102,7 +1093,7 @@ class Substitution:
         self._powers, self._quotients = {}, {}
 
     def __call__(self, f: SuperFunction) -> SuperFunction:
-        if f.dim != self.dim:
+        if f.dim is not self.dim:
             raise DimensionMismatch(f"{f.dim} vs {self.dim}")
         pieces = []
         for key, coeff in f.terms.items():
@@ -1132,7 +1123,7 @@ class Substitution:
         if e not in self._powers:  # prod b_i^e_i over the kept b_i
             self._powers[e] = math.prod(
                 (b ** k for (_, b), k in zip(self._denoms, e) if k),
-                start=_ring_of(self.target.even_names).one)
+                start=self.target.ring.one)
         return self._powers[e]
 
     def _numerator(self, poly: Poly) -> tuple[dict, tuple]:

@@ -116,7 +116,7 @@ def canonical_pb(F: SuperFunction, G: SuperFunction,
     pf = F.parity()
     G.parity()  # refuses a mixed G, as the line above refuses a mixed F
     pdim = phase_dimension(dim)
-    if F.dim != pdim or G.dim != pdim:
+    if F.dim is not pdim or G.dim is not pdim:
         raise DimensionMismatch("arguments must live on the phase dimension")
     terms = []
     for a in range(dim.size):

@@ -24,7 +24,6 @@ Sign conventions settled by the consistency requirement
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .densities import (
@@ -46,16 +45,15 @@ from .graded_algebra import Dimension, SuperFunction, keyed_sums
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class TildeChart:
-    """Base dimension together with its volume-coordinate extension."""
+    """Base dimension together with its volume-coordinate extension, the
+    one interned dimension with ``x0`` in front of the base's names."""
 
-    base: Dimension
-    ext: Dimension = field(init=False, repr=False, compare=False)
+    __slots__ = ("base", "ext")
 
-    def __post_init__(self):
-        object.__setattr__(self, "ext", Dimension(
-            ("x0",) + self.base.even_names, self.base.odd_names))
+    def __init__(self, base: Dimension):
+        self.base = base
+        self.ext = Dimension(("x0",) + base.even_names, base.odd_names)
 
     def embed(self, f: SuperFunction) -> SuperFunction:
         return f.migrate(self.ext)
@@ -170,7 +168,7 @@ def extension_operator(triple: BracketTriple, pi: ProjectiveClass,
               - (n0+2)/(n0+4) S^jk G0_kj ) w ).
     """
     dim = triple.dim
-    if pi.dim != dim:
+    if pi.dim is not dim:
         raise SingularDimension("triple and class over different dimensions")
     n0 = dim.n0
     if n0 in (1, -1, -4):

@@ -180,6 +180,51 @@ class TestParseScenario:
             parse_scenario(json.dumps(doc))
         assert where in str(err.value)
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"changes": {"c": {"forward": "x1", "inverse": ["x1", "th1"]}}},
+         "changes.c: forward must list 2 expressions"),
+        ({"changes": {"c": {}}}, "changes.c: forward must list 2 expressions"),
+        ({"changes": {"c": {"forward": ["x1"]}}},
+         "changes.c: forward must list 2 expressions"),
+        ({"changes": {"c": {"forward": ["x1", "th1"], "inverse": "x1"}}},
+         "changes.c: inverse must list 2 expressions"),
+        ({"changes": {"c": {"forward": ["x1", "th1"],
+                            "inverse": ["x1", "th1", "x1"]}}},
+         "changes.c: inverse must list 2 expressions"),
+        ({"changes": {"c": {"forward": ["x1 +", "th1"]}}},
+         "changes.c.forward: unexpected token '' (line 1, column 4)"),
+        ({"changes": {"c": {"forward": [1, "th1"]}}},
+         "changes.c.forward: expected an expression string"),
+        ({"changes": {"c": {"forward": ["x1", "th1"], "inverse": ["x1", "y"]}}},
+         "changes.c.inverse: unknown coordinate 'y' (line 1, column 0)"),
+        ({"changes": {"c": {"forward": "x1", "inverse": 3}}},
+         "changes.c: forward must list 2 expressions"),
+        ({"changes": {"c": {"forward": ["x1", "("], "inverse": ["(", "th1"]}}},
+         "changes.c.forward: unexpected token '' (line 1, column 1)"),
+        ({"changes": {"c": {"forward": ["x1", "("], "inverse": "x1"}}},
+         "changes.c.forward: unexpected token '' (line 1, column 1)"),
+        ({"tensors": {"S": {}}, "triples": {"T": {"s": "S", "gamma": ["x1"]}}},
+         "triples.T.gamma: expected a JSON object"),
+        ({"tensors": {"S": {}}, "triples": {"T": {"s": "S", "gamma": {"3": "x1"}}}},
+         "triples.T.gamma: key '3' has index '3' out of range 1..2"),
+        ({"tensors": {"S": {}},
+          "triples": {"T": {"s": "S", "gamma": {"1,1": "x1"}}}},
+         "triples.T.gamma: key '1,1' must have 1 indices"),
+        ({"tensors": {"S": {}},
+          "triples": {"T": {"s": "S", "gamma": {"2": "x1 *"}}}},
+         "triples.T.gamma[2]: unexpected token '' (line 1, column 4)"),
+    ], ids=["forward_not_list", "forward_missing", "forward_short",
+            "inverse_not_list", "inverse_long", "forward_bad_expression",
+            "forward_not_string", "inverse_bad_expression", "both_malformed",
+            "both_bad_expressions", "forward_expression_first",
+            "gamma_not_object", "gamma_bad_key", "gamma_key_arity",
+            "gamma_bad_expression"])
+    def test_change_and_gamma_messages(self, fields, message):
+        doc = {"dimension": {"n": 1, "m": 1}, **fields}
+        with pytest.raises(ValidationError) as err:
+            parse_scenario(json.dumps(doc))
+        assert str(err.value) == message
+
 
 class TestRoundTrip:
     def test_emit_reparse_equal(self):

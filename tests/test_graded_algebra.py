@@ -667,7 +667,7 @@ def gcd_pairs(draw):
     f, g = factor() * k, factor() * k
     if draw(st.booleans()):
         f = -f
-    ring = graded_algebra._ring_of(GCD_NAMES[:n])
+    ring = Dimension(GCD_NAMES[:n], ()).ring
     return tuple(Poly(ring, {m: int(c) for m, c in p.items()}, 1)
                  for p in (f, g))
 
@@ -752,7 +752,7 @@ class TestGcd:
         (2, {(2, 0): 1, (1, 1): 1}, {(1, 1): 8}),       # monomial second
     ])
     def test_monomial_operand(self, n, monomial, other):
-        ring = graded_algebra._ring_of(GCD_NAMES[:n])
+        ring = Dimension(GCD_NAMES[:n], ()).ring
         f, g = graded_algebra._poly(ring, monomial, 3), graded_algebra._poly(ring, other, 2)
         assert_exact_gcd(f, g)
         assert_exact_gcd(g, f)
@@ -763,7 +763,7 @@ class TestGcd:
         int_polys(n, set()))))
     def test_monomial_shortcut_matches_sympy(self, case):
         n, monomial, other = case
-        ring = graded_algebra._ring_of(GCD_NAMES[:n])
+        ring = Dimension(GCD_NAMES[:n], ()).ring
         f, g = Poly(ring, monomial, 1), Poly(ring, other, 1)
         assume(not (f.is_ground or g.is_ground))
         assert_exact_gcd(f, g)
@@ -953,8 +953,75 @@ def test_dimensions_are_interned_with_shared_coordinates():
         assert x.dim is dim and x is SuperFunction.coordinate(dim, i)
         assert x == SuperFunction(dim, {(): scalar_ring(dim)[1][i]} if i < dim.n
                                   else {(i - dim.n,): 1})
-    # an equal dimension built by hand keeps its own coordinates
     twin = Dimension(dim.even_names, dim.odd_names)
+    assert twin is dim
     assert twin == dim and SuperFunction.coordinate(twin, 0).dim is twin
     with pytest.raises(UnknownCoordinate):
         SuperFunction.coordinate(dim, dim.size)
+
+
+def test_a_dimension_is_its_names():
+    assert Dimension(("u", "v"), ("eta",)) is Dimension(("u", "v"), ("eta",))
+    assert Dimension(("u", "v"), ("eta",)) is not Dimension(("v", "u"), ("eta",))
+    assert Dimension.of(2, 1) is Dimension(("x1", "x2"), ("th1",))
+    dim = Dimension.of(2, 1)
+    assert dim.ring is scalar_ring(dim)[0] and dim.ring.names == dim.even_names
+    for i in range(dim.size):
+        assert dim.coordinates[i] is SuperFunction.coordinate(dim, i)
+
+
+def test_duplicate_names_leave_the_table_unchanged():
+    table = dict(graded_algebra._DIMENSIONS)
+    for names in [(("a", "b"), ("a",)), (("a", "a"), ()), ((), ("c", "c"))]:
+        with pytest.raises(ValueError, match="duplicate coordinate names"):
+            Dimension(*names)
+        assert graded_algebra._DIMENSIONS == table
+
+
+def test_dimension_is_immutable():
+    dim = Dimension.of(1, 1)
+    for name in Dimension.__slots__ + ("other",):
+        with pytest.raises(AttributeError):
+            setattr(dim, name, None)
+    assert dim.names == ("x1", "th1") and dim.coordinates[0].dim is dim
+
+
+def test_same_counts_other_names_mismatch():
+    a, b = Dimension.of(1, 1), Dimension(("y1",), ("th1",))
+    f, g = coord(a, 0) + coord(a, 1), coord(b, 0) + coord(b, 1)
+    for combine in (lambda: f + g, lambda: f * g, lambda: g * f,
+                    lambda: SuperFunction.sum(a, [f, g])):
+        with pytest.raises(DimensionMismatch):
+            combine()
+
+
+class TestScalarPowersAndQuotients:
+    """A negative power is the reciprocal's power; a zero divisor, or a
+    zero base with a negative power, is NotInvertible."""
+
+    def test_examples(self):
+        ring, (x1, x2) = scalar_ring(D22)
+        X1, X2 = ORACLE_GENS
+        assert_sympy_form(body((x1 + 1) ** -2), ORACLE.one / (X1 + 1) ** 2)
+        assert_sympy_form(body((x1 / (x2 + 1)) ** -1), (X2 + 1) / X1)
+        with pytest.raises(NotInvertible):
+            ring.zero ** -1
+        with pytest.raises(NotInvertible):
+            x1 / (x1 - x1)
+        assert ring.zero ** 0 == 1 and ring.zero / x1 == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(fractions_of(D22), fractions_of(D22), st.integers(-4, 4))
+    def test_random_fractions_match_sympy(self, f, g, k):
+        ff, gg = to_oracle(f), to_oracle(g)
+        # sympy's own negative power leaves the denominator's sign as it is
+        assert_sympy_form(body(f ** k), ff ** k if k >= 0 else ORACLE.one / ff ** -k)
+        assert_sympy_form(body(f / g), ff / gg)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_rationals().filter(bool), small_rationals().filter(bool),
+           st.integers(-4, 4))
+    def test_constants_match_fraction(self, p, q, k):
+        ring, _ = scalar_ring(D22)
+        assert ring(p) ** k == ring(p ** k)
+        assert ring(p) / ring(q) == ring(p / q) and ring(p) / q == ring(p / q)

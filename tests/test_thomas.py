@@ -23,6 +23,7 @@ from superproj.geometry import (
     projective_class,
 )
 from superproj.graded_algebra import Dimension, SuperFunction
+from superproj.poisson_bv import phase_dimension
 from superproj.thomas import (
     TildeChart,
     b_tensor,
@@ -69,6 +70,17 @@ class TestTildeChart:
         lifted = lift_connection(rand_projective_class(random.Random(62), D22))
         assert lifted.comps
         assert all(val.dim is lifted.dim for val in lifted.comps.values())
+
+    def test_ext_is_interned(self):
+        assert TildeChart(D22).ext is TildeChart(D22).ext
+        assert TildeChart(D22).ext is Dimension(("x0", "x1", "x2"), ("th1", "th2"))
+        pc = rand_projective_class(random.Random(64), D22)
+        assert lift_projective_class(pc).dim is TildeChart(pc.dim).ext
+        assert lift_connection(pc).dim is TildeChart(pc.dim).ext
+        for dim in (D20, D22):
+            phase = phase_dimension(dim)
+            assert phase is Dimension(phase.even_names, phase.odd_names)
+            assert phase is phase_dimension(dim)
 
     def test_embed_restrict_round_trip(self):
         rng = random.Random(61)
