@@ -5,24 +5,25 @@ Usage (each directory is a checkout holding ``src/superproj`` and
 ``bench/``):
 
     python3 scripts/ab_same_process.py PARENT_DIR CHANGE_DIR \\
-        --workload geometry_changes --cases 600 --passes 4
+        --workload geometry_changes --cases 600 --passes 4 [--seed 305]
 
 Each checkout's ``src/superproj`` is copied into one temporary directory,
 as the packages ``superproj_parent`` and ``superproj_change``, and both are
 imported into this process.  The first ``--cases`` cases of the workload
-(``bench/scenario_gen.py`` of CHANGE_DIR, seed 301) then run through both
-sides as ``bench/run.py`` runs them, ``parse_scenario`` -> ``run_checks``
--> ``emit_report(..., "json")``, alternating case by case which side goes
-first, ``--passes`` times over the cases, after one untimed warm-up case on
-each side.  Host drift between two processes minutes apart can exceed the
-effect being measured; within one process both sides see the same drift.
+(``bench/scenario_gen.py`` of CHANGE_DIR, seed ``--seed``, by default the
+benchmark's claim seed 301) then run through both sides as ``bench/run.py``
+runs them, ``parse_scenario`` -> ``run_checks`` -> ``emit_report(...,
+"json")``, alternating case by case which side goes first, ``--passes``
+times over the cases, after one untimed warm-up case on each side.  Host
+drift between two processes minutes apart can exceed the effect being
+measured; within one process both sides see the same drift.
 
 Prints, per side, the summed report time and the smoothed p50 and p90 of
 the report times over the benchmark's windows, the ratios parent / change
 (above 1: the change is faster), and ``same_reports``: every report of the
-two sides is equal once its ``duration_ms`` fields are removed.  The last
-line is the same summary as a JSON object.  Exits 1 when the reports
-differ.
+two sides is equal once its ``duration_ms`` fields are removed.  The
+header and the summary name the seed.  The last line is the same summary
+as a JSON object.  Exits 1 when the reports differ.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import tempfile
 import time
 from pathlib import Path
 
-SEED = 301  # the benchmark's claim seed
+CLAIM_SEED = 301  # the benchmark's claim seed, the default of --seed
 SIDES = ("parent", "change")
 # (q, half width) of the smoothed quantiles of bench/run.py's end_to_end
 WINDOWS = {"p50": (0.5, 0.1), "p90": (0.9, 0.05)}
@@ -71,8 +72,9 @@ def report(cli, text: str) -> tuple:
     return time.perf_counter() - start, out
 
 
-def run(clis: dict, bench, workload: str, cases: int, passes: int) -> dict:
-    texts = [bench.scenario_gen.case(workload, SEED, index).text
+def run(clis: dict, bench, workload: str, seed: int, cases: int,
+        passes: int) -> dict:
+    texts = [bench.scenario_gen.case(workload, seed, index).text
              for index in range(cases)]
     for cli in clis.values():
         report(cli, texts[0])
@@ -87,7 +89,7 @@ def run(clis: dict, bench, workload: str, cases: int, passes: int) -> dict:
                 times[side].append(seconds)
             same = same and len(set(map(bench.strip_durations,
                                         reports.values()))) == 1
-    summary = {"workload": workload, "seed": SEED, "cases": cases,
+    summary = {"workload": workload, "seed": seed, "cases": cases,
                "passes": passes}
     for side, values in times.items():
         summary[side] = {"total_s": sum(values), **{
@@ -106,13 +108,15 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--cases", type=int, required=True)
     parser.add_argument("--passes", type=int, required=True)
+    parser.add_argument("--seed", type=int, default=CLAIM_SEED)
     args = parser.parse_args(argv)
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     bench = load_bench(checkouts["change"])
     with tempfile.TemporaryDirectory() as into:
         clis = load_clis(checkouts, Path(into))
-        summary = run(clis, bench, args.workload, args.cases, args.passes)
-    print(f"{args.workload}, seed {SEED}: {args.cases} cases x {args.passes} "
+        summary = run(clis, bench, args.workload, args.seed, args.cases,
+                      args.passes)
+    print(f"{args.workload}, seed {args.seed}: {args.cases} cases x {args.passes} "
           "passes, alternating sides case by case")
     print(f"{'':10} {'parent':>10} {'change':>10} {'ratio':>8}")
     for key in summary["ratio"]:

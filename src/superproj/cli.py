@@ -45,9 +45,9 @@ from .geometry import (
     Sym2Cov,
     Sym2Upper,
     projective_class,
+    schwarzian_defect,
     super_schwarzian,
     transform_connection,
-    transform_sym2cov,
     transform_upper2,
 )
 from .graded_algebra import Dimension, SuperFunction
@@ -422,10 +422,7 @@ def _check_schwarzian_vanishes(change: CoordinateChange) -> tuple:
 def _check_schwarzian_defect(change: CoordinateChange, gamma=None) -> tuple:
     if gamma is None:
         gamma = Connection(change.dim, {})
-    lhs = projective_class(transform_connection(gamma, change))
-    rhs = (transform_sym2cov(projective_class(gamma), change)
-           + super_schwarzian(change.inverted()))
-    return _table3(lhs - rhs), {}
+    return _table3(schwarzian_defect(gamma, change)), {}
 
 
 def _check_laplacian_invariance(tensor: Sym2Upper, pc: ProjectiveClass,

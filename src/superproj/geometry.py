@@ -25,10 +25,12 @@ Index conventions used throughout (and by `densities`/`thomas`):
 Every tensor a public function returns is validated by its constructor;
 intermediates no caller sees are plain component dicts, so a derived tensor
 is built once.  The transformation laws and the cocycle are contractions
-that walk the stored components and the nonzero Jacobian entries only.  The
-trace-free projection ``A - j(div A)/(n - m + 1)`` behind
-`projective_class` and `super_schwarzian` adds ``j_inject``'s terms straight
-into A's components.
+that walk the stored components and the nonzero Jacobian entries only; the
+law of a (1,2)-tensor, `_transform_core`, contracts only the lower pairs
+a <= b and fills each mirror (d, b, a) with `Dimension.mirror_sign`, since
+the law keeps graded symmetry.  The trace-free projection
+``A - j(div A)/(n - m + 1)`` behind `projective_class` and
+`super_schwarzian` adds ``j_inject``'s terms straight into A's components.
 
 Supermatrix inverses and Berezinians come from one Gauss-Jordan elimination;
 a `CoordinateChange` keeps the Jacobian grid and the inverse it computes
@@ -36,6 +38,9 @@ while validating.  The second-derivative cocycle ``F_c`` (`schwarzian_raw`)
 is the inhomogeneous term of the connection law: a connection transforms by
 the tensorial law of ``Gamma - F_c``, ``d log Ber`` is half the trace of
 ``F_c``, and the super-Schwarzian is its trace-free part.
+`schwarzian_defect` checks that the Schwarzian of the inverse map is the
+defect of the projective class in the source chart, where the raw law
+leaves its results, and re-expresses a nonzero defect in the new chart.
 
 All operations are pure; every value is immutable after construction.
 """
@@ -228,10 +233,11 @@ def _j_terms(phi: Mapping, dim: Dimension, eps: int, c) -> list:
     phi = {b: phi_b} of parity eps: phi_b enters only (t, t, b), (t, b, t)."""
     terms = []
     for b, phi_b in phi.items():
+        signed = (phi_b.scale(c), phi_b.scale(-c))
         for t in range(dim.size):
             for key, power in (((t, t, b), (dim.parity(b) + eps) * dim.parity(t)),
                                ((t, b, t), eps * dim.parity(t))):
-                terms.append((key, phi_b.scale(-c if power % 2 else c)))
+                terms.append((key, signed[power % 2]))
     return sorted(terms, key=itemgetter(0))
 
 
@@ -467,7 +473,10 @@ def _transform_core(a: Sym2Cov, c: CoordinateChange):
 
     Walks the stored components of A and the nonzero entries of K and J
     only; each signed pair product K^i_a K^j_b is formed once per call and
-    reused for every k.  The result is keyed in sorted order.
+    reused for every k.  The law keeps graded symmetry in the lower pair, so
+    only the pairs a <= b are contracted and each mirror (d, b, a) is
+    ``Dimension.mirror_sign`` times (d, a, b).  The result is keyed in
+    sorted order.
     """
     dim = a.dim
     size = dim.size
@@ -477,13 +486,15 @@ def _transform_core(a: Sym2Cov, c: CoordinateChange):
     jrows = [[(d, jf) for d, jf in enumerate(row) if jf.terms]
              for row in jacobian_rows(c)]
     pairs = {}
-    inner = []  # ((aa, bb, k), term): summed over i, j, shared by every d
+    inner = []  # ((aa, bb, k), term), aa <= bb: summed over i, j; shared by every d
     for (k, i, j), comp in a.comps.items():
         signed = pairs.get((i, j))
         if signed is None:
             signed = pairs[(i, j)] = []
             for aa, ki in kcols[i]:
                 for bb, kj in kcols[j]:
+                    if bb < aa:
+                        continue
                     prod = ki * kj
                     if dim.parity(i) * (dim.parity(j) + dim.parity(bb)) % 2:
                         prod = -prod
@@ -492,6 +503,9 @@ def _transform_core(a: Sym2Cov, c: CoordinateChange):
     out = keyed_sums([((d, aa, bb), val * jf)
                       for (aa, bb, k), val in keyed_sums(inner).items()
                       for d, jf in jrows[k]])
+    for (d, aa, bb), val in list(out.items()):
+        if aa != bb:
+            out[(d, bb, aa)] = val if dim.mirror_sign(aa, bb) > 0 else -val
     return {key: out[key] for key in sorted(out)}
 
 
@@ -566,3 +580,31 @@ def super_schwarzian(c: CoordinateChange) -> Sym2Cov:
     if c.dim.n0 == -1:
         raise SingularDimension("n - m = -1: Schwarzian undefined")
     return Sym2Cov(c.dim, _trace_free(schwarzian_raw(c)), EVEN)
+
+
+def schwarzian_defect(gamma: Sym2Cov, c: CoordinateChange) -> Sym2Cov:
+    """The defect Pi(Gammabar) - (T(Pi Gamma) + S(c^-1)) of the projective
+    class under c, in the new chart, for Gammabar the transformed Gamma and
+    T the tensorial law: zero exactly when the super-Schwarzian of the
+    inverse map is the inhomogeneous term of the law of the class.
+
+    Checked in the old chart, where the raw law `_transform_core` leaves its
+    results: c* maps the new chart's functions injectively into the old
+    one's and commutes with the trace-free projection, so the defect is the
+    image under the inverse map of
+        Pi(T(Gamma - F_c)) - T(Pi Gamma) - c* S(c^-1),
+    and only S(c^-1), computed from the inverse map's own Jacobian, is
+    pulled back.  A nonzero defect is re-expressed in the new chart, as the
+    route through `transform_connection` and `transform_sym2cov` gives it.
+    """
+    shifted = gamma - schwarzian_raw(c)
+    inverse = c.require_inverse()
+    dim = c.dim
+    lhs = projective_class(Connection(dim, _transform_core(shifted, c)))
+    tensorial = Sym2Cov(dim, _transform_core(projective_class(gamma), c), EVEN)
+    pulled = Sym2Cov(dim, {key: c.pullback(val) for key, val in
+                           super_schwarzian(c.inverted()).comps.items()}, EVEN)
+    defect = lhs - (tensorial + pulled)
+    if defect.is_zero():
+        return defect
+    return Sym2Cov(dim, _substitute_comps(defect.comps, inverse), EVEN)

@@ -10,9 +10,11 @@ from superproj.geometry import (
     CovectorField,
     Sym2Cov,
     Sym2Upper,
+    inverse_jacobian_rows,
+    jacobian_rows,
     projective_class,
 )
-from superproj.graded_algebra import Dimension, SuperFunction, scalar_ring
+from superproj.graded_algebra import Dimension, SuperFunction, keyed_sums, scalar_ring
 
 
 def rand_scalar(rng, dim, deg=1, terms=2):
@@ -205,6 +207,31 @@ def rand_moebius_change(rng, dim):
         fwd[b] = th * lin(d)
         inv[b] = th * lin(c) * lin(c + d).invert()
     return CoordinateChange(dim, tuple(fwd), tuple(inv))
+
+
+def full_transform_core(a, c):
+    """Reference for `geometry._transform_core`: the tensorial law
+        new^d_ab = (-1)^{i~(j~+b~)} K^i_a K^j_b A^k_ij J^d_k
+    contracted for every output pair (a, b), mirrors included, as raw
+    components of the old chart keyed in sorted order."""
+    dim, size = a.dim, a.dim.size
+    kinv = inverse_jacobian_rows(c)
+    kcols = [[(aa, kinv[aa][i]) for aa in range(size) if kinv[aa][i].terms]
+             for i in range(size)]
+    jrows = [[(d, jf) for d, jf in enumerate(row) if jf.terms]
+             for row in jacobian_rows(c)]
+    inner = []
+    for (k, i, j), comp in a.comps.items():
+        for aa, ki in kcols[i]:
+            for bb, kj in kcols[j]:
+                prod = ki * kj
+                if dim.parity(i) * (dim.parity(j) + dim.parity(bb)) % 2:
+                    prod = -prod
+                inner.append(((aa, bb, k), prod * comp))
+    out = keyed_sums([((d, aa, bb), val * jf)
+                      for (aa, bb, k), val in keyed_sums(inner).items()
+                      for d, jf in jrows[k]])
+    return {key: out[key] for key in sorted(out)}
 
 
 def product_of_term_pairs(count):

@@ -11,10 +11,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from superproj import cli, poisson_bv, thomas
+from superproj import cli, geometry, poisson_bv, thomas
 from superproj.cli import (
     CHECK_HANDLERS,
     _intertwining_conditions,
@@ -40,15 +40,20 @@ from superproj.geometry import (
     CoordinateChange,
     Sym2Upper,
     projective_class,
+    schwarzian_defect,
     transform_connection,
+    transform_sym2cov,
     transform_upper2,
 )
 from superproj.graded_algebra import Dimension, SuperFunction
 
 from helpers import (
     product_of_term_pairs,
+    rand_connection,
     rand_linear_change,
+    rand_moebius_change,
     rand_projective_class,
+    rand_triangular_change,
     rand_triple,
     rand_upper,
 )
@@ -382,6 +387,30 @@ class TestRunChecks:
         assert_resolved(s)
         assert s.checks[3][1][2] == Fraction(1, 2)
 
+    @pytest.mark.parametrize("n, m, inverse, error", [
+        (1, 1, None, "NotInvertible: coordinate change lacks an explicit "
+                     "inverse map"),
+        (1, 2, ["x1/2", "th1", "th2 - th1"],
+         "SingularDimension: n - m = -1: trace projection undefined"),
+        (1, 2, None, "NotInvertible: coordinate change lacks an explicit "
+                     "inverse map"),
+    ])
+    @pytest.mark.parametrize("connection", [None, {"1,1,1": "x1"}])
+    def test_schwarzian_defect_error_precedence(self, n, m, inverse, error,
+                                                connection):
+        forward = ["2*x1", "th1", "th1 + th2"][:n + m]
+        change = {"forward": forward}
+        if inverse is not None:
+            change["inverse"] = inverse
+        check = {"check": "schwarzian_defect", "change": "c"}
+        doc = {"dimension": {"n": n, "m": m}, "changes": {"c": change},
+               "checks": [check]}
+        if connection is not None:
+            doc["connections"] = {"G": connection}
+            check["connection"] = "G"
+        entry = run_checks(parse_scenario(json.dumps(doc))).checks[0]
+        assert (entry["verdict"], entry["error"]) == ("error", error)
+
     def test_handler_parameters_match_arguments(self):
         # run(*arguments) takes the requires, then the optional arguments,
         # and has defaults on exactly the optional ones, of which a kind has
@@ -673,6 +702,55 @@ def test_oversized_result_coefficient_is_printed():
     square = decimal.Context(prec=6000).create_decimal(int(big) ** 2)
     assert len(str(square)) == 5000
     assert f"/({square}*x1^4 - " in entry["residuals"]["volume_flatness^2"]
+
+
+# ---------------------------------------------------------------------------
+# schwarzian_defect: checked in the source chart, printed in the new one
+# ---------------------------------------------------------------------------
+
+def new_chart_defect(gamma, change):
+    """The defect by the route that transforms both sides into the new
+    chart, with the module's current super_schwarzian."""
+    lhs = projective_class(transform_connection(gamma, change))
+    return lhs - (transform_sym2cov(projective_class(gamma), change)
+                  + geometry.super_schwarzian(change.inverted()))
+
+
+DEFECT_CASES = (st.integers(0, 10**6), st.sampled_from([(1, 1), (2, 1), (2, 2)]),
+                st.sampled_from([rand_linear_change, rand_triangular_change,
+                                 rand_moebius_change]))
+
+
+class TestSchwarzianDefect:
+    @settings(max_examples=15, deadline=None)
+    @given(*DEFECT_CASES)
+    def test_equals_the_new_chart_route(self, seed, dims, make_change):
+        rng = random.Random(seed)
+        dim = Dimension.of(*dims)
+        gamma, change = rand_connection(rng, dim), make_change(rng, dim)
+        got = schwarzian_defect(gamma, change)
+        assert got == new_chart_defect(gamma, change)
+        assert got.is_zero()
+
+    @settings(max_examples=15, deadline=None)
+    @given(*DEFECT_CASES)
+    def test_failing_residuals_print_as_the_new_chart_route(self, seed, dims,
+                                                           make_change):
+        # a super_schwarzian off by a nonzero trace-free term: the check
+        # fails, and its residuals are the new-chart route's, byte for byte
+        rng = random.Random(seed)
+        dim = Dimension.of(*dims)
+        gamma, change = rand_connection(rng, dim), make_change(rng, dim)
+        extra = rand_projective_class(rng, dim)
+        assume(not extra.is_zero())
+        real = geometry.super_schwarzian
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(geometry, "super_schwarzian", lambda c: real(c) + extra)
+            conditions, info = CHECK_HANDLERS["schwarzian_defect"].run(change, gamma)
+            want = _residual_map(cli._table3(new_chart_defect(gamma, change)).items())
+        got = _residual_map(conditions.items())
+        assert got and info == {}
+        assert list(got.items()) == list(want.items())
 
 
 # ---------------------------------------------------------------------------

@@ -41,11 +41,14 @@ from superproj.graded_algebra import Dimension, SuperFunction
 
 from helpers import (
     DIMS_FOUR,
+    full_transform_core,
     rand_connection,
     rand_covector,
     rand_linear_change,
+    rand_moebius_change,
     rand_super,
     rand_sym2cov,
+    rand_triangular_change,
     rand_upper,
 )
 
@@ -492,6 +495,20 @@ class TestTransformConnection:
             g = rand_connection(rng, c.dim)
             assert transform_connection(g, c) == (
                 transform_sym2cov(g, c) + schwarzian_raw(c.inverted()))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10**6), st.sampled_from([(1, 1), (2, 1), (2, 2), (3, 1)]),
+           st.integers(0, 1),
+           st.sampled_from([rand_triangular_change, rand_moebius_change]))
+    def test_half_contraction_matches_full(self, seed, dims, eps, make_change):
+        # the law contracts the pairs a <= b and fills each mirror with
+        # mirror_sign; the reference contracts every pair
+        rng = random.Random(seed)
+        dim = Dimension.of(*dims)
+        a = rand_sym2cov(rng, dim, eps)
+        c = make_change(rng, dim)
+        got = geometry._transform_core(a, c)
+        assert list(got.items()) == list(full_transform_core(a, c).items())
 
     def test_requires_inverse(self):
         d10 = Dimension.of(1, 0)

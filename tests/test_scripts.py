@@ -62,12 +62,22 @@ def test_ab_same_process(tmp_path):
     done = run_script(ROOT / "scripts" / "ab_same_process.py", parent, change, *args)
     assert done.returncode == 0, done.stdout + done.stderr
     lines = done.stdout.splitlines()
+    assert lines[0].startswith("geometry_changes, seed 301: 4 cases x 2 passes")
     assert "same_reports true" in lines
     summary = json.loads(lines[-1])
     assert summary["same_reports"] is True
+    assert summary["seed"] == 301
     assert set(summary["ratio"]) == {"total_s", "p50_s", "p90_s"}
     for side in ("parent", "change"):
         assert summary[side]["total_s"] > 0
+    # --seed 305 (the holdout seed) is named in the header and the summary
+    done = run_script(ROOT / "scripts" / "ab_same_process.py", parent, change,
+                      *args, "--seed", "305")
+    assert done.returncode == 0, done.stdout + done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0].startswith("geometry_changes, seed 305: 4 cases x 2 passes")
+    assert json.loads(lines[-1])["seed"] == 305
+    assert json.loads(lines[-1])["same_reports"] is True
     # a change whose reports differ fails the run
     printer = change / "src" / "superproj" / "expressions.py"
     printer.write_text(printer.read_text(encoding="utf-8") + (
