@@ -20,10 +20,12 @@ measured; within one process both sides see the same drift.
 
 Prints, per side, the summed report time and the smoothed p50 and p90 of
 the report times over the benchmark's windows, the ratios parent / change
-(above 1: the change is faster), and ``same_reports``: every report of the
-two sides is equal once its ``duration_ms`` fields are removed.  The
-header and the summary name the seed.  The last line is the same summary
-as a JSON object.  Exits 1 when the reports differ.
+(above 1: the change is faster), each side's line count of
+``src/superproj/*.py`` (``src_lines``, as ``scripts/bench_pairs.py`` counts
+it), and ``same_reports``: every report of the two sides is equal once its
+``duration_ms`` fields are removed.  The header and the summary name the
+seed.  The last line is the same summary as a JSON object.  Exits 1 when
+the reports differ.
 """
 
 from __future__ import annotations
@@ -37,6 +39,8 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+
+from bench_pairs import src_lines
 
 CLAIM_SEED = 301  # the benchmark's claim seed, the default of --seed
 SIDES = ("parent", "change")
@@ -116,12 +120,16 @@ def main(argv=None) -> int:
         clis = load_clis(checkouts, Path(into))
         summary = run(clis, bench, args.workload, args.seed, args.cases,
                       args.passes)
+    summary["src_lines"] = {side: src_lines(checkout)
+                            for side, checkout in checkouts.items()}
     print(f"{args.workload}, seed {args.seed}: {args.cases} cases x {args.passes} "
           "passes, alternating sides case by case")
     print(f"{'':10} {'parent':>10} {'change':>10} {'ratio':>8}")
     for key in summary["ratio"]:
         print(f"{key:10} {summary['parent'][key]:10.5g} "
               f"{summary['change'][key]:10.5g} {summary['ratio'][key]:8.3f}")
+    lines = summary["src_lines"]
+    print(f"{'src_lines':10} {lines['parent']:10} {lines['change']:10}")
     print(f"same_reports {str(summary['same_reports']).lower()}")
     print(json.dumps(summary))
     return 0 if summary["same_reports"] else 1

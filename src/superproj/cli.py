@@ -44,6 +44,7 @@ from .geometry import (
     ProjectiveClass,
     Sym2Cov,
     Sym2Upper,
+    mirrored,
     projective_class,
     schwarzian_defect,
     super_schwarzian,
@@ -141,18 +142,6 @@ def _expr(dim, text, where) -> SuperFunction:
         raise ValidationError(f"{where}: {exc}") from None
 
 
-def _complete_symmetric(dim, comps):
-    """Fill the missing graded-symmetric mirrors of the last two indices;
-    the tensor constructors reject inconsistent pairs."""
-    out = dict(comps)
-    for key, val in comps.items():
-        *head, i, j = key
-        mirror = (*head, j, i)
-        if mirror not in comps:
-            out[mirror] = val.scale(dim.mirror_sign(i, j))
-    return out
-
-
 def _built(where, build, *args):
     """build(*args), with a kernel refusal reported as a ValidationError
     at where."""
@@ -240,7 +229,7 @@ def parse_scenario(text: str) -> Scenario:
         for name, table in section(key):
             comps = _table(dim, table, 3, f"{key}.{name}")
             named[key][name] = _built(f"{key}.{name}", cls, dim,
-                                      _complete_symmetric(dim, comps))
+                                      mirrored(dim, comps))
 
     tensors = {}
     for name, spec in section("tensors"):
@@ -248,7 +237,7 @@ def parse_scenario(text: str) -> Scenario:
         parity = _parity(spec.get("parity", "even"), f"tensors.{name}")
         comps = _table(dim, spec.get("components", {}), 2, f"tensors.{name}")
         tensors[name] = _built(f"tensors.{name}", Sym2Upper, dim,
-                               _complete_symmetric(dim, comps), parity)
+                               mirrored(dim, comps), parity)
 
     changes = {}
     for name, spec in section("changes"):
@@ -487,12 +476,11 @@ def _check_canonical_operator(triple: BracketTriple) -> tuple:
                 else triple.gamma_component(p) if vols == 1 else triple.theta)
         defects[p, q] = got - DensityElement(dim, {triple.weight + vols: want})
     # The four-term bracket of any operator is graded-symmetric, and so is
-    # S, so the (i, j) defect is (-1)^{i~j~} times the (j, i) one.
-    for i in range(size):
-        for j in range(size):
-            conditions[f"generates_S^{i + 1}{j + 1}"] = (
-                defects[i, j] if i <= j
-                else defects[j, i].scale(dim.mirror_sign(i, j)))
+    # S, so the (j, i) defect is the mirror of the (i, j) one.
+    s_defects = mirrored(dim, {key: val for key, val in defects.items()
+                               if key[1] < size})
+    for i, j in sorted(s_defects):
+        conditions[f"generates_S^{i + 1}{j + 1}"] = s_defects[i, j]
     for i in range(size):
         conditions[f"generates_gamma^{i + 1}"] = defects[i, size]
     conditions["generates_theta"] = defects[size, size]

@@ -544,37 +544,28 @@ def bracket_from_triple(triple: BracketTriple, a: DensityElement,
     odd_a = a.parity()
     b.parity()  # refuses a mixed b, as the line above refuses a mixed a
     dim = triple.dim
-    if not (a.slices and b.slices):
-        return DensityElement.zero(dim)
 
     def signed(j, term):
         return -term if odd_a and dim.parity(j) else term
 
-    # The first derivatives the sum reads, each taken once per call: of a's
-    # slices at the columns i of S, and at gamma's indices if some nu is
-    # nonzero; of b's slices at the rows j of S that meet a nonzero d_i f,
-    # and at gamma's indices if some mu is nonzero.
+    # Each first derivative d_i f, d_j g is read from its slice, which keeps
+    # it once taken; d_j g only where d_i f is nonzero.
     comps, gamma = triple.s.comps, triple.gamma
-    cols = {i for _, i in comps} | (gamma.keys() if any(b.slices) else set())
-    a_slices = [(mu, f, {i: f.partial(i) for i in cols}) for mu, f in a.slices.items()]
-    live = {i for _, _, df in a_slices for i, d in df.items() if d.terms}
-    rows = {j for j, i in comps if i in live} | (gamma.keys() if any(a.slices) else set())
-    b_slices = [(nu, g, {j: g.partial(j) for j in rows}) for nu, g in b.slices.items()]
     out = []  # (weight, term)
-    for mu, f, df in a_slices:
-        for nu, g, dg in b_slices:
+    for mu, f in a.slices.items():
+        for nu, g in b.slices.items():
             w = _as_weight(triple.weight + mu + nu)
             for (j, i), s_ji in comps.items():
-                if df[i].terms and dg[j].terms:
-                    out.append((w, signed(j, s_ji * df[i] * dg[j])))
+                if (df := f.partial(i)).terms and (dg := g.partial(j)).terms:
+                    out.append((w, signed(j, s_ji * df * dg)))
             if mu:
                 for j, gamma_j in gamma.items():
-                    if dg[j].terms:
-                        out.append((w, signed(j, gamma_j * f * dg[j]).scale(mu)))
+                    if (dg := g.partial(j)).terms:
+                        out.append((w, signed(j, gamma_j * f * dg).scale(mu)))
             if nu:
                 for i, gamma_i in gamma.items():
-                    if df[i].terms:
-                        out.append((w, (gamma_i * df[i] * g).scale(nu)))
+                    if (df := f.partial(i)).terms:
+                        out.append((w, (gamma_i * df * g).scale(nu)))
             if mu and nu:
                 out.append((w, (triple.theta * f * g).scale(mu * nu)))
     return DensityElement._of(dim, keyed_sums(out))

@@ -25,10 +25,11 @@ Index conventions used throughout (and by `densities`/`thomas`):
 Every tensor a public function returns is validated by its constructor;
 intermediates no caller sees are plain component dicts, so a derived tensor
 is built once.  The transformation laws and the cocycle are contractions
-that walk the stored components and the nonzero Jacobian entries only; the
-law of a (1,2)-tensor, `_transform_core`, contracts only the lower pairs
-a <= b and fills each mirror (d, b, a) with `Dimension.mirror_sign`, since
-the law keeps graded symmetry.  The trace-free projection
+that walk the stored components and the nonzero Jacobian entries only, for
+the lower pairs a <= b alone: they keep graded symmetry, and `mirrored`,
+the one mirror rule (also of the scenario parser and the canonical-operator
+check), sets each entry at (.., j, i) to ``Dimension.mirror_sign(i, j)``
+times the one at (.., i, j).  The trace-free projection
 ``A - j(div A)/(n - m + 1)`` behind `projective_class` and
 `super_schwarzian` adds ``j_inject``'s terms straight into A's components.
 
@@ -210,6 +211,21 @@ class Sym2Upper(_Table):
     """Graded-symmetric 2-upper-index tensor S^ij (stored comps[(i, j)])."""
 
     symmetric = True
+
+
+def mirrored(dim: Dimension, comps: Mapping) -> dict:
+    """comps with each missing graded-symmetric mirror filled: the entry at
+    (.., j, i) is ``dim.mirror_sign(i, j)`` times the one at (.., i, j).  A
+    mirror already given is kept, so a symmetric table's constructor still
+    rejects an inconsistent pair.  The given keys keep their order and the
+    filled mirrors follow."""
+    out = dict(comps)
+    for key, val in comps.items():
+        *head, i, j = key
+        mirror = (*head, j, i)
+        if mirror not in comps:
+            out[mirror] = val if dim.mirror_sign(i, j) > 0 else -val
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -474,9 +490,8 @@ def _transform_core(a: Sym2Cov, c: CoordinateChange):
     Walks the stored components of A and the nonzero entries of K and J
     only; each signed pair product K^i_a K^j_b is formed once per call and
     reused for every k.  The law keeps graded symmetry in the lower pair, so
-    only the pairs a <= b are contracted and each mirror (d, b, a) is
-    ``Dimension.mirror_sign`` times (d, a, b).  The result is keyed in
-    sorted order.
+    only the pairs a <= b are contracted and `mirrored` fills the rest.  The
+    result is keyed in sorted order.
     """
     dim = a.dim
     size = dim.size
@@ -500,12 +515,9 @@ def _transform_core(a: Sym2Cov, c: CoordinateChange):
                         prod = -prod
                     signed.append((aa, bb, prod))
         inner += [((aa, bb, k), prod * comp) for aa, bb, prod in signed]
-    out = keyed_sums([((d, aa, bb), val * jf)
-                      for (aa, bb, k), val in keyed_sums(inner).items()
-                      for d, jf in jrows[k]])
-    for (d, aa, bb), val in list(out.items()):
-        if aa != bb:
-            out[(d, bb, aa)] = val if dim.mirror_sign(aa, bb) > 0 else -val
+    out = mirrored(dim, keyed_sums([((d, aa, bb), val * jf)
+                                    for (aa, bb, k), val in keyed_sums(inner).items()
+                                    for d, jf in jrows[k]]))
     return {key: out[key] for key in sorted(out)}
 
 
@@ -529,28 +541,29 @@ def transform_sym2cov(a: Sym2Cov, c: CoordinateChange) -> Sym2Cov:
 
 def transform_upper2(s: Sym2Upper, c: CoordinateChange) -> Sym2Upper:
     """Transform of S^ij into the new chart via the cotangent lift
-    p_i = (d_i xbar^a) pbar_a; the raw coefficient
+    p_i = (d_i xbar^a) pbar_a: the raw coefficient
         raw^ab = (-1)^{b~(i~+a~)} S^ij J^b_j J^a_i
-    is graded-symmetrized.  Walks the stored components of S and the
-    nonzero Jacobian entries only."""
+    re-expressed in the new chart.  The lift keeps graded symmetry, so only
+    the pairs a <= b are contracted and `mirrored` fills the rest.  Walks
+    the stored components of S and the nonzero Jacobian entries only."""
     dim = s.dim
     inverse = c.require_inverse()
     jrows = [[(aa, jf) for aa, jf in enumerate(row) if jf.terms]
              for row in jacobian_rows(c)]
-    terms = []  # raw^ab at (a, b) and (-1)^{a~b~} raw^ab at (b, a)
+    terms = []
     for (i, j), comp in s.comps.items():
         for bb, jb in jrows[j]:
             left = comp * jb
             for aa, ja in jrows[i]:
+                if aa > bb:
+                    continue
                 term = left * ja
                 if dim.parity(bb) * (dim.parity(i) + dim.parity(aa)) % 2:
                     term = -term
-                mirror = term if dim.mirror_sign(aa, bb) > 0 else -term
-                terms += [((aa, bb), term), ((bb, aa), mirror)]
-    sym = keyed_sums(terms)
-    half = Fraction(1, 2)
+                terms.append(((aa, bb), term))
+    raw = mirrored(dim, keyed_sums(terms))
     return Sym2Upper(dim, _substitute_comps(
-        {key: sym[key].scale(half) for key in sorted(sym)}, inverse), s.parity)
+        {key: raw[key] for key in sorted(raw)}, inverse), s.parity)
 
 
 # ---------------------------------------------------------------------------
@@ -561,16 +574,18 @@ def transform_upper2(s: Sym2Upper, c: CoordinateChange) -> Sym2Upper:
 def schwarzian_raw(c: CoordinateChange) -> Sym2Cov:
     """Second-derivative cocycle F^k_ij = (d_i d_j xbar^s) (dx^k/dxbar^s) in
     old coordinates (no trace projection): the inhomogeneous term of the
-    connection law, whose trace is twice d log Ber."""
+    connection law, whose trace is twice d log Ber.  Left derivatives
+    graded-commute, so only the pairs i <= j are contracted and `mirrored`
+    fills the rest."""
     dim = c.dim
     rows = jacobian_rows(c)
     kinv = inverse_jacobian_rows(c)
     size = dim.size
-    second = {(i, j, s): rows[j][s].partial(i)
-              for i in range(size) for j in range(size) for s in range(size)}
     kcols = [[(k, ks) for k, ks in enumerate(row) if ks.terms] for row in kinv]
-    acc = keyed_sums([((k, i, j), d2 * ks) for (i, j, s), d2 in second.items()
-                      if d2.terms for k, ks in kcols[s]])
+    acc = mirrored(dim, keyed_sums([
+        ((k, i, j), d2 * ks) for i in range(size) for j in range(i, size)
+        for s in range(size) if (d2 := rows[j][s].partial(i)).terms
+        for k, ks in kcols[s]]))
     return Sym2Cov(dim, {key: acc[key] for key in sorted(acc)}, EVEN)
 
 

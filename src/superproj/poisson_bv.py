@@ -201,16 +201,12 @@ def bv_check(s: Sym2Upper, pi: ProjectiveClass) -> tuple:
     zero = SuperFunction.zero(dim)
     conditions = {f"flow_of_T^{i + 1}": apply(t_vec.get(i, zero))
                   for i in range(dim.size)}
-    # d_k T^j, once per call: by k, the (j, d_k T^j) that are nonzero
-    d_t = [[] for _ in range(dim.size)]
-    for j, tj in t_vec.items():
-        for k in range(dim.size):
-            d = tj.partial(k)
-            if d.terms:
-                d_t[k].append((j, d))
     flows = [(key, apply(val)) for key, val in s.comps.items()]
     for (a, k), s_ak in s.comps.items():
-        for b, d in d_t[k]:
+        # d_k T^b is read from T^b, which keeps it once taken
+        for b, t_b in t_vec.items():
+            if not (d := t_b.partial(k)).terms:
+                continue
             term = s_ak * d
             # S^ik d_k T^j (-1)^{j~} at (i, j) = (a, b)
             flows.append(((a, b), -term if dim.parity(b) else term))

@@ -112,6 +112,24 @@ class TestParseScenario:
         s = parse_scenario(doc)
         g = s.connections["G"]
         assert g.component(0, 1, 0) == g.component(0, 0, 1)
+        # an odd-odd key takes the mirror sign: S^{32} = -S^{23} at 1|2
+        doc = """{
+          "dimension": {"n": 1, "m": 2},
+          "tensors": {"S": {"components": {"2,3": "x1"}}}
+        }"""
+        s = parse_scenario(doc).tensors["S"]
+        assert s.component(2, 1) == -s.component(1, 2)
+        assert s.component(2, 1) == parse_expression(s.dim, "-x1")
+        # an odd diagonal key is its own mirror, so a nonzero one is refused
+        for parity, text in (("even", "x1"), ("odd", "th2")):
+            doc = f"""{{
+              "dimension": {{"n": 1, "m": 2}},
+              "tensors": {{"S": {{"parity": "{parity}",
+                                 "components": {{"2,2": "{text}"}}}}}}
+            }}"""
+            with pytest.raises(ValidationError) as err:
+                parse_scenario(doc)
+            assert str(err.value) == "tensors.S: graded symmetry fails at (1,1)"
 
     def test_bad_json_carries_position(self):
         with pytest.raises(ParseError) as err:

@@ -243,6 +243,10 @@ class TestBracketFromTriple:
         t = rand_triple(rng, D11, 1, Fraction(1, 2))
         one = DensityElement.of(SuperFunction.one(D11))
         assert bracket_from_triple(t, one, one).is_zero()
+        # so is a zero operand
+        zero, b = DensityElement.zero(D11), fn(D11, "x1*th1")
+        assert bracket_from_triple(t, zero, b).is_zero()
+        assert bracket_from_triple(t, b, zero).is_zero()
 
     def test_coordinate_components(self):
         rng = random.Random(37)
@@ -269,14 +273,15 @@ class TestBracketFromTriple:
     def test_requires_homogeneous(self):
         rng = random.Random(39)
         t = rand_triple(rng, D11, 1, 0)
-        x = fn(D11, "x1")
+        x, zero = fn(D11, "x1"), DensityElement.zero(D11)
         # a mixed slice, and homogeneous slices of different parities
         split = DensityElement(D11, {0: expr(D11, "x1"), 1: expr(D11, "th1")})
         delta = canonical_operator(t)
         for mixed in (fn(D11, "x1 + th1"), split):
             with pytest.raises(NonHomogeneous):
                 mixed.parity()
-            for a, b in ((mixed, mixed), (x, mixed), (mixed, x)):
+            for a, b in ((mixed, mixed), (x, mixed), (mixed, x),
+                         (zero, mixed), (mixed, zero)):
                 with pytest.raises(NonHomogeneous):
                     bracket_from_triple(t, a, b)
                 with pytest.raises(NonHomogeneous):

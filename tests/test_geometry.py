@@ -583,7 +583,8 @@ class TestSchwarzian:
             super_schwarzian(CoordinateChange.identity(D12))
 
     def test_each_second_derivative_computed_once(self, monkeypatch):
-        # 2|2: size^3 = 64 distinct d_i (d_j xbar^s), whatever the upper index
+        # 2|2: one d_i (d_j xbar^s) per s and pair i <= j, whatever the
+        # upper index: size^2 (size + 1) / 2 = 40
         c = mixing_2_2()
         calls = []
         real = SuperFunction.partial
@@ -594,7 +595,7 @@ class TestSchwarzian:
 
         monkeypatch.setattr(SuperFunction, "partial", counting)
         schwarzian_raw(c)
-        assert len(calls) == 64
+        assert len(calls) == 40
 
     def test_dlog_identity_backs_trace_term(self):
         # div of the raw cocycle equals twice d log Ber

@@ -3,7 +3,8 @@
 ``run_scenarios.py`` exits 1 exactly when some bundled scenario has a
 failing check, and then ends with the count of failing checks; the golden
 reports say how many there are.  ``ab_same_process.py`` runs on two copies
-of this checkout, and fails once one copy prints its reports differently.
+of this checkout, counts each copy's source lines, and fails once one copy
+prints its reports differently.
 """
 
 import json
@@ -70,6 +71,11 @@ def test_ab_same_process(tmp_path):
     assert set(summary["ratio"]) == {"total_s", "p50_s", "p90_s"}
     for side in ("parent", "change"):
         assert summary[side]["total_s"] > 0
+    # two identical copies have equal src/superproj line counts
+    lines_parent = summary["src_lines"]["parent"]
+    assert summary["src_lines"] == {"parent": lines_parent, "change": lines_parent}
+    assert any(line.split() == ["src_lines", str(lines_parent), str(lines_parent)]
+               for line in lines)
     # --seed 305 (the holdout seed) is named in the header and the summary
     done = run_script(ROOT / "scripts" / "ab_same_process.py", parent, change,
                       *args, "--seed", "305")
@@ -85,4 +91,8 @@ def test_ab_same_process(tmp_path):
         "def format_super(f):\n    return _format(f) + ' '\n"), encoding="utf-8")
     done = run_script(ROOT / "scripts" / "ab_same_process.py", parent, change, *args)
     assert done.returncode == 1
-    assert json.loads(done.stdout.splitlines()[-1])["same_reports"] is False
+    summary = json.loads(done.stdout.splitlines()[-1])
+    assert summary["same_reports"] is False
+    # the patch appends six lines to the change's expressions.py
+    assert summary["src_lines"] == {"parent": lines_parent,
+                                    "change": lines_parent + 6}
