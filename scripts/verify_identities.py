@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """End-to-end demonstration of the kernel's structural identities on
 randomized data: trace projection, Schwarzian cocycle, generating operators,
-bracket extension and the flat odd Laplacian.  Prints one line per identity.
+bracket extension, the flat odd Laplacian and the invariance of the
+projective Laplacian, whose source-chart check is run against the route
+through the new chart.  Prints one line per identity.
 """
 
 import random
@@ -10,8 +12,10 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+from superproj.cli import CHECK_HANDLERS, _intertwining_conditions, _residual_map
 from superproj.densities import (
     DensityElement,
+    DensityOperator,
     bracket_from_triple,
     canonical_operator,
     density_test_family,
@@ -29,13 +33,21 @@ from superproj.geometry import (
     super_schwarzian,
     transform_connection,
     transform_sym2cov,
+    transform_upper2,
 )
 from superproj.graded_algebra import Dimension, SuperFunction
 from superproj.poisson_bv import bv_check, density_jacobi_check, satisfied
 from superproj.thomas import extend_bracket, extension_operator, lift_projective_class
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-from helpers import darboux_odd, rand_connection, rand_super, rand_upper  # noqa: E402
+from helpers import (  # noqa: E402
+    darboux_odd,
+    rand_connection,
+    rand_moebius_change,
+    rand_projective_class,
+    rand_super,
+    rand_upper,
+)
 
 
 def show(label, ok, started):
@@ -108,7 +120,38 @@ def main() -> int:
     all_ok &= show("flat odd Laplacian squares to zero (BV conditions hold)", ok, t0)
 
     t0 = time.perf_counter()
-    d11 = Dimension.of(1, 1)
+    ok = True
+    d11, d21 = Dimension.of(1, 1), Dimension.of(2, 1)
+    y = [SuperFunction.coordinate(d21, i) for i in range(d21.size)]
+    for change in (rand_moebius_change(rng, d11),
+                   CoordinateChange(d21, (y[0] + y[1] * y[1], y[1], y[2]),
+                                    (y[0] - y[1] * y[1], y[1], y[2]))):
+        d = change.dim
+        s, pi = rand_upper(rng, d, 1), rand_projective_class(rng, d)
+        op_src = projective_laplacian(s, pi)
+        op_new = projective_laplacian(
+            transform_upper2(s, change),
+            projective_class(transform_connection(pi, change)))
+        conditions, _ = CHECK_HANDLERS["laplacian_invariance"].run(s, pi, change)
+        # the new-chart route's defects on the test family, of the
+        # transformed target and of the untransformed one
+        for target, passes in ((op_new, True), (op_src, False)):
+            family = density_test_family(d, weights=(Fraction(0),), max_degree=3)
+            want = _residual_map(
+                (f"family[{idx}]", op_src(DensityElement.of(change.pullback(
+                    phi.slice(0)))) - DensityElement.of(change.pullback(
+                        target(phi).slice(0))))
+                for idx, phi in enumerate(family))
+            pulled = DensityOperator(d, {key: change.pullback(f)
+                                         for key, f in target.terms.items()})
+            got = _residual_map(
+                _intertwining_conditions(change, op_src, pulled).items())
+            ok &= got == want and (not want) == passes
+        ok &= conditions == {}
+    all_ok &= show("Laplacian invariance: the source-chart check agrees with "
+                   "the new-chart route (Moebius 1|1, shear 2|1)", ok, t0)
+
+    t0 = time.perf_counter()
     trip = extend_bracket(rand_upper(rng, d11, 1),
                           ProjectiveClass(d11, {}), Fraction(0))
     _, info = density_jacobi_check(trip)

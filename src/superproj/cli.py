@@ -44,12 +44,14 @@ from .geometry import (
     ProjectiveClass,
     Sym2Cov,
     Sym2Upper,
+    jacobian_rows,
     mirrored,
+    new_chart_partial,
     projective_class,
     schwarzian_defect,
     super_schwarzian,
-    transform_connection,
-    transform_upper2,
+    transform_class_raw,
+    transform_upper2_raw,
 )
 from .graded_algebra import Dimension, SuperFunction
 
@@ -417,38 +419,100 @@ def _check_schwarzian_defect(change: CoordinateChange, gamma=None) -> tuple:
 def _check_laplacian_invariance(tensor: Sym2Upper, pc: ProjectiveClass,
                                 change: CoordinateChange) -> tuple:
     op_src = projective_laplacian(tensor, pc)
-    pc_new = projective_class(transform_connection(pc, change))
-    tensor_new = transform_upper2(tensor, change)
-    op_tgt = projective_laplacian(tensor_new, pc_new)
-    return _intertwining_conditions(change, op_src, op_tgt), {}
+    # the new-chart route's refusal, although this route maps nothing back
+    change.require_inverse()
+    op_bar = projective_laplacian(transform_upper2_raw(tensor, change),
+                                  transform_class_raw(pc, change),
+                                  new_chart_partial(change))
+    return _intertwining_conditions(change, op_src, op_bar), {}
 
 
-def _intertwining_conditions(change: CoordinateChange, op_src, op_tgt) -> dict:
-    """Conditions that hold iff op_src(c* phi) = c*(op_tgt phi) for every
-    weight-0 phi, for operators of order <= 2: none when they agree, else
-    the defect on each element of the test family."""
-    dim = change.dim
-
-    def defect(phi: SuperFunction) -> DensityElement:
-        return op_src(DensityElement.of(change.pullback(phi))) - DensityElement.of(
-            change.pullback(op_tgt(DensityElement.of(phi)).slice(0)))
-
-    # Both sides are c* composed with an operator of order <= 2, and c* is
-    # injective, so they agree iff they agree on 1, x^a and x^a x^b.
-    if all(defect(phi).is_zero() for phi in _order2_basis(dim)):
+def _intertwining_conditions(change: CoordinateChange, op_src, op_bar) -> dict:
+    """Conditions that hold iff op_src(c* phi) = c*(D phi) for every weight-0
+    phi, for operators of order <= 2 without constant term, where op_bar
+    holds D's coefficients pulled back by c* and D's derivatives are the new
+    chart's: none when `_intertwines` holds, else the defect on each
+    element of the test family, as functions of the old chart."""
+    if _intertwines(change, op_src, op_bar):
         return {}
+    dim = change.dim
+    pullback = change.pullback
+
+    def pulled(phi: SuperFunction) -> SuperFunction:
+        """c*(D phi) = sum f c*(d^alpha phi) over op_bar's terms f d^alpha."""
+        out = []
+        for (alpha, _, _), f in op_bar.terms.items():
+            g = phi
+            for i in reversed(range(dim.size)):
+                for _ in range(alpha[i]):
+                    g = g.partial(i)
+            if g.terms:
+                out.append(f * pullback(g))
+        return SuperFunction.sum(dim, out)
+
     family = density_test_family(dim, weights=(Fraction(0),), max_degree=3)
-    return {f"family[{idx}]": defect(phi.slice(0))
+    return {f"family[{idx}]": op_src(DensityElement.of(pullback(phi.slice(0))))
+            - DensityElement.of(pulled(phi.slice(0)))
             for idx, phi in enumerate(family)}
 
 
-def _order2_basis(dim: Dimension) -> list:
-    """1, every coordinate x^a and every nonzero product x^a x^b (a <= b):
-    an operator of order <= 2 vanishes iff it kills all of them."""
-    coords = [SuperFunction.coordinate(dim, a) for a in range(dim.size)]
-    return [SuperFunction.one(dim), *coords,
-            *(coords[a] * coords[b] for a in range(dim.size)
-              for b in range(a, dim.size) if a != b or not dim.parity(a))]
+def _intertwines(change: CoordinateChange, op_src, op_bar) -> bool:
+    """True iff op_src o c* and c* o D agree, for D and op_bar as in
+    `_intertwining_conditions`.  Both are operators of order <= 2 without
+    constant term on the new chart's functions, and c* is injective, so they
+    agree iff they agree on each x^a and each nonzero x^a x^b (a <= b); by
+    the four-term identity (`densities._four_term`), iff they agree on each
+    x^a and give each such pair the same four-term bracket.  On x^a the
+    sides are op_src(F^a), for F^a = c* x^a, and c* of D's coefficient of
+    d_a.  The brackets are `_cross_bracket`s: of F^a and F^b on the left,
+    whose derivatives d_i F^a are the Jacobian entries J[i][a], and of x^a
+    and x^b on the right, whose derivatives are constants."""
+    dim, size = change.dim, change.dim.size
+    one, zero = SuperFunction.one(dim), SuperFunction.zero(dim)
+    units = [[one if i == a else None for i in range(size)] for a in range(size)]
+    for a, f in enumerate(change.forward):
+        got = op_src(DensityElement.of(f)).slice(0)
+        d_a = tuple(int(i == a) for i in range(size))
+        if got != op_bar.terms.get((d_a, 0, 0), zero):
+            return False
+    columns = [[d if d.terms else None for d in col]
+               for col in zip(*jacobian_rows(change))]
+    src, bar = _second_order(op_src), _second_order(op_bar)
+    for a in range(size):
+        for b in range(a, size):
+            if a == b and dim.parity(a):
+                continue  # x^a x^a = 0
+            if (_cross_bracket(dim, src, columns[a], columns[b], dim.parity(a))
+                    != _cross_bracket(dim, bar, units[a], units[b], dim.parity(a))):
+                return False
+    return True
+
+
+def _second_order(op) -> list:
+    """(i, j, c) for each second-order term c d_i d_j of op, i <= j."""
+    out = []
+    for (alpha, _, _), c in op.terms.items():
+        if sum(alpha) == 2:
+            i, j = (k for k, e in enumerate(alpha) for _ in range(e))
+            out.append((i, j, c))
+    return out
+
+
+def _cross_bracket(dim: Dimension, second, df, dg, pf: int) -> SuperFunction:
+    """The four-term bracket, on f of parity pf and g, of an operator whose
+    second-order terms c d_i d_j are `second` and which has no constant
+    term: its other terms are derivations and leave no cross term, and each
+    of these leaves
+        c ((-1)^{i~(j~+f~)} d_j f d_i g + (-1)^{j~f~} d_i f d_j g),
+    from df[i] = d_i f and dg[i] = d_i g (None where zero)."""
+    out = []
+    for i, j, c in second:
+        pi, pj = dim.parity(i), dim.parity(j)
+        for x, y, odd in ((df[j], dg[i], pi * (pj + pf)), (df[i], dg[j], pj * pf)):
+            if x is not None and y is not None:
+                term = c * x * y
+                out.append(-term if odd % 2 else term)
+    return SuperFunction.sum(dim, out)
 
 
 def _check_canonical_operator(triple: BracketTriple) -> tuple:

@@ -609,20 +609,24 @@ def linear_combination(*pairs) -> dict:
 
 
 def div_vector(v: Mapping[int, SuperFunction], dim: Dimension,
-               eps: int) -> SuperFunction:
-    """Signed divergence d_k v^k (-1)^{k~(eps+1)}."""
+               eps: int, partial=None) -> SuperFunction:
+    """Signed divergence d_k v^k (-1)^{k~(eps+1)}, with d_k f the value of
+    partial(f, k): the chart's own derivative `SuperFunction.partial` unless
+    a caller passes another chart's (see `geometry.new_chart_partial`)."""
+    if partial is None:
+        partial = SuperFunction.partial
     return SuperFunction.sum(dim, [
-        v_k.partial(k).scale((-1) ** (dim.parity(k) * (eps + 1)))
+        partial(v_k, k).scale((-1) ** (dim.parity(k) * (eps + 1)))
         for k, v_k in v.items()])
 
 
-def div_upper(s: Sym2Upper) -> dict:
+def div_upper(s: Sym2Upper, partial=None) -> dict:
     """Signed divergence i -> d_j S^ji (-1)^{j~(S~+1)}, i.e. `div_vector` of
-    each column of S; zero entries omitted."""
+    each column of S with the derivative partial; zero entries omitted."""
     columns: dict = {}
     for (j, i), s_ji in s.comps.items():
         columns.setdefault(i, {})[j] = s_ji
-    return keyed_sums([(i, div_vector(col, s.dim, s.parity))
+    return keyed_sums([(i, div_vector(col, s.dim, s.parity, partial))
                        for i, col in columns.items()])
 
 
@@ -682,21 +686,27 @@ def canonical_operator(triple: BracketTriple) -> DensityOperator:
 # ---------------------------------------------------------------------------
 
 
-def laplacian_vector(s: Sym2Upper, pi: ProjectiveClass) -> dict:
+def laplacian_vector(s: Sym2Upper, pi: ProjectiveClass, partial=None) -> dict:
     """First-order coefficients of the projective Laplacian,
-    T^i = 2/(n0+3) d_j S^ji (-1)^{j~(S~+1)} - (n0+1)/(n0+3) S^jk Pi^i_kj."""
+    T^i = 2/(n0+3) d_j S^ji (-1)^{j~(S~+1)} - (n0+1)/(n0+3) S^jk Pi^i_kj,
+    with the derivative partial of `div_upper`."""
     n0 = s.dim.n0
     if n0 in (-1, -3):
         raise SingularDimension(f"n - m = {n0}: projective Laplacian undefined")
-    return linear_combination((Fraction(2, n0 + 3), div_upper(s)),
+    return linear_combination((Fraction(2, n0 + 3), div_upper(s, partial)),
                               (Fraction(-(n0 + 1), n0 + 3), contract_class(s, pi)))
 
 
-def projective_laplacian(s: Sym2Upper, pi: ProjectiveClass) -> DensityOperator:
+def projective_laplacian(s: Sym2Upper, pi: ProjectiveClass,
+                         partial=None) -> DensityOperator:
     """S^ij d_j d_i + T^i d_i with T = `laplacian_vector`, acting on weight-0
-    densities."""
+    densities.  Given the pullbacks c* S and c* Pi of a new chart's tensors
+    and that chart's derivatives (`geometry.new_chart_partial`), the
+    coefficients are the pullbacks of the new chart's Laplacian's, and its
+    d's are the new chart's."""
     pieces = [(0, s_ij, (j, i), 0) for (i, j), s_ij in s.comps.items()]
-    pieces += [(0, t_i, (i,), 0) for i, t_i in laplacian_vector(s, pi).items()]
+    pieces += [(0, t_i, (i,), 0)
+               for i, t_i in laplacian_vector(s, pi, partial).items()]
     return _assemble(s.dim, pieces)
 
 

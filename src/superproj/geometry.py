@@ -42,6 +42,11 @@ the tensorial law of ``Gamma - F_c``, ``d log Ber`` is half the trace of
 `schwarzian_defect` checks that the Schwarzian of the inverse map is the
 defect of the projective class in the source chart, where the raw law
 leaves its results, and re-expresses a nonzero defect in the new chart.
+The raw laws `transform_upper2_raw` and `transform_class_raw`, with the new
+chart's derivatives read in the old one (`new_chart_partial`), give the
+pullback c* of a transformed tensor, class or derivative without the
+inverse map; `transform_upper2` and `transform_connection` re-express
+their results in the new chart.
 
 All operations are pure; every value is immutable after construction.
 """
@@ -76,9 +81,9 @@ class _Table:
     The one component rule: the component at key K has parity
     ``sum K~ + parity``.  A ``symmetric`` table is also graded-symmetric in
     its last two indices, ``T[.., i, j] = (-1)^{i~j~} T[.., j, i]``, checked
-    by normal-form equality after every parity has been checked.  Tables of
-    one kind (a class and its subclasses) compare equal on equal dimension,
-    parity and components."""
+    once per pair by normal-form equality after every parity has been
+    checked.  Tables of one kind (a class and its subclasses) compare equal
+    on equal dimension, parity and components."""
 
     __slots__ = ("dim", "comps", "parity")
     symmetric = False
@@ -106,9 +111,15 @@ class _Table:
                 fault = _parity_fault(key, val, n, size, parity, dim)
         if fault is not None:
             raise fault
+        # Each pair is compared once, from the key met first, which is the
+        # key a failing pair is named by.
+        paired = set()
         for key, val in clean.items() if self.symmetric else ():
+            if key in paired:
+                continue
             *head, i, j = key
-            mirror = clean.get((*head, j, i))
+            mirror = clean.get(other := (*head, j, i))
+            paired.add(other)
             if mirror is None or not (
                     _negation(val.terms, mirror.terms) if i >= n and j >= n
                     else mirror is val or val.terms == mirror.terms):
@@ -539,15 +550,15 @@ def transform_sym2cov(a: Sym2Cov, c: CoordinateChange) -> Sym2Cov:
     return Sym2Cov(a.dim, _substitute_comps(raw, c.require_inverse()), a.parity)
 
 
-def transform_upper2(s: Sym2Upper, c: CoordinateChange) -> Sym2Upper:
-    """Transform of S^ij into the new chart via the cotangent lift
-    p_i = (d_i xbar^a) pbar_a: the raw coefficient
-        raw^ab = (-1)^{b~(i~+a~)} S^ij J^b_j J^a_i
-    re-expressed in the new chart.  The lift keeps graded symmetry, so only
-    the pairs a <= b are contracted and `mirrored` fills the rest.  Walks
-    the stored components of S and the nonzero Jacobian entries only."""
+def transform_upper2_raw(s: Sym2Upper, c: CoordinateChange) -> Sym2Upper:
+    """The cotangent-lift law p_i = (d_i xbar^a) pbar_a of S^ij, as a tensor
+    of the OLD chart: the raw coefficient
+        raw^ab = (-1)^{b~(i~+a~)} S^ij J^b_j J^a_i,
+    which is c* of `transform_upper2`; no inverse map is needed.  The lift
+    keeps graded symmetry, so only the pairs a <= b are contracted and
+    `mirrored` fills the rest.  Walks the stored components of S and the
+    nonzero Jacobian entries only; keyed in sorted order."""
     dim = s.dim
-    inverse = c.require_inverse()
     jrows = [[(aa, jf) for aa, jf in enumerate(row) if jf.terms]
              for row in jacobian_rows(c)]
     terms = []
@@ -562,8 +573,38 @@ def transform_upper2(s: Sym2Upper, c: CoordinateChange) -> Sym2Upper:
                     term = -term
                 terms.append(((aa, bb), term))
     raw = mirrored(dim, keyed_sums(terms))
-    return Sym2Upper(dim, _substitute_comps(
-        {key: raw[key] for key in sorted(raw)}, inverse), s.parity)
+    return Sym2Upper(dim, {key: raw[key] for key in sorted(raw)}, s.parity)
+
+
+def transform_upper2(s: Sym2Upper, c: CoordinateChange) -> Sym2Upper:
+    """Transform of S^ij into the new chart: `transform_upper2_raw`
+    re-expressed by the inverse map."""
+    inverse = c.require_inverse()
+    raw = transform_upper2_raw(s, c)
+    return Sym2Upper(s.dim, _substitute_comps(raw.comps, inverse), s.parity)
+
+
+def transform_class_raw(gamma: Sym2Cov, c: CoordinateChange) -> ProjectiveClass:
+    """Pi(T(Gamma - F_c)), the projective class of the transformed
+    connection as functions of the OLD chart: c* of
+    ``projective_class(transform_connection(gamma, c))``, since the trace
+    projection commutes with c*; no inverse map is needed."""
+    raw = _transform_core(gamma - schwarzian_raw(c), c)
+    return projective_class(Connection(gamma.dim, raw))
+
+
+def new_chart_partial(c: CoordinateChange):
+    """The new chart's derivatives read in the old one: the function
+    (f, b) -> K[b][i] d_i f, which is c*(dbar_b fbar) for f = c* fbar, with
+    K = `inverse_jacobian_rows` (no inverse map is needed)."""
+    dim = c.dim
+    rows = [[(i, k) for i, k in enumerate(row) if k.terms]
+            for row in inverse_jacobian_rows(c)]
+
+    def partial(f: SuperFunction, b: int) -> SuperFunction:
+        return SuperFunction.sum(dim, [k * f.partial(i) for i, k in rows[b]])
+
+    return partial
 
 
 # ---------------------------------------------------------------------------
@@ -608,14 +649,14 @@ def schwarzian_defect(gamma: Sym2Cov, c: CoordinateChange) -> Sym2Cov:
     one's and commutes with the trace-free projection, so the defect is the
     image under the inverse map of
         Pi(T(Gamma - F_c)) - T(Pi Gamma) - c* S(c^-1),
-    and only S(c^-1), computed from the inverse map's own Jacobian, is
-    pulled back.  A nonzero defect is re-expressed in the new chart, as the
-    route through `transform_connection` and `transform_sym2cov` gives it.
+    whose first term is `transform_class_raw`, and only S(c^-1), computed
+    from the inverse map's own Jacobian, is pulled back.  A nonzero defect
+    is re-expressed in the new chart, as the route through
+    `transform_connection` and `transform_sym2cov` gives it.
     """
-    shifted = gamma - schwarzian_raw(c)
     inverse = c.require_inverse()
     dim = c.dim
-    lhs = projective_class(Connection(dim, _transform_core(shifted, c)))
+    lhs = transform_class_raw(gamma, c)
     tensorial = Sym2Cov(dim, _transform_core(projective_class(gamma), c), EVEN)
     pulled = Sym2Cov(dim, {key: c.pullback(val) for key, val in
                            super_schwarzian(c.inverted()).comps.items()}, EVEN)

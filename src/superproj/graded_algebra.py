@@ -1071,11 +1071,13 @@ class Substitution:
     invertible body, is inverted unless it is an even scalar, which leaves
     one division.  The odd values of a term's odd monomial multiply that
     numerator before the division, so each output coefficient of a term is
-    divided once.
+    divided once.  A plan from a dimension to itself returns a function
+    unchanged, the same object, when every coordinate it depends on maps to
+    itself.
     """
 
     __slots__ = ("dim", "target", "_even", "_odd", "_monomials", "_denoms",
-                 "_powers", "_quotients")
+                 "_powers", "_quotients", "_moved")
 
     def __init__(self, dim: Dimension, values: Sequence[SuperFunction]):
         if len(values) != dim.size:
@@ -1091,10 +1093,18 @@ class Substitution:
         self._even, self._odd = tuple(a for a, _ in split), tuple(values[dim.n:])
         self._denoms = tuple((i, b) for i, (_, b) in enumerate(split) if b)
         self._powers, self._quotients = {}, {}
+        self._moved = None  # the even indices and odd slots that move
+        if self.target is dim:
+            coords, n = dim.coordinates, dim.n
+            self._moved = (
+                tuple(i for i in range(n) if values[i] != coords[i]),
+                frozenset(a for a in range(dim.m) if values[n + a] != coords[n + a]))
 
     def __call__(self, f: SuperFunction) -> SuperFunction:
         if f.dim is not self.dim:
             raise DimensionMismatch(f"{f.dim} vs {self.dim}")
+        if self._moved is not None and self._fixes(f):
+            return f
         pieces = []
         for key, coeff in f.terms.items():
             quotient = None
@@ -1110,6 +1120,22 @@ class Substitution:
                 piece = self._divide(piece.terms, den)
             pieces.append(piece if quotient is None else piece * quotient)
         return SuperFunction.sum(self.target, pieces)
+
+    def _fixes(self, f: SuperFunction) -> bool:
+        """True if every coordinate f depends on maps to itself: no odd
+        slot of a key and no even variable of a coefficient moves."""
+        even, odd = self._moved
+        for key, coeff in f.terms.items():
+            if not odd.isdisjoint(key):
+                return False
+            if even:
+                for poly in ((coeff,) if type(coeff) is Poly
+                             else (coeff.numer, coeff.denom)):
+                    for monom in poly.num:
+                        for i in even:
+                            if monom[i]:
+                                return False
+        return True
 
     def _monomial(self, monom: tuple) -> SuperFunction:
         term = self._monomials.get(monom)

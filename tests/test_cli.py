@@ -38,14 +38,18 @@ from superproj.errors import ParseError, ValidationError
 from superproj.expressions import MAX_TERMS, parse_expression
 from superproj.geometry import (
     CoordinateChange,
+    ProjectiveClass,
     Sym2Upper,
+    new_chart_partial,
     projective_class,
     schwarzian_defect,
+    transform_class_raw,
     transform_connection,
     transform_sym2cov,
     transform_upper2,
+    transform_upper2_raw,
 )
-from superproj.graded_algebra import Dimension, SuperFunction
+from superproj.graded_algebra import Dimension, Substitution, SuperFunction
 
 from helpers import (
     product_of_term_pairs,
@@ -53,6 +57,7 @@ from helpers import (
     rand_linear_change,
     rand_moebius_change,
     rand_projective_class,
+    rand_super,
     rand_triangular_change,
     rand_triple,
     rand_upper,
@@ -429,6 +434,31 @@ class TestRunChecks:
         entry = run_checks(parse_scenario(json.dumps(doc))).checks[0]
         assert (entry["verdict"], entry["error"]) == ("error", error)
 
+    @pytest.mark.parametrize("n, m, inverse, error", [
+        (1, 1, None, "NotInvertible: coordinate change lacks an explicit "
+                     "inverse map"),
+        (1, 2, ["x1/2", "th1", "th2 - th1"],
+         "SingularDimension: n - m = -1: projective Laplacian undefined"),
+        (1, 2, None,
+         "SingularDimension: n - m = -1: projective Laplacian undefined"),
+        (0, 3, ["th1", "th2 - th1", "th3"],
+         "SingularDimension: n - m = -3: projective Laplacian undefined"),
+        (0, 3, None,
+         "SingularDimension: n - m = -3: projective Laplacian undefined"),
+    ])
+    def test_laplacian_invariance_error_precedence(self, n, m, inverse, error):
+        forward = (["2*x1"] * n + ["th1", "th1 + th2", "th3"])[:n + m]
+        change = {"forward": forward}
+        if inverse is not None:
+            change["inverse"] = inverse
+        doc = {"dimension": {"n": n, "m": m}, "changes": {"c": change},
+               "tensors": {"S": {"components": {}}},
+               "projective_classes": {"P": {}},
+               "checks": [{"check": "laplacian_invariance", "tensor": "S",
+                           "projective_class": "P", "change": "c"}]}
+        entry = run_checks(parse_scenario(json.dumps(doc))).checks[0]
+        assert (entry["verdict"], entry["error"]) == ("error", error)
+
     def test_handler_parameters_match_arguments(self):
         # run(*arguments) takes the requires, then the optional arguments,
         # and has defaults on exactly the optional ones, of which a kind has
@@ -772,11 +802,13 @@ class TestSchwarzianDefect:
 
 
 # ---------------------------------------------------------------------------
-# laplacian_invariance: the structural basis decides like the test family
+# laplacian_invariance: checked in the source chart, as the new-chart route
 # ---------------------------------------------------------------------------
 
-# nonlinear changes (forward, inverse), one polynomial and one rational
+# nonlinear changes (forward, inverse), polynomial or rational
 SHEARS = {
+    (2, 2): (("x1 + th1*th2", "x2 + x1^2", "th1", "th2 + x1*th1"),
+             ("x1 - th1*th2", "x2 - x1^2 + 2*x1*th1*th2", "th1", "th2 - x1*th1")),
     (2, 1): (("x1 + x2^2", "x2", "th1"), ("x1 - x2^2", "x2", "th1")),
     (1, 1): (("x1", "(1 + x1)*th1"), ("x1", "th1/(1 + x1)")),
 }
@@ -788,57 +820,200 @@ def shear(dim):
                             tuple(parse_expression(dim, e) for e in inv))
 
 
-def family_verdict(change, op_src, op_tgt):
-    for phi in density_test_family(change.dim, weights=(Fraction(0),),
-                                   max_degree=3):
-        lhs = op_src(DensityElement.of(change.pullback(phi.slice(0))))
-        rhs = DensityElement.of(change.pullback(op_tgt(phi).slice(0)))
-        if not (lhs - rhs).is_zero():
-            return "fail"
-    return "pass"
+def upper_sum(a, b):
+    return Sym2Upper(a.dim, {key: a.component(*key) + b.component(*key)
+                             for key in set(a.comps) | set(b.comps)}, a.parity)
 
 
-def laplacian_pair(seed, dims, target):
-    """(change, source Laplacian, target Laplacian); the target is the
-    transformed one, the untransformed source one, or the transformed one
-    with a random tensor added to S."""
+def pulled_upper(change, s):
+    return Sym2Upper(s.dim, {key: change.pullback(v) for key, v in s.comps.items()},
+                     s.parity)
+
+
+def pulled_class(change, pc):
+    return ProjectiveClass(pc.dim, {key: change.pullback(v)
+                                    for key, v in pc.comps.items()})
+
+
+def pulled_operator(change, op):
+    """The operator of op's coefficients pulled back by the change."""
+    return DensityOperator(op.dim, {key: change.pullback(f)
+                                    for key, f in op.terms.items()})
+
+
+def new_chart_laplacian(s, pc, change):
+    """The target Laplacian by the route through the new chart."""
+    return projective_laplacian(transform_upper2(s, change),
+                                projective_class(transform_connection(pc, change)))
+
+
+def family_defects(change, op_src, op_tgt):
+    """The new-chart route's defect on each element of the test family, for
+    a target op_tgt over the new chart, keyed as the check keys it."""
+    family = density_test_family(change.dim, weights=(Fraction(0),), max_degree=3)
+    return {f"family[{idx}]":
+            op_src(DensityElement.of(change.pullback(phi.slice(0))))
+            - DensityElement.of(change.pullback(op_tgt(phi).slice(0)))
+            for idx, phi in enumerate(family)}
+
+
+def laplacian_case(seed, dims, eps):
+    """(change, S, Pi): a linear change, most often followed by a shear."""
     rng = random.Random(seed)
     dim = Dimension.of(*dims)
     change = rand_linear_change(rng, dim)
     if rng.random() < 0.7:
         change = change.then(shear(dim))
-    s = rand_upper(rng, dim, rng.randint(0, 1))
-    pc = rand_projective_class(rng, dim)
+    return change, rand_upper(rng, dim, eps), rand_projective_class(rng, dim), rng
+
+
+LAPLACIAN_TARGETS = ["transformed", "untransformed", "perturbed",
+                     "first_order", "second_order"]
+
+
+def laplacian_targets(seed, dims, eps, target):
+    """(change, source Laplacian, target Laplacian over the new chart); the
+    target is the transformed one, the untransformed source one, or the
+    transformed one with a random tensor added to S, or with a random term
+    f d_i or f d_i d_j added: the coordinates see the first and only the
+    brackets see the second."""
+    change, s, pc, rng = laplacian_case(seed, dims, eps)
+    dim = change.dim
     op_src = projective_laplacian(s, pc)
     if target == "untransformed":
         return change, op_src, op_src
     s_new = transform_upper2(s, change)
     if target == "perturbed":
-        extra = rand_upper(rng, dim, s.parity)
-        s_new = Sym2Upper(dim, {key: s_new.component(*key) + extra.component(*key)
-                                for key in set(s_new.comps) | set(extra.comps)},
-                          s.parity)
+        s_new = upper_sum(s_new, rand_upper(rng, dim, eps))
     pc_new = projective_class(transform_connection(pc, change))
-    return change, op_src, projective_laplacian(s_new, pc_new)
+    op_tgt = projective_laplacian(s_new, pc_new)
+    if target in ("first_order", "second_order"):
+        derivs = [rng.randrange(dim.size)]
+        if target == "second_order":
+            derivs.append(rng.choice([j for j in range(dim.size)
+                                      if j != derivs[0] or not dim.parity(j)]))
+        f = rand_super(rng, dim, (eps + sum(map(dim.parity, derivs))) % 2)
+        op_tgt = op_tgt + DensityOperator.from_written(DensityElement.of(f), derivs)
+    return change, op_src, op_tgt
+
+
+LAPLACIAN_DIMS = [(1, 1), (2, 1), (2, 2)]
 
 
 class TestLaplacianInvarianceBasis:
-    @settings(max_examples=12, deadline=None)
-    @given(st.integers(0, 10**6), st.sampled_from([(1, 1), (2, 1)]),
-           st.sampled_from(["transformed", "untransformed", "perturbed"]))
-    def test_basis_verdict_equals_family_verdict(self, seed, dims, target):
-        change, op_src, op_tgt = laplacian_pair(seed, dims, target)
-        residuals = _residual_map(
-            _intertwining_conditions(change, op_src, op_tgt).items())
-        verdict = "fail" if residuals else "pass"
-        assert verdict == family_verdict(change, op_src, op_tgt)
+    @pytest.mark.parametrize("dims", LAPLACIAN_DIMS)
+    @pytest.mark.parametrize("eps", [0, 1])
+    @settings(max_examples=6, deadline=None)
+    @given(seed=st.integers(0, 10**6), target=st.sampled_from(LAPLACIAN_TARGETS))
+    def test_reduced_verdict_equals_family_verdict(self, dims, eps, seed, target):
+        change, op_src, op_tgt = laplacian_targets(seed, dims, eps, target)
+        reduced = cli._intertwines(change, op_src, pulled_operator(change, op_tgt))
+        family = _residual_map(family_defects(change, op_src, op_tgt).items())
+        assert reduced == (not family)
 
-    def test_failure_keeps_family_residuals(self):
-        change, op_src, op_tgt = laplacian_pair(7, (2, 1), "untransformed")
-        residuals = _residual_map(
-            _intertwining_conditions(change, op_src, op_tgt).items())
-        assert residuals and "fail" == family_verdict(change, op_src, op_tgt)
-        assert all(key.startswith("family[") for key in residuals)
+    @pytest.mark.parametrize("dims", LAPLACIAN_DIMS)
+    @pytest.mark.parametrize("eps", [0, 1])
+    def test_each_second_order_slot_is_seen(self, dims, eps):
+        # f d_i d_j added to the transformed target, for each slot i <= j:
+        # the coordinates cannot see it, the bracket of x^i and x^j does
+        change, op_src, op_tgt = laplacian_targets(3, dims, eps, "transformed")
+        dim = change.dim
+        odd = SuperFunction.coordinate(dim, dim.n)
+        for i in range(dim.size):
+            for j in range(i, dim.size):
+                if i == j and dim.parity(i):
+                    continue
+                parity = (eps + dim.parity(i) + dim.parity(j)) % 2
+                f = odd if parity else SuperFunction.one(dim)
+                wrong = op_tgt + DensityOperator.from_written(
+                    DensityElement.of(f), [i, j])
+                assert not cli._intertwines(change, op_src,
+                                            pulled_operator(change, wrong))
+                assert _residual_map(family_defects(change, op_src, wrong).items())
+
+    @pytest.mark.parametrize("dims", LAPLACIAN_DIMS)
+    @pytest.mark.parametrize("eps", [0, 1])
+    @settings(max_examples=3, deadline=None)
+    @given(seed=st.integers(0, 10**6))
+    def test_source_chart_operator_is_the_pulled_back_target(self, dims, eps,
+                                                             seed):
+        change, s, pc, _ = laplacian_case(seed, dims, eps)
+        op_bar = projective_laplacian(transform_upper2_raw(s, change),
+                                      transform_class_raw(pc, change),
+                                      new_chart_partial(change))
+        assert op_bar == pulled_operator(change, new_chart_laplacian(s, pc, change))
+        conditions, info = CHECK_HANDLERS["laplacian_invariance"].run(s, pc, change)
+        assert conditions == {} and info == {}
+
+    @pytest.mark.parametrize("dims", LAPLACIAN_DIMS)
+    def test_failure_keeps_family_residuals(self, dims):
+        change, op_src, op_tgt = laplacian_targets(7, dims, 0, "untransformed")
+        got = _residual_map(_intertwining_conditions(
+            change, op_src, pulled_operator(change, op_tgt)).items())
+        want = _residual_map(family_defects(change, op_src, op_tgt).items())
+        assert got and list(got.items()) == list(want.items())
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 10**6), st.sampled_from(LAPLACIAN_DIMS),
+           st.integers(0, 1), st.sampled_from(["tensor", "class"]),
+           st.sampled_from([rand_linear_change, rand_triangular_change,
+                            rand_moebius_change]))
+    def test_failing_residuals_print_as_the_new_chart_route(self, seed, dims, eps,
+                                                           patched, make_change):
+        # the raw law of S or of Pi off by a nonzero term, the pullback of a
+        # new-chart E: the check fails, and its residuals are those of the
+        # new-chart route with E added, byte for byte
+        rng = random.Random(seed)
+        dim = Dimension.of(*dims)
+        change = make_change(rng, dim)
+        s, pc = rand_upper(rng, dim, eps), rand_projective_class(rng, dim)
+        s_new = transform_upper2(s, change)
+        pc_new = projective_class(transform_connection(pc, change))
+        with pytest.MonkeyPatch.context() as patch:
+            if patched == "tensor":
+                extra = rand_upper(rng, dim, eps)
+                real = cli.transform_upper2_raw
+                patch.setattr(cli, "transform_upper2_raw", lambda s, c: upper_sum(
+                    real(s, c), pulled_upper(c, extra)))
+                s_new = upper_sum(s_new, extra)
+            else:
+                extra = rand_projective_class(rng, dim)
+                real = cli.transform_class_raw
+                patch.setattr(cli, "transform_class_raw", lambda g, c: ProjectiveClass(
+                    dim, (real(g, c) + pulled_class(c, extra)).comps))
+                pc_new = ProjectiveClass(dim, (pc_new + extra).comps)
+            assume(not extra.is_zero())
+            conditions, info = CHECK_HANDLERS["laplacian_invariance"].run(
+                s, pc, change)
+        got = _residual_map(conditions.items())
+        op_tgt = projective_laplacian(s_new, pc_new)
+        want = _residual_map(family_defects(
+            change, projective_laplacian(s, pc), op_tgt).items())
+        assert info == {} and list(got.items()) == list(want.items())
+        if not s.is_zero() or patched == "tensor":
+            assert got
+
+    @pytest.mark.parametrize("dims", LAPLACIAN_DIMS)
+    @pytest.mark.parametrize("make_change", [rand_moebius_change, None])
+    def test_passing_check_maps_nothing_back(self, monkeypatch, dims, make_change):
+        rng = random.Random(31)
+        dim = Dimension.of(*dims)
+        change = make_change(rng, dim) if make_change else shear(dim)
+        s, pc = rand_upper(rng, dim, 1), rand_projective_class(rng, dim)
+        inverse = change.require_inverse()
+        calls = []
+        real = Substitution.__call__
+
+        def counting(plan, f):
+            if plan is inverse:
+                calls.append(f)
+            return real(plan, f)
+
+        monkeypatch.setattr(Substitution, "__call__", counting)
+        conditions, _ = CHECK_HANDLERS["laplacian_invariance"].run(s, pc, change)
+        assert conditions == {} and calls == []
+        new_chart_laplacian(s, pc, change)  # the count sees the reference route
+        assert calls
 
 
 def triple_scenario(n, m):

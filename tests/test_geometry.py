@@ -317,6 +317,35 @@ class TestComponentTable:
                             (1, 0): expr(D12, "th1")})
         assert s.component(2, 1) == -x1
 
+    def test_each_pair_is_compared_once(self, monkeypatch):
+        calls = []
+        real = geometry._negation
+
+        def counting(terms, mirror):
+            calls.append((terms, mirror))
+            return real(terms, mirror)
+
+        monkeypatch.setattr(geometry, "_negation", counting)
+        s = Sym2Upper(D12, geometry.mirrored(D12, {(1, 2): expr(D12, "x1")}))
+        assert s.component(2, 1) == -expr(D12, "x1")
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("keys, name", [
+        (((1, 2), (2, 1)), "(1,2)"), (((2, 1), (1, 2)), "(2,1)"),
+        (((0, 1), (1, 0)), "(0,1)"), (((1, 0), (0, 1)), "(1,0)")])
+    def test_an_inconsistent_pair_is_named_by_its_first_key(self, keys, name):
+        # x1 at an odd-odd pair and th1 at an even-odd pair, with the same
+        # value at both keys: the odd-odd mirror needs the opposite sign
+        # and the even-odd one is given as th1 + th2
+        first, second = keys
+        if first[0] and first[1]:
+            comps = {first: expr(D12, "x1"), second: expr(D12, "x1")}
+        else:
+            comps = {first: expr(D12, "th1"), second: expr(D12, "th1 + th2")}
+        with pytest.raises(ValidationError) as err:
+            Sym2Upper(D12, comps)
+        assert str(err.value) == f"graded symmetry fails at {name}"
+
     def test_equality_within_a_kind(self):
         rng = random.Random(21)
         g = rand_connection(rng, D11)

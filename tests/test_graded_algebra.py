@@ -219,6 +219,18 @@ class TestSubstitution:
         with pytest.raises(NonHomogeneous):
             f.substitute(values)
 
+    def test_unmoved_function_is_returned_as_is(self):
+        # x1 and th1 map to themselves; x2 and th2 move
+        values = [coord(D22, 0), expr(D22, "x2 + x1^2"), coord(D22, 2),
+                  expr(D22, "th2 + x1*th1")]
+        plan = graded_algebra.Substitution(D22, values)
+        f = expr(D22, "x1^2/(1 + x1) + x1*th1")
+        assert plan(f) is f
+        for text in ("x1 + x2*th1", "th1/(1 + x2)", "x1*th2"):
+            g = expr(D22, text)
+            got = plan(g)
+            assert got is not g and same_value(got, reference_substitute(g, values))
+
     def test_migrate_rejects_genuine_dependence(self):
         f = coord(D22, 0)
         with pytest.raises(UnknownCoordinate):
