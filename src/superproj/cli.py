@@ -50,8 +50,8 @@ from .geometry import (
     projective_class,
     schwarzian_defect,
     super_schwarzian,
-    transform_class_raw,
-    transform_upper2_raw,
+    transform_connection,
+    transform_upper2,
 )
 from .graded_algebra import Dimension, SuperFunction
 
@@ -418,12 +418,19 @@ def _check_schwarzian_defect(change: CoordinateChange, gamma=None) -> tuple:
 
 def _check_laplacian_invariance(tensor: Sym2Upper, pc: ProjectiveClass,
                                 change: CoordinateChange) -> tuple:
+    """Invariance of the projective Laplacian under change, checked in the
+    source chart: the new chart's Laplacian is built from c*S and c*Pi (the
+    laws' pulled-back results) and the new chart's derivatives read in the
+    old one, so its coefficients are c* of the new-chart Laplacian's and no
+    function is mapped back by the inverse map.  A change without an
+    inverse map is still refused, after the Laplacian's SingularDimension,
+    as the route through the new chart refuses it."""
     op_src = projective_laplacian(tensor, pc)
-    # the new-chart route's refusal, although this route maps nothing back
     change.require_inverse()
-    op_bar = projective_laplacian(transform_upper2_raw(tensor, change),
-                                  transform_class_raw(pc, change),
-                                  new_chart_partial(change))
+    op_bar = projective_laplacian(
+        transform_upper2(tensor, change, pulled_back=True),
+        projective_class(transform_connection(pc, change, pulled_back=True)),
+        new_chart_partial(change))
     return _intertwining_conditions(change, op_src, op_bar), {}
 
 

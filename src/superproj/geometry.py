@@ -42,11 +42,11 @@ the tensorial law of ``Gamma - F_c``, ``d log Ber`` is half the trace of
 `schwarzian_defect` checks that the Schwarzian of the inverse map is the
 defect of the projective class in the source chart, where the raw law
 leaves its results, and re-expresses a nonzero defect in the new chart.
-The raw laws `transform_upper2_raw` and `transform_class_raw`, with the new
-chart's derivatives read in the old one (`new_chart_partial`), give the
+Each transformation law can leave its result pulled back to the old chart
+(``pulled_back=True``), where the law computes it; with the new chart's
+derivatives read in the old one (`new_chart_partial`), this gives the
 pullback c* of a transformed tensor, class or derivative without the
-inverse map; `transform_upper2` and `transform_connection` re-express
-their results in the new chart.
+inverse map.
 
 All operations are pure; every value is immutable after construction.
 """
@@ -536,28 +536,39 @@ def _substitute_comps(comps, inverse: Substitution):
     return {key: inverse(val) for key, val in comps.items()}
 
 
-def transform_connection(gamma: Sym2Cov, c: CoordinateChange) -> Connection:
+def transform_connection(gamma: Sym2Cov, c: CoordinateChange,
+                         pulled_back: bool = False) -> Connection:
     """Connection coefficients in the new chart (functions of the new chart):
     the tensorial law applied to Gamma - F_c, where the cocycle F_c of
-    `schwarzian_raw` is the inhomogeneous term of the connection law."""
+    `schwarzian_raw` is the inhomogeneous term of the connection law.  With
+    pulled_back, the same coefficients pulled back by c (functions of the
+    OLD chart), where the law leaves them: no inverse map is needed."""
     raw = _transform_core(gamma - schwarzian_raw(c), c)
+    if pulled_back:
+        return Connection(gamma.dim, raw)
     return Connection(gamma.dim, _substitute_comps(raw, c.require_inverse()))
 
 
-def transform_sym2cov(a: Sym2Cov, c: CoordinateChange) -> Sym2Cov:
-    """Purely tensorial transform of a (1,2)-tensor into the new chart."""
+def transform_sym2cov(a: Sym2Cov, c: CoordinateChange,
+                      pulled_back: bool = False) -> Sym2Cov:
+    """Purely tensorial transform of a (1,2)-tensor into the new chart; with
+    pulled_back, pulled back by c as in `transform_connection`."""
     raw = _transform_core(a, c)
+    if pulled_back:
+        return Sym2Cov(a.dim, raw, a.parity)
     return Sym2Cov(a.dim, _substitute_comps(raw, c.require_inverse()), a.parity)
 
 
-def transform_upper2_raw(s: Sym2Upper, c: CoordinateChange) -> Sym2Upper:
-    """The cotangent-lift law p_i = (d_i xbar^a) pbar_a of S^ij, as a tensor
-    of the OLD chart: the raw coefficient
-        raw^ab = (-1)^{b~(i~+a~)} S^ij J^b_j J^a_i,
-    which is c* of `transform_upper2`; no inverse map is needed.  The lift
-    keeps graded symmetry, so only the pairs a <= b are contracted and
-    `mirrored` fills the rest.  Walks the stored components of S and the
-    nonzero Jacobian entries only; keyed in sorted order."""
+def transform_upper2(s: Sym2Upper, c: CoordinateChange,
+                     pulled_back: bool = False) -> Sym2Upper:
+    """Transform of S^ij into the new chart via the cotangent lift
+    p_i = (d_i xbar^a) pbar_a: the raw coefficient
+        raw^ab = (-1)^{b~(i~+a~)} S^ij J^b_j J^a_i
+    re-expressed in the new chart, or, with pulled_back, left in the OLD
+    chart as in `transform_connection`.  The lift keeps graded symmetry, so
+    only the pairs a <= b are contracted and `mirrored` fills the rest.
+    Walks the stored components of S and the nonzero Jacobian entries
+    only; keyed in sorted order."""
     dim = s.dim
     jrows = [[(aa, jf) for aa, jf in enumerate(row) if jf.terms]
              for row in jacobian_rows(c)]
@@ -573,24 +584,10 @@ def transform_upper2_raw(s: Sym2Upper, c: CoordinateChange) -> Sym2Upper:
                     term = -term
                 terms.append(((aa, bb), term))
     raw = mirrored(dim, keyed_sums(terms))
-    return Sym2Upper(dim, {key: raw[key] for key in sorted(raw)}, s.parity)
-
-
-def transform_upper2(s: Sym2Upper, c: CoordinateChange) -> Sym2Upper:
-    """Transform of S^ij into the new chart: `transform_upper2_raw`
-    re-expressed by the inverse map."""
-    inverse = c.require_inverse()
-    raw = transform_upper2_raw(s, c)
-    return Sym2Upper(s.dim, _substitute_comps(raw.comps, inverse), s.parity)
-
-
-def transform_class_raw(gamma: Sym2Cov, c: CoordinateChange) -> ProjectiveClass:
-    """Pi(T(Gamma - F_c)), the projective class of the transformed
-    connection as functions of the OLD chart: c* of
-    ``projective_class(transform_connection(gamma, c))``, since the trace
-    projection commutes with c*; no inverse map is needed."""
-    raw = _transform_core(gamma - schwarzian_raw(c), c)
-    return projective_class(Connection(gamma.dim, raw))
+    raw = {key: raw[key] for key in sorted(raw)}
+    if pulled_back:
+        return Sym2Upper(dim, raw, s.parity)
+    return Sym2Upper(dim, _substitute_comps(raw, c.require_inverse()), s.parity)
 
 
 def new_chart_partial(c: CoordinateChange):
@@ -649,15 +646,15 @@ def schwarzian_defect(gamma: Sym2Cov, c: CoordinateChange) -> Sym2Cov:
     one's and commutes with the trace-free projection, so the defect is the
     image under the inverse map of
         Pi(T(Gamma - F_c)) - T(Pi Gamma) - c* S(c^-1),
-    whose first term is `transform_class_raw`, and only S(c^-1), computed
-    from the inverse map's own Jacobian, is pulled back.  A nonzero defect
-    is re-expressed in the new chart, as the route through
+    whose first two terms are the laws' pulled-back results, and only
+    S(c^-1), computed from the inverse map's own Jacobian, is pulled back.
+    A nonzero defect is re-expressed in the new chart, as the route through
     `transform_connection` and `transform_sym2cov` gives it.
     """
     inverse = c.require_inverse()
     dim = c.dim
-    lhs = transform_class_raw(gamma, c)
-    tensorial = Sym2Cov(dim, _transform_core(projective_class(gamma), c), EVEN)
+    lhs = projective_class(transform_connection(gamma, c, pulled_back=True))
+    tensorial = transform_sym2cov(projective_class(gamma), c, pulled_back=True)
     pulled = Sym2Cov(dim, {key: c.pullback(val) for key, val in
                            super_schwarzian(c.inverted()).comps.items()}, EVEN)
     defect = lhs - (tensorial + pulled)

@@ -546,6 +546,28 @@ class TestTransformConnection:
         with pytest.raises(NotInvertible):
             transform_connection(Connection(d10, {}), c)
 
+    @pytest.mark.parametrize("law, make", [
+        (transform_connection, rand_connection),
+        (transform_sym2cov, lambda rng, dim: rand_sym2cov(rng, dim, 1)),
+        (transform_upper2, lambda rng, dim: rand_upper(rng, dim, 1)),
+    ])
+    def test_pulled_back_is_the_pullback(self, law, make):
+        # pulled_back leaves the law's result in the old chart: c* of the
+        # new-chart result, with no inverse map needed
+        rng = random.Random(25)
+        for c in (moebius_1_1(), mixing_2_2()):
+            t = make(rng, c.dim)
+            got, new = law(t, c, pulled_back=True), law(t, c)
+            assert type(got) is type(new) and got.parity == new.parity
+            assert got.comps == {key: c.pullback(v) for key, v in new.comps.items()}
+        d10 = Dimension.of(1, 0)
+        x = SuperFunction.coordinate(d10, 0)
+        forward_only = CoordinateChange(d10, (x * x,), None)
+        t = make(rng, d10)
+        assert law(t, forward_only, pulled_back=True).dim is d10
+        with pytest.raises(NotInvertible):
+            law(t, forward_only)
+
 
 class TestSchwarzian:
     def test_identity_map(self):
